@@ -7,32 +7,23 @@ positions ``<= t``.  Batched forward/backward cores operate on left-padded
 positions.
 """
 
-from .common import (
-    BackboneConfig,
-    SequenceOutput,
-    load_backbone_checkpoint,
-    save_backbone_checkpoint,
-    score,
-)
-from .gru4rec import Gru4Rec, gru4rec_forward
-from .sasrec import SasRec, sasrec_forward
+from ..config import RunConfig
+from .common import load_backbone_checkpoint, save_backbone_checkpoint
+from .gru4rec import Gru4Rec
+from .sasrec import SasRec
 
 KINDS = {"gru4rec": Gru4Rec, "sasrec": SasRec}
 
 
-def build_backbone(cfg: BackboneConfig, seed: int):
-    return KINDS[cfg.kind](cfg, seed)
+def build_backbone(cfg: RunConfig, seed: int):
+    """The seeded ``cfg.backbone`` encoder."""
+    return KINDS[cfg.backbone](cfg, seed)
 
 
 __all__ = [
-    "BackboneConfig",
-    "SequenceOutput",
     "Gru4Rec",
     "SasRec",
     "build_backbone",
-    "gru4rec_forward",
-    "sasrec_forward",
-    "score",
     "save_backbone_checkpoint",
     "load_backbone_checkpoint",
 ]

@@ -1,4 +1,4 @@
-"""Config, output container, scoring, and checkpoint IO for the backbones.
+"""Initialisation helpers and checkpoint IO for the backbones.
 
 Checkpoint format ``GBKB``: magic | version u16 | kind u8 (1 = gru4rec,
 2 = sasrec) | h u32 | max_seq_len u32 | n_layers u32 | n_heads u32 |
@@ -6,8 +6,6 @@ dropout f32 | parameter tensors in construction order, float32 LE.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,43 +16,6 @@ GBKB_MAGIC = b"GBKB"
 GBKB_VERSION = 1
 KIND_CODES = {"gru4rec": 1, "sasrec": 2}
 KIND_NAMES = {v: k for k, v in KIND_CODES.items()}
-
-
-@dataclass(frozen=True)
-class BackboneConfig:
-    kind: str
-    h: int = 64
-    max_seq_len: int = 100
-    n_layers: int = 0  # 0 -> kind default (1 for gru4rec, 2 for sasrec)
-    n_heads: int = 1
-    dropout: float = 0.2
-
-    def __post_init__(self):
-        if self.kind not in KIND_CODES:
-            raise ValueError(f"unknown backbone kind {self.kind!r}")
-        if self.max_seq_len < 1:
-            raise ValueError("max_seq_len must be >= 1")
-        if self.n_layers == 0:
-            object.__setattr__(self, "n_layers", 1 if self.kind == "gru4rec" else 2)
-        if self.kind == "sasrec" and self.h % self.n_heads != 0:
-            raise ValueError(f"h={self.h} not divisible by n_heads={self.n_heads}")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-
-
-@dataclass(frozen=True)
-class SequenceOutput:
-    """Per-position representations plus the final (last-position) one."""
-
-    per_position: np.ndarray
-    final: np.ndarray
-
-
-def score(o: np.ndarray, item_repr: np.ndarray) -> float:
-    """Interaction probability sigma(o . item_repr)."""
-    o = np.asarray(o, dtype=np.float64)
-    item_repr = np.asarray(item_repr, dtype=np.float64)
-    return float(1.0 / (1.0 + np.exp(-np.dot(o, item_repr))))
 
 
 def dropout_mask(rng: np.random.Generator, shape, p: float) -> np.ndarray:
@@ -72,10 +33,10 @@ def save_backbone_checkpoint(model, path) -> None:
     w = Writer()
     w.magic(GBKB_MAGIC)
     w.u16(GBKB_VERSION)
-    w.u8(KIND_CODES[cfg.kind])
+    w.u8(KIND_CODES[cfg.backbone])
     w.u32(cfg.h)
     w.u32(cfg.max_seq_len)
-    w.u32(cfg.n_layers)
+    w.u32(model.n_layers)
     w.u32(cfg.n_heads)
     w.f32(cfg.dropout)
     for tensor in model.params.values():
@@ -83,28 +44,21 @@ def save_backbone_checkpoint(model, path) -> None:
     w.save(path)
 
 
-def load_backbone_checkpoint(path):
-    """Rebuild a backbone from a GBKB file (params overwrite the seeded init)."""
-    from . import build_backbone  # late import to avoid a cycle
-
+def load_backbone_checkpoint(model, path) -> None:
+    """Overwrite ``model``'s parameters from a GBKB file whose header matches it."""
     r = read_file(path)
     r.magic(GBKB_MAGIC)
     version = r.u16()
     if version != GBKB_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
+    cfg = model.cfg
     kind_code = r.u8()
-    if kind_code not in KIND_NAMES:
-        raise FormatError(f"{path}: unknown backbone kind code {kind_code}")
-    cfg = BackboneConfig(
-        kind=KIND_NAMES[kind_code],
-        h=r.u32(),
-        max_seq_len=r.u32(),
-        n_layers=r.u32(),
-        n_heads=r.u32(),
-        dropout=r.f32(),
-    )
-    model = build_backbone(cfg, seed=0)
-    for name, tensor in model.params.items():
-        model.params[name] = r.f32_array(tensor.size).reshape(tensor.shape)
+    r.expect_field("backbone", KIND_NAMES.get(kind_code, kind_code), cfg.backbone)
+    r.expect_field("h", r.u32(), cfg.h)
+    r.expect_field("max_seq_len", r.u32(), cfg.max_seq_len)
+    r.expect_field("n_layers", r.u32(), model.n_layers)
+    r.expect_field("n_heads", r.u32(), cfg.n_heads)
+    r.expect_field("dropout", r.f32(), float(np.float32(cfg.dropout)))
+    for tensor in model.params.values():
+        tensor[...] = r.f32_array(tensor.size).reshape(tensor.shape)
     r.expect_eof()
-    return model

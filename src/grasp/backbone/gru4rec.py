@@ -10,22 +10,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import BackboneConfig, SequenceOutput, dropout_mask, uniform_init
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+from ..config import RunConfig
+from ..ops import sigmoid
+from .common import dropout_mask, uniform_init
 
 
 class Gru4Rec:
-    def __init__(self, cfg: BackboneConfig, seed: int):
-        if cfg.kind != "gru4rec":
-            raise ValueError(f"config kind {cfg.kind!r} is not gru4rec")
+    def __init__(self, cfg: RunConfig, seed: int):
+        """``cfg.n_layers`` 0 means one layer."""
+        if cfg.backbone != "gru4rec":
+            raise ValueError(f"config backbone {cfg.backbone!r} is not gru4rec")
         self.cfg = cfg
+        self.n_layers = cfg.n_layers or 1
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6B0]))
         h = cfg.h
         self.params: dict[str, np.ndarray] = {}
-        for layer in range(cfg.n_layers):
+        for layer in range(self.n_layers):
             self.params[f"w_x{layer}"] = uniform_init(rng, (h, 3 * h), h)
             self.params[f"w_h{layer}"] = uniform_init(rng, (h, 3 * h), h)
             self.params[f"b{layer}"] = np.zeros(3 * h)
@@ -38,10 +38,12 @@ class Gru4Rec:
         B, L, h = x.shape
         if h != self.cfg.h:
             raise ValueError(f"input dim {h} != configured h {self.cfg.h}")
+        if L == 0:
+            raise ValueError("empty sequence: GRU needs at least one position")
         p = self.cfg.dropout if training else 0.0
         caches = []
         layer_in = x
-        for layer in range(self.cfg.n_layers):
+        for layer in range(self.n_layers):
             drop = (
                 dropout_mask(rng, layer_in.shape, p)
                 if p > 0.0
@@ -69,8 +71,8 @@ class Gru4Rec:
         prev_all = np.empty((B, L, h))
         for t in range(L):
             gh = h_prev @ w_h
-            r = _sigmoid(gx_all[:, t, :h] + gh[:, :h])
-            z = _sigmoid(gx_all[:, t, h : 2 * h] + gh[:, h : 2 * h])
+            r = sigmoid(gx_all[:, t, :h] + gh[:, :h])
+            z = sigmoid(gx_all[:, t, h : 2 * h] + gh[:, h : 2 * h])
             hn_lin = gh[:, 2 * h :]
             n = np.tanh(gx_all[:, t, 2 * h :] + r * hn_lin)
             h_new = (1.0 - z) * n + z * h_prev
@@ -128,14 +130,3 @@ class Gru4Rec:
         grads[f"w_h{layer}"] += flat_prev.T @ flat_gh
         grads[f"b{layer}"] += flat_gx.sum(axis=0)
         return (d_gx_all.reshape(-1, 3 * h) @ w_x.T).reshape(B, L, h)
-
-
-def gru4rec_forward(inputs: np.ndarray, model: Gru4Rec) -> SequenceOutput:
-    """Single-sequence evaluation-mode forward; inputs is (L, h) with L >= 1."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2:
-        raise ValueError(f"expected (L, h) inputs, got shape {inputs.shape}")
-    if inputs.shape[0] == 0:
-        raise ValueError("empty sequence: GRU needs at least one position")
-    out, _ = model.forward(inputs[None], np.ones((1, inputs.shape[0]), dtype=bool))
-    return SequenceOutput(per_position=out[0], final=out[0][-1])

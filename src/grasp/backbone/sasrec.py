@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import BackboneConfig, SequenceOutput, dropout_mask, uniform_init
+from ..config import RunConfig
+from ..ops import mm
+from .common import dropout_mask, uniform_init
 
 LN_EPS = 1e-8
 MASKED_SCORE = -1e30
@@ -40,21 +42,18 @@ def _ln_backward(cache, g, dy):
     return dx, dg, db
 
 
-def _mm(x, w):
-    """x @ w over the last axis as one 2-D GEMM."""
-    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + (w.shape[1],))
-
-
 class SasRec:
-    def __init__(self, cfg: BackboneConfig, seed: int):
-        if cfg.kind != "sasrec":
-            raise ValueError(f"config kind {cfg.kind!r} is not sasrec")
+    def __init__(self, cfg: RunConfig, seed: int):
+        """``cfg.n_layers`` 0 means two blocks."""
+        if cfg.backbone != "sasrec":
+            raise ValueError(f"config backbone {cfg.backbone!r} is not sasrec")
         self.cfg = cfg
+        self.n_layers = cfg.n_layers or 2
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5A5]))
         h = cfg.h
         p: dict[str, np.ndarray] = {}
         p["pos_emb"] = uniform_init(rng, (cfg.max_seq_len, h), h)
-        for layer in range(cfg.n_layers):
+        for layer in range(self.n_layers):
             p[f"ln1_g{layer}"] = np.ones(h)
             p[f"ln1_b{layer}"] = np.zeros(h)
             for name in ("wq", "wk", "wv", "wo"):
@@ -102,12 +101,12 @@ class SasRec:
         allowed = causal[None, None, :, :] & mask[:, None, None, :]
 
         layer_caches = []
-        for layer in range(cfg.n_layers):
+        for layer in range(self.n_layers):
             x_in = cur
             a, ln1_cache = _ln_forward(x_in, self.params[f"ln1_g{layer}"], self.params[f"ln1_b{layer}"])
-            q = _mm(a, self.params[f"wq{layer}"]) + self.params[f"bq{layer}"]
-            k = _mm(a, self.params[f"wk{layer}"]) + self.params[f"bk{layer}"]
-            v = _mm(a, self.params[f"wv{layer}"]) + self.params[f"bv{layer}"]
+            q = mm(a, self.params[f"wq{layer}"]) + self.params[f"bq{layer}"]
+            k = mm(a, self.params[f"wk{layer}"]) + self.params[f"bk{layer}"]
+            v = mm(a, self.params[f"wv{layer}"]) + self.params[f"bv{layer}"]
             qh, kh, vh = self._split(q), self._split(k), self._split(v)
             hd = cfg.h // cfg.n_heads
             scores = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(hd)
@@ -116,14 +115,14 @@ class SasRec:
             e = np.exp(scores - smax)
             s = e / e.sum(axis=-1, keepdims=True)
             ctx = self._merge(s @ vh)
-            attn_out = _mm(ctx, self.params[f"wo{layer}"]) + self.params[f"bo{layer}"]
+            attn_out = mm(ctx, self.params[f"wo{layer}"]) + self.params[f"bo{layer}"]
             dm1 = dropout_mask(rng, attn_out.shape, p) if p > 0.0 else None
             x_mid = (x_in + (attn_out * dm1 if dm1 is not None else attn_out)) * fmask
 
             f, ln2_cache = _ln_forward(x_mid, self.params[f"ln2_g{layer}"], self.params[f"ln2_b{layer}"])
-            a1 = _mm(f, self.params[f"wf1{layer}"]) + self.params[f"bf1{layer}"]
+            a1 = mm(f, self.params[f"wf1{layer}"]) + self.params[f"bf1{layer}"]
             h1 = np.maximum(a1, 0.0)
-            ff = _mm(h1, self.params[f"wf2{layer}"]) + self.params[f"bf2{layer}"]
+            ff = mm(h1, self.params[f"wf2{layer}"]) + self.params[f"bf2{layer}"]
             dm2 = dropout_mask(rng, ff.shape, p) if p > 0.0 else None
             cur = (x_mid + (ff * dm2 if dm2 is not None else ff)) * fmask
 
@@ -146,7 +145,7 @@ class SasRec:
         grads["lnf_g"] += dg
         grads["lnf_b"] += db
 
-        for layer in reversed(range(cfg.n_layers)):
+        for layer in reversed(range(self.n_layers)):
             (ln1_cache, a, qh, kh, vh, s, ctx, dm1, ln2_cache, f, a1, h1, dm2) = layer_caches[layer]
             hd = cfg.h // cfg.n_heads
 
@@ -156,10 +155,10 @@ class SasRec:
             flat_dff = d_ff.reshape(-1, cfg.h)
             grads[f"wf2{layer}"] += flat_h1.T @ flat_dff
             grads[f"bf2{layer}"] += flat_dff.sum(axis=0)
-            d_a1 = _mm(d_ff, self.params[f"wf2{layer}"].T) * (a1 > 0)
+            d_a1 = mm(d_ff, self.params[f"wf2{layer}"].T) * (a1 > 0)
             grads[f"wf1{layer}"] += f.reshape(-1, cfg.h).T @ d_a1.reshape(-1, cfg.h)
             grads[f"bf1{layer}"] += d_a1.reshape(-1, cfg.h).sum(axis=0)
-            d_f = _mm(d_a1, self.params[f"wf1{layer}"].T)
+            d_f = mm(d_a1, self.params[f"wf1{layer}"].T)
             d_ln2, dg, db = _ln_backward(ln2_cache, self.params[f"ln2_g{layer}"], d_f)
             grads[f"ln2_g{layer}"] += dg
             grads[f"ln2_b{layer}"] += db
@@ -171,7 +170,7 @@ class SasRec:
             flat_dattn = d_attn.reshape(-1, cfg.h)
             grads[f"wo{layer}"] += flat_ctx.T @ flat_dattn
             grads[f"bo{layer}"] += flat_dattn.sum(axis=0)
-            d_ctxh = self._split(_mm(d_attn, self.params[f"wo{layer}"].T))
+            d_ctxh = self._split(mm(d_attn, self.params[f"wo{layer}"].T))
             d_s = d_ctxh @ vh.transpose(0, 1, 3, 2)
             d_vh = s.transpose(0, 1, 3, 2) @ d_ctxh
             d_scores = s * (d_s - (d_s * s).sum(axis=-1, keepdims=True))
@@ -185,7 +184,7 @@ class SasRec:
                 flat_dx = dx.reshape(-1, cfg.h)
                 grads[f"{nm}{layer}"] += flat_a.T @ flat_dx
                 grads[f"b{nm[1]}{layer}"] += flat_dx.sum(axis=0)
-                d_a += _mm(dx, self.params[f"{nm}{layer}"].T)
+                d_a += mm(dx, self.params[f"{nm}{layer}"].T)
             d_ln1, dg, db = _ln_backward(ln1_cache, self.params[f"ln1_g{layer}"], d_a)
             grads[f"ln1_g{layer}"] += dg
             grads[f"ln1_b{layer}"] += db
@@ -196,19 +195,3 @@ class SasRec:
         d = d * fmask
         np.add.at(grads["pos_emb"], pos_idx[mask], d[mask])
         return d, grads
-
-
-def sasrec_forward(inputs: np.ndarray, model: SasRec) -> SequenceOutput:
-    """Single-sequence evaluation-mode forward; L must not exceed max_seq_len."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2:
-        raise ValueError(f"expected (L, h) inputs, got shape {inputs.shape}")
-    L = inputs.shape[0]
-    if L > model.cfg.max_seq_len:
-        raise ValueError(f"sequence length {L} exceeds max_seq_len {model.cfg.max_seq_len}")
-    if L == 0:
-        return SequenceOutput(
-            per_position=np.empty((0, model.cfg.h)), final=np.zeros(model.cfg.h)
-        )
-    out, _ = model.forward(inputs[None], np.ones((1, L), dtype=bool))
-    return SequenceOutput(per_position=out[0], final=out[0][-1])

@@ -65,6 +65,11 @@ class Reader:
         raw = self._take(8 * count)
         return np.frombuffer(raw, dtype="<u8").astype(np.int64)
 
+    def expect_field(self, name: str, got, want) -> None:
+        """A header field read from the file must equal what the model needs."""
+        if got != want:
+            raise FormatError(f"{self.path}: header {name}={got} but the model expects {want}")
+
     def expect_eof(self) -> None:
         if self.pos != len(self.data):
             raise FormatError(

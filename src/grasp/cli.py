@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
+
+# config imports no numpy, so it may load before _cap_threads runs.
+from .config import CHOICES, FIELD_TYPES, RunConfig, parse_config_file, write_key_values
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -65,37 +69,42 @@ def _parse_int_list(raw: str) -> list[int]:
 # ---------------------------------------------------------------------------
 # Config plumbing
 
-_CONFIG_FLOATS = ("lr", "dropout", "head_ratio")
-_CONFIG_INTS = (
-    "batch_size", "patience", "max_epochs", "negatives_per_positive",
-    "eval_negatives", "h", "max_seq_len", "n_layers", "n_heads",
-    "k_neighbors", "d_sem", "h_hidden", "min_user_len", "min_item_freq",
-)
-_CONFIG_BOOLS = ("no_attention", "no_similar", "no_global", "softmax_variant")
+# Settings ``grasp eval`` may change; every other field comes from the checkpoint.
+EVAL_OVERRIDES = ("eval_negatives", "head_ratio")
 
 
 def _add_run_config_flags(sp) -> None:
     sp.add_argument("--config", default=None, help="flat key=value config file")
-    for name in _CONFIG_FLOATS:
-        sp.add_argument(f"--{name.replace('_', '-')}", type=float, default=None)
-    for name in _CONFIG_INTS:
-        sp.add_argument(f"--{name.replace('_', '-')}", type=int, default=None)
-    for name in _CONFIG_BOOLS:
-        sp.add_argument(
-            f"--{name.replace('_', '-')}", dest=name,
-            action="store_const", const=True, default=None,
-        )
-    sp.add_argument("--backbone", choices=("gru4rec", "sasrec"), default=None)
-    sp.add_argument("--encoder", choices=("semantic", "id"), default=None)
+    for f in dataclasses.fields(RunConfig):
+        flag = f"--{f.name.replace('_', '-')}"
+        if f.type == "bool":
+            sp.add_argument(flag, dest=f.name, action="store_const", const=True, default=None)
+        else:
+            sp.add_argument(flag, type=FIELD_TYPES[f.name], choices=CHOICES.get(f.name), default=None)
 
 
-def _resolve_run_config(args):
-    from .config import parse_config_file, resolve_config
+def _given_settings(args) -> dict:
+    """Settings named by ``--config`` and explicit flags (flags win); defaults excluded."""
+    given = parse_config_file(args.config) if args.config else {}
+    for f in dataclasses.fields(RunConfig):
+        if getattr(args, f.name) is not None:
+            given[f.name] = getattr(args, f.name)
+    return given
 
-    file_values = parse_config_file(args.config) if args.config else None
-    names = list(_CONFIG_FLOATS) + list(_CONFIG_INTS) + list(_CONFIG_BOOLS) + ["backbone", "encoder"]
-    flags = {name: getattr(args, name, None) for name in names}
-    return resolve_config(file_values, flags)
+
+def _checkpoint_run_config(args):
+    """The checkpoint's config with only ``EVAL_OVERRIDES`` open to change."""
+    from .pipeline import read_model_config
+
+    cfg = read_model_config(args.checkpoint)
+    given = _given_settings(args)
+    for name, value in given.items():
+        if name not in EVAL_OVERRIDES and value != getattr(cfg, name):
+            raise ValueError(
+                f"{name}={value!r} disagrees with the checkpoint's {name}={getattr(cfg, name)!r}; "
+                f"eval may change only {', '.join(EVAL_OVERRIDES)}"
+            )
+    return dataclasses.replace(cfg, **{k: v for k, v in given.items() if k in EVAL_OVERRIDES})
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +131,9 @@ def cmd_synth(args) -> int:
             "d_sem": args.d_sem,
             "noise": args.noise,
             "seed": args.seed,
-            "exact_cluster_mode": int(args.noise == 0.0),
+            "exact_cluster_mode": args.noise == 0.0,
         }
-        with open(os.path.join(args.out, "manifest.txt"), "w", encoding="utf-8") as fh:
-            for key, value in manifest.items():
-                fh.write(f"{key}={value}\n")
+        write_key_values(os.path.join(args.out, "manifest.txt"), manifest)
     print(f"synth: wrote {ds.user_count} users / {ds.item_count} items to {args.out}")
     return 0
 
@@ -152,7 +159,7 @@ def cmd_train(args) -> int:
     from .dataset import write_id_map
     from .pipeline import load_data_dir, train_one_seed
 
-    cfg = _resolve_run_config(args)
+    cfg = RunConfig(**_given_settings(args))
     seeds = _parse_int_list(args.seeds)
     with _output_lock(args.out):
         data = load_data_dir(args.data, cfg, need_stores=cfg.encoder == "semantic")
@@ -185,15 +192,13 @@ def cmd_eval(args) -> int:
     import hashlib
 
     from .evaluation import emit_report, format_report_table
-    from .pipeline import eval_model, load_data_dir, load_model_dir, _read_manifest
+    from .pipeline import eval_model, load_data_dir, load_model_dir
 
-    cfg = _resolve_run_config(args)
-    manifest = _read_manifest(os.path.join(args.checkpoint, "model.txt"))
-    need_stores = manifest.get("encoder", "semantic") == "semantic"
+    cfg = _checkpoint_run_config(args)
     metrics_path = os.path.join(args.out, "metrics.tsv")
     _refuse_existing(metrics_path, args.force)
     with _output_lock(args.out):
-        data = load_data_dir(args.data, cfg, need_stores=need_stores)
+        data = load_data_dir(args.data, cfg, need_stores=cfg.encoder == "semantic")
         model, _ = load_model_dir(args.checkpoint, data)
         reports, _ = eval_model(
             data, model, cfg, seed=args.seed, which=args.split,
@@ -235,7 +240,7 @@ def cmd_sweep(args) -> int:
     from .hae import SemanticStore
     from .pipeline import eval_model, load_data_dir, load_model_dir, train_one_seed
 
-    cfg = _resolve_run_config(args)
+    cfg = RunConfig(**_given_settings(args))
     grid: list[tuple[str, int]] = []
     if args.sweep_k:
         grid += [("k_neighbors", v) for v in sorted(_parse_int_list(args.sweep_k))]
@@ -243,13 +248,13 @@ def cmd_sweep(args) -> int:
         grid += [("h", v) for v in sorted(_parse_int_list(args.sweep_h))]
     if not grid:
         raise ValueError("empty sweep grid: pass --sweep-k and/or --sweep-h")
+    # Every point is validated before the first one trains.
+    points = [(param, value, dataclasses.replace(cfg, **{param: value})) for param, value in grid]
 
     rows = []
     with _output_lock(args.out):
         base = load_data_dir(args.data, cfg, need_stores=cfg.encoder == "semantic")
-        for param, value in grid:
-            point_cfg = copy.deepcopy(cfg)
-            setattr(point_cfg, param, value)
+        for param, value, point_cfg in points:
             data = base
             if param == "k_neighbors" and cfg.encoder == "semantic":
                 data = copy.copy(base)

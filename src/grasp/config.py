@@ -1,8 +1,11 @@
 """Run configuration: built-in defaults < config file < command-line flags.
 
-The config file is flat ``key=value`` text mirroring flag names (dashes or
-underscores both accepted); ``#`` starts a comment.  Every command echoes
-its effective configuration into its summary output.
+``RunConfig`` is the one settings type: the CLI generates its flags from
+the fields, every layer reads its settings from it, and a checkpoint's
+``model.txt`` stores it in full.  The config file is flat ``key=value``
+text mirroring flag names (dashes or underscores both accepted); ``#``
+starts a comment.  Every command echoes its effective configuration into
+its summary output.
 """
 
 from __future__ import annotations
@@ -19,6 +22,10 @@ def _parse_bool(raw: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {raw!r}")
+
+
+# The string fields' allowed values, shared by validation and the CLI choices.
+CHOICES = {"backbone": ("gru4rec", "sasrec"), "encoder": ("semantic", "id")}
 
 
 @dataclass
@@ -53,18 +60,34 @@ class RunConfig:
     softmax_variant: bool = False
 
     def __post_init__(self):
-        if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be >= 1")
+        for name in ("batch_size", "patience", "max_epochs", "negatives_per_positive",
+                     "eval_negatives", "h", "max_seq_len", "n_heads", "k_neighbors"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("n_layers", "d_sem", "h_hidden"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0 (0 picks the default), got {getattr(self, name)}")
+        if self.lr < 0:
+            raise ValueError("lr must be >= 0")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
+        if self.backbone == "sasrec" and self.h % self.n_heads != 0:
+            raise ValueError(f"h={self.h} not divisible by n_heads={self.n_heads}")
+        if not (0.0 <= self.dropout < 1.0):
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if not (0.0 < self.head_ratio < 1.0):
             raise ValueError("head_ratio must be in (0, 1)")
-        if self.encoder not in ("semantic", "id"):
-            raise ValueError(f"encoder must be 'semantic' or 'id', got {self.encoder!r}")
 
     def echo(self) -> dict:
         return asdict(self)
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# Field name -> parser for its text form; the one type table for files and flags.
+FIELD_TYPES = {
+    f.name: {"bool": _parse_bool, "int": int, "float": float, "str": str}[f.type]
+    for f in fields(RunConfig)
+}
 
 
 def parse_config_file(path) -> dict:
@@ -76,31 +99,20 @@ def parse_config_file(path) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise DataError(f"{path}: line {lineno}: expected key=value")
+                raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = line.split("=", 1)
             key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key not in _FIELD_TYPES:
-                raise DataError(f"{path}: line {lineno}: unknown key {key!r}")
-            ftype = _FIELD_TYPES[key]
+            if key not in FIELD_TYPES:
+                raise DataError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                if ftype in ("bool", bool):
-                    values[key] = _parse_bool(value)
-                elif ftype in ("int", int):
-                    values[key] = int(value)
-                elif ftype in ("float", float):
-                    values[key] = float(value)
-                else:
-                    values[key] = value
+                values[key] = FIELD_TYPES[key](value.strip())
             except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
+                raise DataError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
-def resolve_config(file_values: dict | None, flag_values: dict) -> RunConfig:
-    """Merge defaults, config-file values, and explicitly set flags."""
-    merged: dict = {}
-    if file_values:
-        merged.update(file_values)
-    merged.update({k: v for k, v in flag_values.items() if v is not None})
-    return RunConfig(**merged)
+def write_key_values(path, entries: dict) -> None:
+    """Flat ``key=value`` lines, bools as 0/1, readable by ``parse_config_file``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for key, value in entries.items():
+            fh.write(f"{key}={int(value) if isinstance(value, bool) else value}\n")

@@ -170,19 +170,20 @@ def parse_report_tsv(path) -> list[MetricReport]:
         first = fh.readline().rstrip("\n")
         if first != _HEADER:
             raise DataError(f"{path}: unexpected header {first!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
-            if not line:
+            if not line or (line.startswith("#") and not line.startswith("# meta\t")):
                 continue
-            if line.startswith("# meta\t"):
-                _, group, n_users, n_skipped, empty = line.split("\t")
-                meta[group] = (int(n_users), int(n_skipped), bool(int(empty)))
-                order.append(group)
-                continue
-            if line.startswith("#"):
-                continue
-            group, k, ndcg, hr = line.split("\t")
-            data.setdefault(group, {})[int(k)] = (float(ndcg), float(hr))
+            try:
+                if line.startswith("# meta\t"):
+                    _, group, n_users, n_skipped, empty = line.split("\t")
+                    meta[group] = (int(n_users), int(n_skipped), bool(int(empty)))
+                    order.append(group)
+                else:
+                    group, k, ndcg, hr = line.split("\t")
+                    data.setdefault(group, {})[int(k)] = (float(ndcg), float(hr))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: malformed row {line!r} ({exc})") from None
     for group in order:
         n_users, n_skipped, empty = meta[group]
         cells = data.get(group, {})

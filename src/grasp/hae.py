@@ -34,34 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binio import Writer, read_file
+from .config import RunConfig
 from .embedstore import EmbeddingMatrix, NeighborCache
 from .errors import FormatError
+from .ops import mm, sigmoid
 
 GHAE_MAGIC = b"GHAE"
 GHAE_VERSION = 1
-
-
-def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-@dataclass(frozen=True)
-class HaeConfig:
-    """Dimensions plus the ablation switches."""
-
-    d_sem: int
-    h: int
-    h_hidden: int = 0  # 0 -> default 2*h
-    no_attention: bool = False
-    no_similar: bool = False
-    no_global: bool = False
-    softmax_variant: bool = False
-
-    def __post_init__(self):
-        if self.d_sem < 1 or self.h < 1:
-            raise ValueError("d_sem and h must be positive")
-        if self.h_hidden == 0:
-            object.__setattr__(self, "h_hidden", 2 * self.h)
 
 
 @dataclass
@@ -76,14 +55,14 @@ class HaeParams:
     def tensors(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
-    def copy(self) -> "HaeParams":
-        return HaeParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
 
+def init_params(cfg: RunConfig, d_sem: int, seed: int) -> HaeParams:
+    """Seeded symmetric uniform init, scale 1/sqrt(fan_in) per layer.
 
-def init_params(cfg: HaeConfig, seed: int) -> HaeParams:
-    """Seeded symmetric uniform init, scale 1/sqrt(fan_in) per layer."""
+    ``cfg.h_hidden`` 0 means a hidden width of ``2 * h``.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4AE]))
-    din, hh, h = 4 * cfg.d_sem, cfg.h_hidden, cfg.h
+    din, hh, h = 4 * d_sem, cfg.h_hidden or 2 * cfg.h, cfg.h
     s1 = 1.0 / np.sqrt(din)
     s2 = 1.0 / np.sqrt(hh)
     return HaeParams(
@@ -92,24 +71,6 @@ def init_params(cfg: HaeConfig, seed: int) -> HaeParams:
         w2=rng.uniform(-s2, s2, size=(hh, h)),
         b2=rng.uniform(-s2, s2, size=h),
     )
-
-
-@dataclass(frozen=True)
-class SemanticBundle:
-    """The four frozen vectors feeding one item's enhancement."""
-
-    u: np.ndarray
-    u_bar: np.ndarray
-    item: np.ndarray
-    item_bar: np.ndarray
-
-    def __post_init__(self):
-        dims = {v.shape for v in (self.u, self.u_bar, self.item, self.item_bar)}
-        if len(dims) != 1 or self.u.ndim != 1:
-            raise ValueError(f"bundle vectors must share one dimension, got {dims}")
-        for name, v in zip(("u", "u_bar", "item", "item_bar"), (self.u, self.u_bar, self.item, self.item_bar)):
-            if not np.isfinite(v).all():
-                raise ValueError(f"bundle vector {name} contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -127,63 +88,8 @@ class SemanticStore:
             )
 
 
-@dataclass(frozen=True)
-class EnhancedItem:
-    self_branch: np.ndarray
-    similar_branch: np.ndarray
-    global_branch: np.ndarray
-    fused: np.ndarray
-
-
-def sigmoid_gate(q: np.ndarray, v: np.ndarray, scale_dim: int) -> float:
-    """Scalar gate sigma(q.v / sqrt(scale_dim)); strictly inside (0, 1)."""
-    q = np.asarray(q, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if q.shape != v.shape:
-        raise ValueError(f"gate inputs differ in shape: {q.shape} vs {v.shape}")
-    if scale_dim <= 0:
-        raise ValueError(f"scale_dim must be positive, got {scale_dim}")
-    return float(sigmoid(np.dot(q, v) / np.sqrt(scale_dim)))
-
-
-def enhance_item(b: SemanticBundle, cfg: HaeConfig | None = None):
-    """The three gated branches for a single item; returns (self, similar, global)."""
-    d = b.u.shape[0]
-    if cfg is None:
-        cfg = HaeConfig(d_sem=d, h=1)
-    elif cfg.d_sem != d:
-        raise ValueError(f"bundle dimension {d} != configured d_sem {cfg.d_sem}")
-    concat = _branch_concat(
-        b.u[None, :], b.u_bar[None, :], b.item[None, :], b.item_bar[None, :], cfg
-    )[0]
-    return concat[:d].copy(), concat[d : 2 * d].copy(), concat[2 * d :].copy()
-
-
-def fuse(branches, p: HaeParams) -> np.ndarray:
-    """MLP projection of the concatenated branches into the backbone space."""
-    self_b, sim_b, glob_b = branches
-    concat = np.concatenate([self_b, sim_b, glob_b])
-    if concat.shape[0] != p.w1.shape[0]:
-        raise ValueError(
-            f"concat length {concat.shape[0]} != w1 input size {p.w1.shape[0]}"
-        )
-    fused, _ = fuse_forward(concat[None, :], p)
-    return fused[0]
-
-
-def enhance_and_fuse(b: SemanticBundle, p: HaeParams, cfg: HaeConfig) -> EnhancedItem:
-    """Branches plus their fused projection for one item, as one record."""
-    branches = enhance_item(b, cfg)
-    return EnhancedItem(
-        self_branch=branches[0],
-        similar_branch=branches[1],
-        global_branch=branches[2],
-        fused=fuse(branches, p),
-    )
-
-
 # ---------------------------------------------------------------------------
-# Batched core (shared by the single-item wrappers and the trainer)
+# Batched core
 
 
 def _gate_preacts(u, ubar, it, itbar, d: int):
@@ -205,14 +111,15 @@ def _masked_softmax(pre: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     return np.where(total > 0, e / np.where(total == 0, 1.0, total), 0.0)
 
 
-def _branch_concat(u, ubar, it, itbar, cfg: HaeConfig, positions_mask=None, softmax_over_positions=False):
-    """Gated branch concatenation, shape (..., 4*d_sem).
+def _branch_concat(u, ubar, it, itbar, cfg: RunConfig, positions_mask=None,
+                   softmax_over_positions=False):
+    """Gated branch concatenation, shape (..., 4*d_sem); reads ``cfg``'s ablation switches.
 
     ``softmax_over_positions`` applies only under ``cfg.softmax_variant``;
     it normalizes the gate pre-activations across the last axis of the
     leading shape (sequence positions), honoring ``positions_mask``.
     """
-    d = cfg.d_sem
+    d = it.shape[-1]
     pre_self, pre_sim, pre_glob = _gate_preacts(u, ubar, it, itbar, d)
     if cfg.no_attention:
         ones = np.ones_like(pre_self)
@@ -239,16 +146,11 @@ def _branch_concat(u, ubar, it, itbar, cfg: HaeConfig, positions_mask=None, soft
     return np.concatenate([self_b, sim_b, glob_b], axis=-1)
 
 
-def _mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w over the last axis as a single 2-D GEMM (fast for (..., K) inputs)."""
-    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + (w.shape[1],))
-
-
 def fuse_forward(concat: np.ndarray, p: HaeParams):
     """MLP forward on (..., 4d) -> (..., h); returns (fused, cache)."""
-    a1 = _mm(concat, p.w1) + p.b1
+    a1 = mm(concat, p.w1) + p.b1
     h1 = np.maximum(a1, 0.0)
-    fused = _mm(h1, p.w2) + p.b2
+    fused = mm(h1, p.w2) + p.b2
     return fused, (concat, a1, h1)
 
 
@@ -272,80 +174,35 @@ def fuse_backward(cache, d_fused: np.ndarray, p: HaeParams) -> dict[str, np.ndar
     return {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
 
 
-def hae_backward(bundle_cache, p: HaeParams, upstream: np.ndarray) -> dict[str, np.ndarray]:
-    """Parameter gradients for a batch; alias of the fused-MLP backward."""
-    return fuse_backward(bundle_cache, upstream, p)
-
-
-def enhance_sequence(
-    user: int,
-    item_seq,
-    user_store: SemanticStore,
-    item_store: SemanticStore,
-    p: HaeParams,
-    cfg: HaeConfig,
-) -> np.ndarray:
-    """Enhanced representations for one user's item sequence, shape (L, h).
-
-    Row ``t`` is ``fuse(enhance_item(bundle(user, item_seq[t])))``; under
-    the default gating it depends only on (user, item_seq[t]).
-    """
-    item_seq = np.asarray(item_seq, dtype=np.int64)
-    if not (0 <= user < user_store.matrix.rows):
-        raise IndexError(f"user id {user} out of range for {user_store.matrix.rows} rows")
-    if item_seq.size and (item_seq.min() < 0 or item_seq.max() >= item_store.matrix.rows):
-        raise IndexError(
-            f"item id out of range for {item_store.matrix.rows} rows: {item_seq}"
-        )
-    if item_seq.size == 0:
-        return np.empty((0, cfg.h), dtype=np.float64)
-
-    L = item_seq.shape[0]
-    u = np.broadcast_to(user_store.matrix.values[user], (L, cfg.d_sem))
-    ubar = np.broadcast_to(user_store.cache.pooled_means[user], (L, cfg.d_sem))
-    it = item_store.matrix.values[item_seq]
-    itbar = item_store.cache.pooled_means[item_seq]
-    concat = _branch_concat(
-        u, ubar, it, itbar, cfg,
-        positions_mask=np.ones(L, dtype=bool),
-        softmax_over_positions=cfg.softmax_variant,
-    )
-    fused, _ = fuse_forward(concat, p)
-    return fused
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints
 
 
-def save_hae_checkpoint(p: HaeParams, cfg: HaeConfig, path) -> None:
+def _dims(p: HaeParams) -> dict[str, int]:
+    """The GHAE header fields, in file order, as ``p``'s shapes imply them."""
+    return {"d_sem": p.w1.shape[0] // 4, "h_hidden": p.w1.shape[1], "h": p.w2.shape[1]}
+
+
+def save_hae_checkpoint(p: HaeParams, path) -> None:
     w = Writer()
     w.magic(GHAE_MAGIC)
     w.u16(GHAE_VERSION)
-    w.u32(cfg.d_sem)
-    w.u32(cfg.h_hidden)
-    w.u32(cfg.h)
+    for value in _dims(p).values():
+        w.u32(value)
     for tensor in p.tensors().values():
         w.f32_array(tensor)
     w.save(path)
 
 
-def load_hae_checkpoint(path) -> tuple[HaeParams, tuple[int, int, int]]:
-    """Returns the parameters plus the stored (d_sem, h_hidden, h)."""
+def load_hae_checkpoint(p: HaeParams, path) -> None:
+    """Overwrite ``p`` from a GHAE file whose header matches its shapes."""
     r = read_file(path)
     r.magic(GHAE_MAGIC)
     version = r.u16()
     if version != GHAE_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    d_sem = r.u32()
-    hh = r.u32()
-    h = r.u32()
-    din = 4 * d_sem
-    p = HaeParams(
-        w1=r.f32_array(din * hh).reshape(din, hh),
-        b1=r.f32_array(hh),
-        w2=r.f32_array(hh * h).reshape(hh, h),
-        b2=r.f32_array(h),
-    )
+    for name, want in _dims(p).items():
+        r.expect_field(name, r.u32(), want)
+    for tensor in p.tensors().values():
+        tensor[...] = r.f32_array(tensor.size).reshape(tensor.shape)
     r.expect_eof()
-    return p, (d_sem, hh, h)

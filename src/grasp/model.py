@@ -16,9 +16,11 @@ import hashlib
 import numpy as np
 
 from . import hae as hae_mod
-from .backbone import BackboneConfig, build_backbone
+from .backbone import build_backbone
+from .config import RunConfig
 from .errors import DataError
-from .hae import HaeConfig, SemanticStore
+from .hae import SemanticStore
+from .ops import sigmoid
 
 PROB_CLAMP = 1e-7
 
@@ -42,7 +44,11 @@ def pad_sequences(seqs, max_seq_len: int):
 
 
 class SemanticEncoder:
-    """Holistic-attention enhancement over frozen semantic stores."""
+    """Holistic-attention enhancement over frozen semantic stores.
+
+    The semantic width ``d_sem`` is the stores' dimension; a nonzero
+    ``cfg.d_sem`` must agree with it.
+    """
 
     group_name = "hae"
 
@@ -50,20 +56,22 @@ class SemanticEncoder:
         self,
         user_store: SemanticStore,
         item_store: SemanticStore,
-        cfg: HaeConfig,
+        cfg: RunConfig,
         seed: int,
         user_rows: np.ndarray | None = None,
         item_rows: np.ndarray | None = None,
     ):
-        if user_store.matrix.dim != cfg.d_sem or item_store.matrix.dim != cfg.d_sem:
+        d_sem = user_store.matrix.dim
+        if item_store.matrix.dim != d_sem or cfg.d_sem not in (0, d_sem):
             raise DataError(
                 f"store dims ({user_store.matrix.dim}, {item_store.matrix.dim}) "
-                f"do not match configured d_sem {cfg.d_sem}"
+                f"do not match each other or configured d_sem {cfg.d_sem}"
             )
         self.user_store = user_store
         self.item_store = item_store
         self.cfg = cfg
-        self.hae = hae_mod.init_params(cfg, seed)
+        self.d_sem = d_sem
+        self.hae = hae_mod.init_params(cfg, d_sem, seed)
         self.user_rows = self._check_rows(user_rows, user_store.matrix.rows, "user")
         self.item_rows = self._check_rows(item_rows, item_store.matrix.rows, "item")
 
@@ -94,9 +102,9 @@ class SemanticEncoder:
         urows = self._map(user_ids, self.user_rows)
         irows = self._map(item_ids, self.item_rows)
         extra = item_ids.ndim - 1
-        shape = (len(user_ids),) + (1,) * extra + (self.cfg.d_sem,)
-        u = np.broadcast_to(self.user_store.matrix.values[urows].reshape(shape), irows.shape + (self.cfg.d_sem,))
-        ubar = np.broadcast_to(self.user_store.cache.pooled_means[urows].reshape(shape), irows.shape + (self.cfg.d_sem,))
+        shape = (len(user_ids),) + (1,) * extra + (self.d_sem,)
+        u = np.broadcast_to(self.user_store.matrix.values[urows].reshape(shape), irows.shape + (self.d_sem,))
+        ubar = np.broadcast_to(self.user_store.cache.pooled_means[urows].reshape(shape), irows.shape + (self.d_sem,))
         it = self.item_store.matrix.values[irows]
         itbar = self.item_store.cache.pooled_means[irows]
         concat = hae_mod._branch_concat(
@@ -163,7 +171,7 @@ class RecModel:
         cand, cache_cand = self.encoder.encode_items(users, cand_ids)
 
         logits = np.einsum("blh,blch->blc", o, cand)
-        probs = 1.0 / (1.0 + np.exp(-logits))
+        probs = sigmoid(logits)
         labels = np.zeros_like(probs)
         labels[..., 0] = 1.0
         pair_mask = np.broadcast_to(mask[..., None], probs.shape).astype(np.float64)
@@ -200,7 +208,7 @@ class RecModel:
         """sigma(o . repr) for each candidate, shape (B, C)."""
         cand, _ = self.encoder.encode_items(users, cand_ids)
         logits = np.einsum("bh,bch->bc", o_final, cand)
-        return 1.0 / (1.0 + np.exp(-logits))
+        return sigmoid(logits)
 
     # -- parameter snapshots --------------------------------------------
     def snapshot(self, precision: str = "f32") -> dict[str, dict[str, np.ndarray]]:
@@ -240,15 +248,14 @@ def semantic_checksum(model: RecModel) -> str:
 def build_semantic_model(
     user_store: SemanticStore,
     item_store: SemanticStore,
-    hae_cfg: HaeConfig,
-    backbone_cfg: BackboneConfig,
+    cfg: RunConfig,
     seed: int,
     user_rows=None,
     item_rows=None,
 ) -> RecModel:
-    encoder = SemanticEncoder(user_store, item_store, hae_cfg, seed, user_rows, item_rows)
-    return RecModel(encoder, build_backbone(backbone_cfg, seed))
+    encoder = SemanticEncoder(user_store, item_store, cfg, seed, user_rows, item_rows)
+    return RecModel(encoder, build_backbone(cfg, seed))
 
 
-def build_id_model(item_count: int, backbone_cfg: BackboneConfig, seed: int) -> RecModel:
-    return RecModel(IdEncoder(item_count, backbone_cfg.h, seed), build_backbone(backbone_cfg, seed))
+def build_id_model(item_count: int, cfg: RunConfig, seed: int) -> RecModel:
+    return RecModel(IdEncoder(item_count, cfg.h, seed), build_backbone(cfg, seed))

@@ -7,23 +7,23 @@ A data directory (produced by ``grasp synth`` + ``grasp build-db``) holds::
     item_emb.gemb             # semantic item embeddings
     users.gnbc / items.gnbc   # neighbor caches built from the matrices
 
-A model checkpoint directory holds ``model.txt`` (flat key=value manifest)
-plus ``backbone.gbkb`` and either ``hae.ghae`` (semantic encoder) or
-``id_embedding.gemb`` (ID-only baseline).  Embedding rows are addressed by
-raw id, so datasets filtered at load time stay aligned with the full
-semantic databases.
+A model checkpoint directory holds ``model.txt`` (the full ``RunConfig``
+it was trained with, in ``--config`` format) plus ``backbone.gbkb`` and
+either ``hae.ghae`` (semantic encoder) or ``id_embedding.gemb`` (ID-only
+baseline).  Embedding rows are addressed by raw id, so datasets filtered
+at load time stay aligned with the full semantic databases.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .backbone import BackboneConfig, load_backbone_checkpoint, save_backbone_checkpoint
-from .config import RunConfig
+from .backbone import load_backbone_checkpoint, save_backbone_checkpoint
+from .config import RunConfig, parse_config_file, write_key_values
 from .dataset import InteractionDataset, LeaveOneOutSplit, load_interactions, partition_head_tail, split_leave_one_out
 from .embedstore import (
     load_embedding_matrix,
@@ -33,15 +33,16 @@ from .embedstore import (
 )
 from .errors import DataError
 from .evaluation import evaluate, group_report
-from .hae import HaeConfig, SemanticStore, load_hae_checkpoint, save_hae_checkpoint
-from .model import IdEncoder, RecModel, SemanticEncoder, build_id_model, build_semantic_model
-from .trainer import TrainConfig, fit
+from .hae import SemanticStore, load_hae_checkpoint, save_hae_checkpoint
+from .model import RecModel, SemanticEncoder, build_id_model, build_semantic_model
+from .trainer import fit
 
 LOG_NAME = "interactions.tsv"
 USER_EMB_NAME = "user_emb.gemb"
 ITEM_EMB_NAME = "item_emb.gemb"
 USER_CACHE_NAME = "users.gnbc"
 ITEM_CACHE_NAME = "items.gnbc"
+MODEL_CONFIG_NAME = "model.txt"
 
 
 @dataclass
@@ -88,8 +89,6 @@ def load_data_dir(data_dir, cfg: RunConfig, need_stores: bool = True) -> Pipelin
         item_c = load_neighbor_cache(
             _require(os.path.join(data_dir, ITEM_CACHE_NAME), "run `grasp build-db` first")
         )
-        if cfg.d_sem and user_m.dim != cfg.d_sem:
-            raise DataError(f"configured d_sem={cfg.d_sem} but embeddings have dim {user_m.dim}")
         if user_c.k != cfg.k_neighbors or item_c.k != cfg.k_neighbors:
             raise DataError(
                 f"neighbor caches were built with k={user_c.k}/{item_c.k} but config "
@@ -102,52 +101,14 @@ def load_data_dir(data_dir, cfg: RunConfig, need_stores: bool = True) -> Pipelin
     return PipelineData(ds, split, user_store, item_store, user_rows, item_rows)
 
 
-def hae_config_from(cfg: RunConfig, d_sem: int) -> HaeConfig:
-    return HaeConfig(
-        d_sem=d_sem,
-        h=cfg.h,
-        h_hidden=cfg.h_hidden,
-        no_attention=cfg.no_attention,
-        no_similar=cfg.no_similar,
-        no_global=cfg.no_global,
-        softmax_variant=cfg.softmax_variant,
-    )
-
-
-def backbone_config_from(cfg: RunConfig) -> BackboneConfig:
-    return BackboneConfig(
-        kind=cfg.backbone,
-        h=cfg.h,
-        max_seq_len=cfg.max_seq_len,
-        n_layers=cfg.n_layers,
-        n_heads=cfg.n_heads,
-        dropout=cfg.dropout,
-    )
-
-
-def train_config_from(cfg: RunConfig, seed: int) -> TrainConfig:
-    return TrainConfig(
-        lr=cfg.lr,
-        batch_size=cfg.batch_size,
-        patience=cfg.patience,
-        max_epochs=cfg.max_epochs,
-        negatives_per_positive=cfg.negatives_per_positive,
-        seed=seed,
-        eval_negatives=cfg.eval_negatives,
-    )
-
-
 def build_model(data: PipelineData, cfg: RunConfig, seed: int) -> RecModel:
     if cfg.encoder == "id":
-        return build_id_model(data.ds.item_count, backbone_config_from(cfg), seed)
+        return build_id_model(data.ds.item_count, cfg, seed)
+    if data.user_store is None:
+        raise DataError("the semantic encoder needs embedding stores in the data directory")
     return build_semantic_model(
-        data.user_store,
-        data.item_store,
-        hae_config_from(cfg, data.user_store.matrix.dim),
-        backbone_config_from(cfg),
-        seed,
-        user_rows=data.user_rows,
-        item_rows=data.item_rows,
+        data.user_store, data.item_store, cfg, seed,
+        user_rows=data.user_rows, item_rows=data.item_rows,
     )
 
 
@@ -155,90 +116,52 @@ def build_model(data: PipelineData, cfg: RunConfig, seed: int) -> RecModel:
 # Checkpoint directories
 
 
-def _write_manifest(path, entries: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in entries.items():
-            fh.write(f"{key}={value}\n")
-
-
-def _read_manifest(path) -> dict:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, value = line.split("=", 1)
-            out[key] = value
-    return out
-
-
-def save_model_dir(model: RecModel, out_dir, cfg: RunConfig, seed: int) -> None:
+def save_model_dir(model: RecModel, out_dir, cfg: RunConfig) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    manifest = {
-        "encoder": cfg.encoder,
-        "backbone": cfg.backbone,
-        "seed": seed,
-        "k_neighbors": cfg.k_neighbors,
-        "no_attention": int(cfg.no_attention),
-        "no_similar": int(cfg.no_similar),
-        "no_global": int(cfg.no_global),
-        "softmax_variant": int(cfg.softmax_variant),
-    }
-    _write_manifest(os.path.join(out_dir, "model.txt"), manifest)
+    write_key_values(os.path.join(out_dir, MODEL_CONFIG_NAME), cfg.echo())
     save_backbone_checkpoint(model.backbone, os.path.join(out_dir, "backbone.gbkb"))
     if isinstance(model.encoder, SemanticEncoder):
-        save_hae_checkpoint(model.encoder.hae, model.encoder.cfg, os.path.join(out_dir, "hae.ghae"))
+        save_hae_checkpoint(model.encoder.hae, os.path.join(out_dir, "hae.ghae"))
     else:
         save_embedding_matrix(
             matrix_from_array(model.encoder.emb), os.path.join(out_dir, "id_embedding.gemb")
         )
 
 
-def load_model_dir(model_dir, data: PipelineData) -> tuple[RecModel, dict]:
-    manifest = _read_manifest(_require(os.path.join(model_dir, "model.txt"), "model manifest"))
-    backbone = load_backbone_checkpoint(
-        _require(os.path.join(model_dir, "backbone.gbkb"), "backbone checkpoint")
-    )
-    if manifest.get("encoder", "semantic") == "id":
-        emb = load_embedding_matrix(
-            _require(os.path.join(model_dir, "id_embedding.gemb"), "id embedding table")
-        )
-        if emb.rows != data.ds.item_count or emb.dim != backbone.cfg.h:
-            raise DataError(
-                f"id embedding table is {emb.rows}x{emb.dim} but dataset/backbone expect "
-                f"{data.ds.item_count}x{backbone.cfg.h}"
-            )
-        encoder = IdEncoder(data.ds.item_count, backbone.cfg.h, seed=0)
-        encoder.emb[...] = emb.values
-        return RecModel(encoder, backbone), manifest
+def read_model_config(model_dir) -> RunConfig:
+    """The full ``RunConfig`` a checkpoint was trained with."""
+    path = _require(os.path.join(model_dir, MODEL_CONFIG_NAME), "checkpoint run config")
+    values = parse_config_file(path)
+    missing = [f.name for f in fields(RunConfig) if f.name not in values]
+    if missing:
+        raise DataError(f"{path}: not a full run config, missing {', '.join(missing)}")
+    try:
+        return RunConfig(**values)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
-    if data.user_store is None:
-        raise DataError("semantic checkpoint requires embedding stores in the data directory")
-    params, (d_sem, hh, h) = load_hae_checkpoint(
-        _require(os.path.join(model_dir, "hae.ghae"), "fusion checkpoint")
+
+def load_model_dir(model_dir, data: PipelineData) -> tuple[RecModel, RunConfig]:
+    """Rebuild a checkpoint's model from its run config, then load its tensors."""
+    cfg = read_model_config(model_dir)
+    model = build_model(data, cfg, 0)
+    load_backbone_checkpoint(
+        model.backbone, _require(os.path.join(model_dir, "backbone.gbkb"), "backbone checkpoint")
     )
-    if d_sem != data.user_store.matrix.dim:
-        raise DataError(
-            f"checkpoint d_sem={d_sem} incompatible with embedding dim {data.user_store.matrix.dim}"
+    if isinstance(model.encoder, SemanticEncoder):
+        load_hae_checkpoint(
+            model.encoder.hae, _require(os.path.join(model_dir, "hae.ghae"), "fusion checkpoint")
         )
-    if h != backbone.cfg.h:
-        raise DataError(f"fusion output size {h} != backbone hidden size {backbone.cfg.h}")
-    hae_cfg = HaeConfig(
-        d_sem=d_sem,
-        h=h,
-        h_hidden=hh,
-        no_attention=manifest.get("no_attention", "0") == "1",
-        no_similar=manifest.get("no_similar", "0") == "1",
-        no_global=manifest.get("no_global", "0") == "1",
-        softmax_variant=manifest.get("softmax_variant", "0") == "1",
-    )
-    encoder = SemanticEncoder(
-        data.user_store, data.item_store, hae_cfg, seed=0,
-        user_rows=data.user_rows, item_rows=data.item_rows,
-    )
-    encoder.hae = params
-    return RecModel(encoder, backbone), manifest
+    else:
+        path = _require(os.path.join(model_dir, "id_embedding.gemb"), "id embedding table")
+        emb = load_embedding_matrix(path)
+        if emb.values.shape != model.encoder.emb.shape:
+            raise DataError(
+                f"{path}: id embedding table is {emb.rows}x{emb.dim} but the dataset and "
+                f"config expect {model.encoder.emb.shape[0]}x{model.encoder.emb.shape[1]}"
+            )
+        model.encoder.emb[...] = emb.values
+    return model, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +174,13 @@ def train_one_seed(data: PipelineData, cfg: RunConfig, seed: int, out_dir) -> di
     model = build_model(data, cfg, seed)
     log_rows: list[tuple[int, float, float]] = []
     model, state = fit(
-        model, data.split, data.ds, train_config_from(cfg, seed),
-        max_seq_len=cfg.max_seq_len,
+        model, data.split, data.ds, cfg, seed,
         log=lambda e, l, v: log_rows.append((e, l, v)),
     )
     with open(os.path.join(out_dir, "train_log.tsv"), "w", encoding="utf-8") as fh:
         for epoch, loss, val in log_rows:
             fh.write(f"{epoch}\t{loss!r}\t{val!r}\n")
-    save_model_dir(model, out_dir, cfg, seed)
+    save_model_dir(model, out_dir, cfg)
     summary = {
         "config": cfg.echo(),
         "seed": seed,

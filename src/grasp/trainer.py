@@ -14,30 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import NumericError, ProtocolError
 from .evaluation import evaluate
 from .model import RecModel
 
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-PROB_CLAMP = 1e-7
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    lr: float = 0.001
-    batch_size: int = 128
-    patience: int = 20
-    max_epochs: int = 200
-    negatives_per_positive: int = 1
-    seed: int = 42
-    eval_negatives: int = 100
-
-    def __post_init__(self):
-        for name in ("batch_size", "patience", "max_epochs", "negatives_per_positive", "eval_negatives"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
 
 
 @dataclass
@@ -51,18 +33,6 @@ class TrainState:
     val_history: list[float] = field(default_factory=list)
     wall_seconds: float = 0.0
     stopped_early: bool = False
-
-
-def bce_loss(scores, labels) -> float:
-    """Mean binary cross entropy with probabilities clamped to [1e-7, 1-1e-7]."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if scores.size == 0:
-        raise ValueError("empty candidate pool")
-    if scores.shape != labels.shape:
-        raise ValueError(f"scores shape {scores.shape} != labels shape {labels.shape}")
-    p = np.clip(scores, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return float(-(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)).mean())
 
 
 class Adam:
@@ -105,11 +75,12 @@ def _non_history(ds, user) -> np.ndarray:
     return np.setdiff1d(np.arange(ds.item_count, dtype=np.int64), ds.history(user))
 
 
-def make_training_batch(split, ds, cfg: TrainConfig, rng, users=None, max_seq_len: int = 100) -> TrainBatch:
+def make_training_batch(split, ds, cfg: RunConfig, rng, users=None) -> TrainBatch:
     """Shift-by-one batch: inputs are prefix[:-1], targets prefix[1:].
 
-    Per real position, ``negatives_per_positive`` uniform draws from the
-    user's non-history items; padded positions carry mask 0.
+    Each row keeps its most recent ``cfg.max_seq_len`` positions.  Per real
+    position, ``negatives_per_positive`` uniform draws from the user's
+    non-history items; padded positions carry mask 0.
     """
     if len(split) == 0:
         raise ProtocolError("empty split")
@@ -122,8 +93,8 @@ def make_training_batch(split, ds, cfg: TrainConfig, rng, users=None, max_seq_le
     rows_in, rows_tg = [], []
     for u in users:
         prefix = split.entries[u].train_prefix
-        rows_in.append(prefix[:-1][-max_seq_len:])
-        rows_tg.append(prefix[1:][-max_seq_len:])
+        rows_in.append(prefix[:-1][-cfg.max_seq_len:])
+        rows_tg.append(prefix[1:][-cfg.max_seq_len:])
     L = max(len(r) for r in rows_in)
     B = len(users)
     inputs = np.zeros((B, L), dtype=np.int64)
@@ -141,8 +112,8 @@ def make_training_batch(split, ds, cfg: TrainConfig, rng, users=None, max_seq_le
     return TrainBatch(np.asarray(users, dtype=np.int64), inputs, mask, targets, negatives)
 
 
-def train_epoch(model: RecModel, split, ds, cfg: TrainConfig, state: TrainState,
-                adam: Adam, rng, dropout_rng, max_seq_len: int) -> TrainState:
+def train_epoch(model: RecModel, split, ds, cfg: RunConfig, state: TrainState,
+                adam: Adam, rng, dropout_rng) -> TrainState:
     """One pass over the split in a seeded shuffle order; appends mean loss."""
     trainable = [u for u in split.users if len(split.entries[u].train_prefix) >= 2]
     if not trainable:
@@ -151,7 +122,7 @@ def train_epoch(model: RecModel, split, ds, cfg: TrainConfig, state: TrainState,
     total, count = 0.0, 0.0
     for bi, start in enumerate(range(0, len(order), cfg.batch_size)):
         chunk = [trainable[i] for i in order[start : start + cfg.batch_size]]
-        batch = make_training_batch(split, ds, cfg, rng, users=chunk, max_seq_len=max_seq_len)
+        batch = make_training_batch(split, ds, cfg, rng, users=chunk)
         loss, grads, n_pairs = model.loss_and_grads(batch, training=True, rng=dropout_rng)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite loss at epoch {state.epoch + 1}, batch {bi}")
@@ -163,10 +134,11 @@ def train_epoch(model: RecModel, split, ds, cfg: TrainConfig, state: TrainState,
     return state
 
 
-def fit(model: RecModel, split, ds, cfg: TrainConfig, max_seq_len: int = 100,
+def fit(model: RecModel, split, ds, cfg: RunConfig, seed: int,
         log=None) -> tuple[RecModel, TrainState]:
     """Train until validation NDCG@10 stalls for ``patience`` epochs.
 
+    ``seed`` drives the shuffle, dropout and validation negatives.
     Returns the model restored to its best (checkpoint-precision)
     parameters plus the training state.  ``log`` receives one
     ``(epoch, mean_loss, val_ndcg10)`` tuple per epoch.
@@ -176,19 +148,19 @@ def fit(model: RecModel, split, ds, cfg: TrainConfig, max_seq_len: int = 100,
     start = time.perf_counter()
     state = TrainState()
     adam = Adam(model.parameter_groups(), cfg.lr)
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-    dropout_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    dropout_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
 
     best_snapshot = None
     for _ in range(cfg.max_epochs):
-        train_epoch(model, split, ds, cfg, state, adam, shuffle_rng, dropout_rng, max_seq_len)
+        train_epoch(model, split, ds, cfg, state, adam, shuffle_rng, dropout_rng)
 
         exact = model.snapshot(precision="f64")
         quantized = model.snapshot(precision="f32")
         model.load_snapshot(quantized)
         report, _ = evaluate(
             model, split, ds, which="valid",
-            eval_negatives=cfg.eval_negatives, seed=cfg.seed, max_seq_len=max_seq_len,
+            eval_negatives=cfg.eval_negatives, seed=seed, max_seq_len=cfg.max_seq_len,
         )
         model.load_snapshot(exact)
         val = report.ndcg[10]

@@ -64,3 +64,10 @@ def random_baseline_ndcg10(n_candidates: int = 101, k: int = 10) -> float:
     """E[NDCG@k] for a uniformly random target rank among n candidates."""
     total = sum(1.0 / np.log2(r + 1) for r in range(1, k + 1))
     return total / n_candidates
+
+
+def run_sequence(model, x) -> np.ndarray:
+    """Per-position outputs of a backbone for one unpadded (L, h) sequence."""
+    x = np.asarray(x, dtype=np.float64)
+    out, _ = model.forward(x[None], np.ones((1, x.shape[0]), dtype=bool))
+    return out[0]

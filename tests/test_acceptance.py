@@ -11,13 +11,17 @@ import numpy as np
 import pytest
 
 from grasp import embedstore as es
-from grasp.backbone import BackboneConfig, build_backbone, gru4rec_forward, sasrec_forward
+from grasp.backbone import build_backbone
+from grasp.config import RunConfig
 from grasp.dataset import partition_head_tail, split_leave_one_out
 from grasp.evaluation import KS, evaluate, group_report, hr_at_k, ndcg_at_k
-from grasp.hae import HaeConfig, SemanticStore, init_params, fuse_forward, fuse_backward, _branch_concat
-from grasp.model import build_id_model, build_semantic_model, semantic_checksum
-from grasp.trainer import TrainConfig, fit
-from helpers import brute_force_hr, brute_force_ndcg, brute_force_topk, finite_diff, rel_error, random_baseline_ndcg10
+from grasp.hae import SemanticStore, init_params, fuse_forward, fuse_backward, _branch_concat
+from grasp.model import SemanticEncoder, build_id_model, build_semantic_model, semantic_checksum
+from grasp.trainer import fit
+from helpers import (
+    brute_force_hr, brute_force_ndcg, brute_force_topk, finite_diff, rel_error,
+    random_baseline_ndcg10, run_sequence,
+)
 
 TREND_SEEDS = (42, 43, 44)
 TREND_MAX_EPOCHS = 25
@@ -47,15 +51,13 @@ def trend_env():
 
 def _train_and_score(trend_env, seed, encoder="semantic", **hae_flags):
     ds, split, groups, user_store, item_store = trend_env
-    bb = BackboneConfig(kind="sasrec", h=64, max_seq_len=TREND_MAX_SEQ)
+    cfg = RunConfig(backbone="sasrec", h=64, max_seq_len=TREND_MAX_SEQ, encoder=encoder,
+                    max_epochs=TREND_MAX_EPOCHS, patience=TREND_PATIENCE, **hae_flags)
     if encoder == "id":
-        model = build_id_model(ds.item_count, bb, seed)
+        model = build_id_model(ds.item_count, cfg, seed)
     else:
-        model = build_semantic_model(
-            user_store, item_store, HaeConfig(d_sem=32, h=64, **hae_flags), bb, seed
-        )
-    cfg = TrainConfig(seed=seed, max_epochs=TREND_MAX_EPOCHS, patience=TREND_PATIENCE)
-    model, _ = fit(model, split, ds, cfg, max_seq_len=TREND_MAX_SEQ)
+        model = build_semantic_model(user_store, item_store, cfg, seed)
+    model, _ = fit(model, split, ds, cfg, seed)
     report, records = evaluate(model, split, ds, "test", eval_negatives=100,
                                seed=seed, max_seq_len=TREND_MAX_SEQ)
     tail = group_report(records, groups)["tail_item"]
@@ -108,8 +110,8 @@ def test_criterion_03_gradient_checks():
 
     # fusion module: gates feed the concat, analytic grads on the MLP
     d_sem, h = 4, 4
-    cfg = HaeConfig(d_sem=d_sem, h=h, h_hidden=6)
-    p = init_params(cfg, seed=3)
+    cfg = RunConfig(h=h, h_hidden=6)
+    p = init_params(cfg, d_sem, seed=3)
     u, ubar, it, itbar = (rng.standard_normal((3, d_sem)) for _ in range(4))
     upstream = rng.standard_normal((3, h))
 
@@ -128,7 +130,7 @@ def test_criterion_03_gradient_checks():
     # backbones: h=4, L=3, 2 layers, 64-bit
     for kind in ("gru4rec", "sasrec"):
         model = build_backbone(
-            BackboneConfig(kind=kind, h=4, max_seq_len=8, n_layers=2, dropout=0.0), seed=5
+            RunConfig(backbone=kind, h=4, max_seq_len=8, n_layers=2, dropout=0.0), seed=5
         )
         x = rng.standard_normal((2, 3, 4))
         mask = np.ones((2, 3), dtype=bool)
@@ -152,13 +154,11 @@ def test_criterion_03_gradient_checks():
 def test_criterion_04_freeze_contract(small_corpus, small_stores):
     ds, _, _ = small_corpus
     split = split_leave_one_out(ds)
-    model = build_semantic_model(
-        small_stores[0], small_stores[1], HaeConfig(d_sem=8, h=8),
-        BackboneConfig(kind="sasrec", h=8, max_seq_len=50), seed=4,
-    )
+    cfg = RunConfig(backbone="sasrec", h=8, max_seq_len=50,
+                    max_epochs=3, patience=5, eval_negatives=20)
+    model = build_semantic_model(small_stores[0], small_stores[1], cfg, seed=4)
     before = semantic_checksum(model)
-    model, _ = fit(model, split, ds, TrainConfig(max_epochs=3, patience=5, eval_negatives=20),
-                   max_seq_len=50)
+    model, _ = fit(model, split, ds, cfg, 42)
     assert semantic_checksum(model) == before
     enc = model.encoder
     for arr in (enc.user_store.matrix.values, enc.item_store.matrix.values,
@@ -173,19 +173,18 @@ def test_criterion_04_freeze_contract(small_corpus, small_stores):
 def test_criterion_05_causality_suite():
     rng = np.random.default_rng(1005)
     for kind in ("gru4rec", "sasrec"):
-        fwd = gru4rec_forward if kind == "gru4rec" else sasrec_forward
         for trial in range(100):
             h = int(rng.choice([2, 4, 8]))
             L = int(rng.integers(2, 9))
-            cfg = BackboneConfig(kind=kind, h=h, max_seq_len=16,
-                                 n_layers=int(rng.integers(1, 3)), dropout=0.0)
+            cfg = RunConfig(backbone=kind, h=h, max_seq_len=16,
+                            n_layers=int(rng.integers(1, 3)), dropout=0.0)
             model = build_backbone(cfg, seed=trial)
             x = rng.standard_normal((L, h))
             t = int(rng.integers(1, L))
             edited = x.copy()
             edited[t:] = rng.standard_normal((L - t, h))
             np.testing.assert_array_equal(
-                fwd(x, model).per_position[:t], fwd(edited, model).per_position[:t],
+                run_sequence(model, x)[:t], run_sequence(model, edited)[:t],
                 err_msg=f"{kind} trial {trial}",
             )
     report_line(5, "suffix perturbations never move earlier outputs (100x per backbone)")
@@ -256,38 +255,39 @@ def test_criterion_08_pipeline_determinism(tmp_path):
 def test_criterion_09_early_stopping(small_corpus, small_stores):
     ds, _, _ = small_corpus
     split = split_leave_one_out(ds)
-    model = build_semantic_model(
-        small_stores[0], small_stores[1], HaeConfig(d_sem=8, h=8),
-        BackboneConfig(kind="gru4rec", h=8, max_seq_len=50), seed=9,
-    )
-    cfg = TrainConfig(lr=0.0, patience=5, max_epochs=100, eval_negatives=20)
-    _, state = fit(model, split, ds, cfg, max_seq_len=50)
+    cfg = RunConfig(backbone="gru4rec", h=8, max_seq_len=50,
+                    lr=0.0, patience=5, max_epochs=100, eval_negatives=20)
+    model = build_semantic_model(small_stores[0], small_stores[1], cfg, seed=9)
+    _, state = fit(model, split, ds, cfg, 42)
     assert state.n_validations == 6
     report_line(9, "lr=0, patience=5 stops after exactly 6 validation evaluations")
 
 
 def test_criterion_10_enhancement_cost_scales_linearly():
-    from grasp.hae import enhance_sequence
-
     rng = np.random.default_rng(1010)
     d_sem = 32
     user_m = es.matrix_from_array(rng.standard_normal((20, d_sem)))
     item_m = es.matrix_from_array(rng.standard_normal((300, d_sem)))
     user_store = SemanticStore(user_m, es.build_neighbor_cache(user_m, 5))
     item_store = SemanticStore(item_m, es.build_neighbor_cache(item_m, 5))
-    cfg = HaeConfig(d_sem=d_sem, h=64)
-    p = init_params(cfg, seed=10)
+    encoder = SemanticEncoder(user_store, item_store, RunConfig(h=64), seed=10)
+    user = np.zeros(1, dtype=np.int64)
+
+    def enhance_sequence(items):
+        return encoder.encode_items(user, items, positions_mask=np.ones(items.shape, dtype=bool),
+                                    softmax_over_positions=True)
+
     lengths = [10, 50, 100, 200]
     best = []
     for L in lengths:
-        items = rng.integers(item_store.matrix.rows, size=L)
-        enhance_sequence(0, items, user_store, item_store, p, cfg)  # warmup
+        items = rng.integers(item_store.matrix.rows, size=(1, L))
+        enhance_sequence(items)  # warmup
         reps = max(20, 4000 // L)
         samples = []
         for _ in range(11):
             t0 = time.perf_counter()
             for _ in range(reps):
-                enhance_sequence(0, items, user_store, item_store, p, cfg)
+                enhance_sequence(items)
             samples.append((time.perf_counter() - t0) / reps)
         # best-of timing (timeit convention) resists scheduler interference
         best.append(min(samples))

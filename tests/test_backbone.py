@@ -2,31 +2,30 @@ import numpy as np
 import pytest
 
 from grasp.backbone import (
-    BackboneConfig,
     Gru4Rec,
     SasRec,
     build_backbone,
-    gru4rec_forward,
     load_backbone_checkpoint,
-    sasrec_forward,
     save_backbone_checkpoint,
-    score,
 )
-from helpers import finite_diff, rel_error
+from grasp.config import RunConfig
+from grasp.errors import FormatError
+from grasp.model import IdEncoder, RecModel
+from helpers import finite_diff, rel_error, run_sequence
 
 
 def gru(h=4, n_layers=1, seed=0, dropout=0.0, max_seq_len=50):
     return Gru4Rec(
-        BackboneConfig(kind="gru4rec", h=h, max_seq_len=max_seq_len,
-                       n_layers=n_layers, dropout=dropout),
+        RunConfig(backbone="gru4rec", h=h, max_seq_len=max_seq_len,
+                  n_layers=n_layers, dropout=dropout),
         seed=seed,
     )
 
 
 def sas(h=4, n_layers=2, n_heads=1, seed=0, dropout=0.0, max_seq_len=50):
     return SasRec(
-        BackboneConfig(kind="sasrec", h=h, max_seq_len=max_seq_len,
-                       n_layers=n_layers, n_heads=n_heads, dropout=dropout),
+        RunConfig(backbone="sasrec", h=h, max_seq_len=max_seq_len,
+                  n_layers=n_layers, n_heads=n_heads, dropout=dropout),
         seed=seed,
     )
 
@@ -34,28 +33,28 @@ def sas(h=4, n_layers=2, n_heads=1, seed=0, dropout=0.0, max_seq_len=50):
 class TestGru4Rec:
     def test_zero_inputs_zero_biases_stay_at_fixed_point(self):
         model = gru(h=3)
-        out = gru4rec_forward(np.zeros((5, 3)), model)
-        np.testing.assert_array_equal(out.per_position, np.zeros((5, 3)))
-        np.testing.assert_array_equal(out.final, np.zeros(3))
+        out = run_sequence(model, np.zeros((5, 3)))
+        np.testing.assert_array_equal(out, np.zeros((5, 3)))
+        np.testing.assert_array_equal(out[-1], np.zeros(3))
 
     def test_single_position(self):
         model = gru(h=4, seed=1)
-        out = gru4rec_forward(np.random.default_rng(0).standard_normal((1, 4)), model)
-        assert out.per_position.shape == (1, 4)
-        np.testing.assert_array_equal(out.per_position[0], out.final)
+        out = run_sequence(model, np.random.default_rng(0).standard_normal((1, 4)))
+        assert out.shape == (1, 4)
+        np.testing.assert_array_equal(out[0], out[-1])
 
     def test_empty_sequence_errors(self):
         with pytest.raises(ValueError):
-            gru4rec_forward(np.zeros((0, 4)), gru())
+            run_sequence(gru(), np.zeros((0, 4)))
 
     def test_prefix_property(self):
         model = gru(h=4, n_layers=2, seed=2)
         rng = np.random.default_rng(3)
         x = rng.standard_normal((6, 4))
-        base = gru4rec_forward(x, model).per_position
+        base = run_sequence(model, x)
         edited = x.copy()
         edited[4:] = rng.standard_normal((2, 4))
-        out = gru4rec_forward(edited, model).per_position
+        out = run_sequence(model, edited)
         np.testing.assert_array_equal(base[:4], out[:4])
         assert not np.allclose(base[4:], out[4:])
 
@@ -63,7 +62,7 @@ class TestGru4Rec:
         model = gru(h=4, seed=4)
         rng = np.random.default_rng(5)
         x = rng.standard_normal((3, 4))
-        plain = gru4rec_forward(x, model).per_position
+        plain = run_sequence(model, x)
         padded = np.zeros((1, 5, 4))
         padded[0, 2:] = x
         mask = np.array([[False, False, True, True, True]])
@@ -77,10 +76,10 @@ class TestSasRec:
         model = sas(seed=6)
         rng = np.random.default_rng(7)
         x = rng.standard_normal((5, 4))
-        base = sasrec_forward(x, model).per_position
+        base = run_sequence(model, x)
         edited = x.copy()
         edited[3] = rng.standard_normal(4)
-        out = sasrec_forward(edited, model).per_position
+        out = run_sequence(model, edited)
         np.testing.assert_array_equal(base[:3], out[:3])
         assert not np.allclose(base[3:], out[3:])
 
@@ -98,20 +97,20 @@ class TestSasRec:
         x = rng.standard_normal((4, 4))
         swapped = x.copy()
         swapped[[1, 2]] = swapped[[2, 1]]
-        a = sasrec_forward(x, model).final
-        b = sasrec_forward(swapped, model).final
+        a = run_sequence(model, x)[-1]
+        b = run_sequence(model, swapped)[-1]
         assert not np.allclose(a, b)
 
     def test_too_long_errors(self):
         model = sas(max_seq_len=3)
         with pytest.raises(ValueError):
-            sasrec_forward(np.zeros((4, 4)), model)
+            run_sequence(model, np.zeros((4, 4)))
 
     def test_left_padding_does_not_leak(self):
         model = sas(seed=12)
         rng = np.random.default_rng(13)
         x = rng.standard_normal((3, 4))
-        plain = sasrec_forward(x, model).per_position
+        plain = run_sequence(model, x)
         padded = np.zeros((1, 6, 4))
         padded[0, 3:] = x
         mask = np.array([[False] * 3 + [True] * 3])
@@ -131,12 +130,12 @@ class TestSasRec:
 
     def test_multi_head_shapes(self):
         model = sas(h=8, n_heads=2, seed=16)
-        out = sasrec_forward(np.random.default_rng(17).standard_normal((5, 8)), model)
-        assert out.per_position.shape == (5, 8)
+        out = run_sequence(model, np.random.default_rng(17).standard_normal((5, 8)))
+        assert out.shape == (5, 8)
 
     def test_heads_must_divide(self):
         with pytest.raises(ValueError):
-            BackboneConfig(kind="sasrec", h=6, n_heads=4)
+            RunConfig(backbone="sasrec", h=6, n_heads=4)
 
 
 class TestGradients:
@@ -187,36 +186,46 @@ class TestCausalitySuite:
         for trial in range(25):
             h = int(rng.choice([2, 4]))
             L = int(rng.integers(2, 7))
-            cfg = BackboneConfig(kind=kind, h=h, max_seq_len=16,
-                                 n_layers=int(rng.integers(1, 3)), dropout=0.0)
+            cfg = RunConfig(backbone=kind, h=h, max_seq_len=16,
+                            n_layers=int(rng.integers(1, 3)), dropout=0.0)
             model = build_backbone(cfg, seed=trial)
             x = rng.standard_normal((L, h))
             t = int(rng.integers(1, L))
             edited = x.copy()
             edited[t:] = rng.standard_normal((L - t, h))
-            fwd = gru4rec_forward if kind == "gru4rec" else sasrec_forward
             np.testing.assert_array_equal(
-                fwd(x, model).per_position[:t], fwd(edited, model).per_position[:t]
+                run_sequence(model, x)[:t], run_sequence(model, edited)[:t]
             )
+
+
+def candidate_score(o, item_repr) -> float:
+    """sigma(o . item_repr) as the batched scorer computes it for one candidate."""
+    encoder = IdEncoder(1, len(o), seed=0)
+    encoder.emb[0] = item_repr
+    scores = RecModel(encoder, None).candidate_scores(
+        np.zeros(1, dtype=np.int64), np.zeros((1, 1), dtype=np.int64),
+        np.asarray(o, dtype=np.float64)[None],
+    )
+    return float(scores[0, 0])
 
 
 class TestScore:
     def test_orthogonal(self):
-        assert score([1.0, 0.0], [0.0, 1.0]) == 0.5
+        assert candidate_score([1.0, 0.0], [0.0, 1.0]) == 0.5
 
     def test_closed_form(self):
-        assert score([1.0, 0.0], [3.0, 0.0]) == pytest.approx(0.9525741, abs=1e-6)
+        assert candidate_score([1.0, 0.0], [3.0, 0.0]) == pytest.approx(0.9525741, abs=1e-6)
 
     def test_symmetry(self):
         rng = np.random.default_rng(31)
         o, i = rng.standard_normal(5), rng.standard_normal(5)
-        assert score(o, i) == score(i, o)
+        assert candidate_score(o, i) == candidate_score(i, o)
 
 
 class TestDeterminismAndCheckpoints:
     @pytest.mark.parametrize("kind", ["gru4rec", "sasrec"])
     def test_seeded_init_is_reproducible(self, kind):
-        cfg = BackboneConfig(kind=kind, h=8)
+        cfg = RunConfig(backbone=kind, h=8)
         a = build_backbone(cfg, seed=42)
         b = build_backbone(cfg, seed=42)
         c = build_backbone(cfg, seed=43)
@@ -226,13 +235,17 @@ class TestDeterminismAndCheckpoints:
 
     @pytest.mark.parametrize("kind", ["gru4rec", "sasrec"])
     def test_checkpoint_round_trip(self, kind, tmp_path):
-        cfg = BackboneConfig(kind=kind, h=4, max_seq_len=12, n_layers=2)
+        cfg = RunConfig(backbone=kind, h=4, max_seq_len=12, n_layers=2)
         model = build_backbone(cfg, seed=5)
         path = tmp_path / "bk.gbkb"
         save_backbone_checkpoint(model, path)
-        loaded = load_backbone_checkpoint(path)
-        assert loaded.cfg.kind == kind
-        assert loaded.cfg.h == 4 and loaded.cfg.max_seq_len == 12
+        loaded = build_backbone(cfg, seed=6)
+        load_backbone_checkpoint(loaded, path)
+        # the header records the shape: a model of another shape refuses the file
+        for field, value in (("h", 8), ("max_seq_len", 13), ("n_layers", 1)):
+            other = build_backbone(RunConfig(**dict(cfg.echo(), **{field: value})), seed=5)
+            with pytest.raises(FormatError, match=field):
+                load_backbone_checkpoint(other, path)
         for name, tensor in model.params.items():
             np.testing.assert_array_equal(
                 loaded.params[name], tensor.astype(np.float32).astype(np.float64)

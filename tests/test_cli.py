@@ -1,9 +1,13 @@
+import dataclasses
 import json
+import re
+import shutil
 
 import numpy as np
 import pytest
 
 from grasp.cli import main
+from grasp.config import RunConfig
 
 
 def run(*argv):
@@ -168,9 +172,12 @@ class TestTrainEval:
         assert run("train", "--data", data_dir, "--out", out, "--seeds", "7",
                    "--lr", 0.0, "--max-epochs", 1, *TRAIN_FLAGS[2:]) == 0
         from grasp.backbone import build_backbone, load_backbone_checkpoint
+        from grasp.pipeline import read_model_config
 
-        loaded = load_backbone_checkpoint(out / "seed7" / "backbone.gbkb")
-        fresh = build_backbone(loaded.cfg, seed=7)
+        cfg = read_model_config(out / "seed7")
+        loaded = build_backbone(cfg, seed=0)
+        load_backbone_checkpoint(loaded, out / "seed7" / "backbone.gbkb")
+        fresh = build_backbone(cfg, seed=7)
         for name, tensor in fresh.params.items():
             np.testing.assert_array_equal(
                 loaded.params[name], tensor.astype(np.float32).astype(np.float64)
@@ -190,6 +197,74 @@ class TestTrainEval:
         assert "no_similar=1" in manifest
 
 
+@pytest.fixture(scope="module")
+def short_window(data_dir, tmp_path_factory):
+    """A SASRec trained with a non-default window, neighbour count and negatives."""
+    out = tmp_path_factory.mktemp("short")
+    assert run("train", "--data", data_dir, "--out", out, "--seeds", "42",
+               "--h", 16, "--max-seq-len", 10, "--k-neighbors", 5, "--eval-negatives", 20,
+               "--max-epochs", 2, "--n-layers", 1) == 0
+    return out
+
+
+class TestEvalFromCheckpoint:
+    def test_eval_needs_no_run_config_flags(self, data_dir, short_window, tmp_path):
+        out = tmp_path / "replay"
+        assert run("eval", "--data", data_dir, "--checkpoint", short_window / "seed42",
+                   "--out", out, "--split", "valid", "--seed", 42) == 0
+        from grasp.evaluation import parse_report_tsv
+
+        summary = json.loads((short_window / "summary.json").read_text())
+        overall = parse_report_tsv(out / "metrics.tsv")[0]
+        assert overall.ndcg[10] == summary["per_seed"][0]["best_val_ndcg10"]
+        echoed = json.loads((out / "eval_summary.json").read_text())["config"]
+        assert echoed == summary["config"]
+
+    def test_disagreeing_flag_is_usage_error(self, data_dir, short_window, tmp_path, capsys):
+        assert run("eval", "--data", data_dir, "--checkpoint", short_window / "seed42",
+                   "--out", tmp_path / "e", "--h", 32) == 2
+        assert "h=32 disagrees" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+        cfg_file = tmp_path / "eval.cfg"
+        cfg_file.write_text("max_seq_len=30\n")
+        assert run("eval", "--data", data_dir, "--checkpoint", short_window / "seed42",
+                   "--out", tmp_path / "f", "--config", cfg_file) == 2
+        assert "max_seq_len=30 disagrees" in capsys.readouterr().err
+
+    def test_eval_knobs_override_checkpoint(self, data_dir, short_window, tmp_path):
+        out = tmp_path / "knobs"
+        assert run("eval", "--data", data_dir, "--checkpoint", short_window / "seed42",
+                   "--out", out, "--eval-negatives", 10, "--head-ratio", 0.3, "--h", 16) == 0
+        echoed = json.loads((out / "eval_summary.json").read_text())["config"]
+        assert (echoed["eval_negatives"], echoed["head_ratio"], echoed["h"]) == (10, 0.3, 16)
+
+    def test_missing_checkpoint_names_model_txt(self, data_dir, tmp_path, capsys):
+        assert run("eval", "--data", data_dir, "--checkpoint", tmp_path / "nowhere",
+                   "--out", tmp_path / "e") == 3
+        assert "model.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, where", [
+        ("lr=0.001\nh16\n", ":2:"),
+        # the manifest of older checkpoints: partial, plus a seed key
+        ("encoder=semantic\nbackbone=sasrec\nseed=42\nk_neighbors=5\n", ":3:"),
+    ], ids=["no-equals", "old-manifest"])
+    def test_malformed_model_txt_is_data_error(self, data_dir, short_window, tmp_path,
+                                               capsys, text, where):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(short_window / "seed42", ckpt)
+        (ckpt / "model.txt").write_text(text)
+        assert run("eval", "--data", data_dir, "--checkpoint", ckpt, "--out", tmp_path / "e") == 3
+        assert f"{ckpt / 'model.txt'}{where}" in capsys.readouterr().err
+
+    def test_model_txt_is_the_full_run_config(self, short_window):
+        from grasp.config import parse_config_file
+
+        summary = json.loads((short_window / "summary.json").read_text())
+        stored = parse_config_file(short_window / "seed42" / "model.txt")
+        assert RunConfig(**stored).echo() == summary["config"]
+        assert list(stored) == [f.name for f in dataclasses.fields(RunConfig)]
+
+
 class TestConfigPrecedence:
     def test_flag_beats_file_beats_default(self, data_dir, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -203,6 +278,21 @@ class TestConfigPrecedence:
         assert summary["config"]["lr"] == 0.25       # flag wins
         assert summary["config"]["batch_size"] == 32  # file beats default
         assert summary["config"]["patience"] == 5
+
+    @pytest.mark.parametrize("flags", [("--n-heads", 3, "--h", 64), ("--max-epochs", 0)],
+                             ids=["heads", "epochs"])
+    def test_bad_flag_exits_before_writing(self, data_dir, tmp_path, flags):
+        out = tmp_path / "never"
+        assert run("train", "--data", data_dir, "--out", out, *TRAIN_FLAGS, *flags) == 2
+        assert not out.exists()
+
+    def test_train_flags_are_the_run_config_fields(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        flags -= {"--data", "--out", "--seeds", "--force", "--help"}
+        expected = {f"--{f.name.replace('_', '-')}" for f in dataclasses.fields(RunConfig)}
+        assert flags == expected | {"--config"}
 
     def test_unknown_config_key_is_data_error(self, data_dir, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
@@ -221,6 +311,12 @@ class TestSweepAndReport:
         values = [r.split("\t")[:2] for r in rows[1:]]
         assert values == [["k_neighbors", "2"], ["k_neighbors", "3"]]  # sorted
 
+    def test_invalid_point_fails_before_any_run(self, data_dir, tmp_path):
+        out = tmp_path / "bad_sweep"
+        assert run("sweep", "--data", data_dir, "--out", out, "--sweep-h", "4,6",
+                   "--n-heads", 4, *TRAIN_FLAGS[2:]) == 2
+        assert not (out / "runs" / "h_4").exists()
+
     def test_empty_grid_usage_error(self, data_dir, tmp_path):
         assert run("sweep", "--data", data_dir, "--out", tmp_path / "s2") == 2
 
@@ -231,6 +327,19 @@ class TestSweepAndReport:
         emit_report([report_from_ranks([1, 2, 3])], metrics)
         assert run("report", "--metrics", metrics) == 0
         assert "overall" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad_row", ["overall\t10\t0.5", "overall\t10\tnan-ish\t0.5"],
+                             ids=["short-row", "non-numeric"])
+    def test_malformed_metrics_row_is_data_error(self, tmp_path, capsys, bad_row):
+        from grasp.evaluation import emit_report, report_from_ranks
+
+        metrics = tmp_path / "metrics.tsv"
+        emit_report([report_from_ranks([1, 2, 3])], metrics)
+        lines = metrics.read_text().splitlines()
+        lines[3] = bad_row
+        metrics.write_text("\n".join(lines) + "\n")
+        assert run("report", "--metrics", metrics) == 3
+        assert f"{metrics}:4:" in capsys.readouterr().err
 
 
 class TestIdempotency:

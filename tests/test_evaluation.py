@@ -174,15 +174,14 @@ class TestEvaluateProtocol:
             evaluate(_EqualScorer(), split, ds, "train")
 
     def test_valid_and_test_use_different_inputs(self, small_corpus, small_stores):
-        from grasp.backbone import BackboneConfig
-        from grasp.hae import HaeConfig
+        from grasp.config import RunConfig
         from grasp.model import build_semantic_model
 
         ds, _, _ = small_corpus
         split = split_leave_one_out(ds)
         model = build_semantic_model(
-            small_stores[0], small_stores[1], HaeConfig(d_sem=8, h=8),
-            BackboneConfig(kind="gru4rec", h=8, max_seq_len=50), seed=0,
+            small_stores[0], small_stores[1],
+            RunConfig(backbone="gru4rec", h=8, max_seq_len=50), seed=0,
         )
         va, _ = evaluate(model, split, ds, "valid", eval_negatives=20, seed=8)
         te, _ = evaluate(model, split, ds, "test", eval_negatives=20, seed=8)

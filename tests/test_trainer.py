@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from grasp.backbone import BackboneConfig
+from grasp.config import RunConfig
 from grasp.dataset import InteractionDataset, split_leave_one_out
 from grasp.errors import NumericError, ProtocolError
-from grasp.hae import HaeConfig
-from grasp.model import build_id_model, build_semantic_model, semantic_checksum
-from grasp.trainer import Adam, TrainConfig, bce_loss, fit, make_training_batch, train_epoch, TrainState
+from grasp.model import IdEncoder, RecModel, build_id_model, build_semantic_model, semantic_checksum
+from grasp.trainer import Adam, TrainBatch, fit, make_training_batch, train_epoch, TrainState
 from helpers import finite_diff, rel_error
 
 
@@ -28,35 +27,68 @@ def small_model(small_stores, seed=0, backbone="sasrec", h=8, dropout=0.0, **hae
     user_store, item_store = small_stores
     return build_semantic_model(
         user_store, item_store,
-        HaeConfig(d_sem=8, h=h, **hae_flags),
-        BackboneConfig(kind=backbone, h=h, max_seq_len=50, dropout=dropout),
+        RunConfig(backbone=backbone, h=h, max_seq_len=50, dropout=dropout, **hae_flags),
         seed=seed,
     )
 
 
+class IdentityBackbone:
+    """Passes encoded inputs through unchanged, so a test sets each logit directly."""
+
+    params: dict = {}
+
+    def forward(self, x, mask, *, training=False, rng=None):
+        return x, None
+
+    def backward(self, cache, d_out):
+        return d_out, {}
+
+
+def position_loss(probs, real=True) -> float:
+    """The training loss of one position whose candidates score ``probs``.
+
+    ``probs[0]`` is the positive and the rest are negatives, as in every
+    training batch.  The input item embeds as o = [1] and candidate ``c``
+    as its logit, so ``RecModel.loss_and_grads`` sees exactly these scores.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        logits = np.clip(np.log(probs) - np.log1p(-probs), -40.0, 40.0)
+    n = len(probs)
+    encoder = IdEncoder(n + 1, 1, seed=0)
+    encoder.emb[0] = 1.0
+    encoder.emb[1:, 0] = logits
+    batch = TrainBatch(
+        users=np.zeros(1, dtype=np.int64), inputs=np.zeros((1, 1), dtype=np.int64),
+        mask=np.full((1, 1), real), targets=np.ones((1, 1), dtype=np.int64),
+        negatives=np.arange(2, n + 1, dtype=np.int64).reshape(1, 1, n - 1),
+    )
+    loss, _, _ = RecModel(encoder, IdentityBackbone()).loss_and_grads(batch, training=False)
+    return loss
+
+
 class TestBceLoss:
     def test_fifty_fifty(self):
-        assert bce_loss([0.5, 0.5], [1, 0]) == pytest.approx(np.log(2), abs=1e-9)
+        assert position_loss([0.5, 0.5]) == pytest.approx(np.log(2), abs=1e-9)
 
     def test_confident_correct(self):
-        assert bce_loss([0.9, 0.1], [1, 0]) == pytest.approx(0.1053605, abs=1e-6)
+        assert position_loss([0.9, 0.1]) == pytest.approx(0.1053605, abs=1e-6)
 
     def test_clamp_at_perfect_prediction(self):
-        loss = bce_loss([1.0 - 1e-7], [1])
+        loss = position_loss([1.0 - 1e-7])
         assert loss == pytest.approx(1e-7, rel=1e-3)
-        assert np.isfinite(bce_loss([1.0], [1]))
-        assert np.isfinite(bce_loss([0.0], [1]))
+        assert np.isfinite(position_loss([1.0]))
+        assert np.isfinite(position_loss([0.0]))
 
     def test_empty_pool_errors(self):
+        # a batch without a real position has no (position, candidate) pair
         with pytest.raises(ValueError):
-            bce_loss([], [])
+            position_loss([0.5], real=False)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            scores = rng.random(6)
-            labels = rng.integers(0, 2, size=6)
-            assert bce_loss(scores, labels) >= 0.0
+            assert position_loss(rng.random(6)) >= 0.0
 
 
 class TestAdam:
@@ -79,7 +111,7 @@ class TestTrainingBatch:
     def test_shift_by_one(self, small_corpus):
         ds = make_ds({0: [10, 11, 12, 13, 14]}, item_count=20)
         split = split_leave_one_out(ds)  # prefix [10, 11, 12]
-        cfg = TrainConfig(batch_size=4, negatives_per_positive=2)
+        cfg = RunConfig(batch_size=4, negatives_per_positive=2)
         batch = make_training_batch(split, ds, cfg, np.random.default_rng(0))
         assert batch.inputs.tolist() == [[10, 11]]
         assert batch.targets.tolist() == [[11, 12]]
@@ -88,7 +120,7 @@ class TestTrainingBatch:
 
     def test_negatives_avoid_history(self, small_corpus, small_split):
         ds, _, _ = small_corpus
-        cfg = TrainConfig(batch_size=16, negatives_per_positive=3)
+        cfg = RunConfig(batch_size=16, negatives_per_positive=3)
         batch = make_training_batch(split_leave_one_out(ds), ds, cfg, np.random.default_rng(1))
         for b, user in enumerate(batch.users):
             history = set(ds.sequences[int(user)])
@@ -98,7 +130,7 @@ class TestTrainingBatch:
     def test_fixed_rng_reproduces(self, small_corpus):
         ds, _, _ = small_corpus
         split = split_leave_one_out(ds)
-        cfg = TrainConfig(batch_size=8)
+        cfg = RunConfig(batch_size=8)
         a = make_training_batch(split, ds, cfg, np.random.default_rng(7))
         b = make_training_batch(split, ds, cfg, np.random.default_rng(7))
         np.testing.assert_array_equal(a.negatives, b.negatives)
@@ -108,8 +140,8 @@ class TestTrainingBatch:
         seq = list(range(30))
         ds = make_ds({0: seq}, item_count=40)
         split = split_leave_one_out(ds)
-        cfg = TrainConfig(batch_size=1)
-        batch = make_training_batch(split, ds, cfg, np.random.default_rng(0), max_seq_len=5)
+        cfg = RunConfig(batch_size=1, max_seq_len=5)
+        batch = make_training_batch(split, ds, cfg, np.random.default_rng(0))
         assert batch.inputs.shape[1] == 5
         assert batch.inputs.tolist() == [[22, 23, 24, 25, 26]]
         assert batch.targets.tolist() == [[23, 24, 25, 26, 27]]
@@ -121,11 +153,11 @@ class TestTrainEpoch:
         split = split_leave_one_out(ds)
         model = small_model(small_stores, seed=3)
         before = model.snapshot(precision="f64")
-        cfg = TrainConfig(lr=0.0, batch_size=16)
+        cfg = RunConfig(lr=0.0, batch_size=16, max_seq_len=50)
         adam = Adam(model.parameter_groups(), cfg.lr)
         state = TrainState()
         train_epoch(model, split, ds, cfg, state, adam,
-                    np.random.default_rng(0), np.random.default_rng(1), 50)
+                    np.random.default_rng(0), np.random.default_rng(1))
         for group, tensors in model.parameter_groups().items():
             for name, tensor in tensors.items():
                 np.testing.assert_array_equal(tensor, before[group][name])
@@ -136,14 +168,14 @@ class TestTrainEpoch:
         # negative: a deterministic objective that must fall epoch over epoch
         ds = make_ds({0: [1, 0, 0, 0, 0, 0, 0, 0, 0, 0]}, item_count=3)
         split = split_leave_one_out(ds)
-        model = build_id_model(3, BackboneConfig(kind="gru4rec", h=8, max_seq_len=20, dropout=0.0), 1)
-        cfg = TrainConfig(lr=0.005, batch_size=4)
+        cfg = RunConfig(backbone="gru4rec", h=8, max_seq_len=20, dropout=0.0, lr=0.005, batch_size=4)
+        model = build_id_model(3, cfg, 1)
         adam = Adam(model.parameter_groups(), cfg.lr)
         state = TrainState()
         rng = np.random.default_rng(0)
         drng = np.random.default_rng(1)
         for _ in range(5):
-            train_epoch(model, split, ds, cfg, state, adam, rng, drng, 20)
+            train_epoch(model, split, ds, cfg, state, adam, rng, drng)
         assert len(state.loss_history) == 5
         assert all(a > b for a, b in zip(state.loss_history, state.loss_history[1:]))
 
@@ -152,11 +184,11 @@ class TestTrainEpoch:
         split = split_leave_one_out(ds)
         model = small_model(small_stores, seed=4)
         model.backbone.params["lnf_g"][:] = np.nan
-        cfg = TrainConfig(batch_size=16)
+        cfg = RunConfig(batch_size=16, max_seq_len=50)
         adam = Adam(model.parameter_groups(), cfg.lr)
         with pytest.raises(NumericError, match="epoch 1"):
             train_epoch(model, split, ds, cfg, TrainState(), adam,
-                        np.random.default_rng(0), np.random.default_rng(1), 50)
+                        np.random.default_rng(0), np.random.default_rng(1))
 
 
 class TestFullLossGradient:
@@ -165,9 +197,9 @@ class TestFullLossGradient:
         ds, _, _ = small_corpus
         split = split_leave_one_out(ds)
         model = small_model(small_stores, seed=5, h=4, backbone="sasrec")
-        cfg = TrainConfig(batch_size=3, negatives_per_positive=2)
+        cfg = RunConfig(batch_size=3, negatives_per_positive=2, max_seq_len=6)
         batch = make_training_batch(split, ds, cfg, np.random.default_rng(2),
-                                    users=split.users[:3], max_seq_len=6)
+                                    users=split.users[:3])
 
         def scalar():
             loss, _, _ = model.loss_and_grads(batch, training=False)
@@ -183,10 +215,12 @@ class TestFullLossGradient:
     def test_matches_finite_differences_id(self, small_corpus):
         ds, _, _ = small_corpus
         split = split_leave_one_out(ds)
-        model = build_id_model(ds.item_count, BackboneConfig(kind="gru4rec", h=4, max_seq_len=8, dropout=0.0), 6)
-        cfg = TrainConfig(batch_size=2, negatives_per_positive=1)
+        model = build_id_model(
+            ds.item_count, RunConfig(backbone="gru4rec", h=4, max_seq_len=8, dropout=0.0), 6
+        )
+        cfg = RunConfig(batch_size=2, negatives_per_positive=1, max_seq_len=5)
         batch = make_training_batch(split, ds, cfg, np.random.default_rng(3),
-                                    users=split.users[:2], max_seq_len=5)
+                                    users=split.users[:2])
 
         def scalar():
             loss, _, _ = model.loss_and_grads(batch, training=False)
@@ -205,8 +239,8 @@ class TestFit:
         ds, _, _ = small_corpus
         split = split_leave_one_out(ds)
         model = small_model(small_stores, seed=7)
-        cfg = TrainConfig(lr=0.0, patience=1, max_epochs=50, eval_negatives=20)
-        _, state = fit(model, split, ds, cfg, max_seq_len=50)
+        cfg = RunConfig(lr=0.0, patience=1, max_epochs=50, eval_negatives=20, max_seq_len=50)
+        _, state = fit(model, split, ds, cfg, 42)
         assert state.epoch == 2
         assert state.n_validations == 2
         assert state.stopped_early
@@ -215,16 +249,16 @@ class TestFit:
         ds, _, _ = small_corpus
         split = split_leave_one_out(ds)
         model = small_model(small_stores, seed=8)
-        cfg = TrainConfig(lr=0.0, patience=5, max_epochs=100, eval_negatives=20)
-        _, state = fit(model, split, ds, cfg, max_seq_len=50)
+        cfg = RunConfig(lr=0.0, patience=5, max_epochs=100, eval_negatives=20, max_seq_len=50)
+        _, state = fit(model, split, ds, cfg, 42)
         assert state.n_validations == 6
 
     def test_best_checkpoint_is_argmax(self, small_corpus, small_stores):
         ds, _, _ = small_corpus
         split = split_leave_one_out(ds)
         model = small_model(small_stores, seed=9)
-        cfg = TrainConfig(max_epochs=4, patience=10, eval_negatives=20)
-        _, state = fit(model, split, ds, cfg, max_seq_len=50)
+        cfg = RunConfig(max_epochs=4, patience=10, eval_negatives=20, max_seq_len=50)
+        _, state = fit(model, split, ds, cfg, 42)
         assert state.best_val_ndcg10 == max(state.val_history)
         assert state.val_history[state.best_epoch - 1] == state.best_val_ndcg10
 
@@ -234,8 +268,8 @@ class TestFit:
         results = []
         for _ in range(2):
             model = small_model(small_stores, seed=10, dropout=0.2)
-            cfg = TrainConfig(max_epochs=3, patience=10, eval_negatives=20, seed=10)
-            _, state = fit(model, split, ds, cfg, max_seq_len=50)
+            cfg = RunConfig(max_epochs=3, patience=10, eval_negatives=20, max_seq_len=50)
+            _, state = fit(model, split, ds, cfg, 10)
             results.append((state.loss_history, state.val_history))
         assert results[0] == results[1]
 
@@ -244,8 +278,8 @@ class TestFit:
         split = split_leave_one_out(ds)
         model = small_model(small_stores, seed=11)
         before = semantic_checksum(model)
-        cfg = TrainConfig(max_epochs=3, patience=10, eval_negatives=20)
-        model, _ = fit(model, split, ds, cfg, max_seq_len=50)
+        cfg = RunConfig(max_epochs=3, patience=10, eval_negatives=20, max_seq_len=50)
+        model, _ = fit(model, split, ds, cfg, 42)
         assert semantic_checksum(model) == before
 
     def test_parameter_registry_has_exactly_two_groups(self, small_stores):
@@ -257,7 +291,7 @@ class TestFit:
         empty = split_leave_one_out(make_ds({0: [1, 2]}, item_count=4))
         model = small_model(small_stores, seed=13)
         with pytest.raises(ProtocolError):
-            fit(model, empty, ds, TrainConfig(), max_seq_len=50)
+            fit(model, empty, ds, RunConfig(max_seq_len=50), 42)
 
     def test_logged_values_match_checkpoint_replay(self, small_corpus, small_stores):
         from grasp.evaluation import evaluate
@@ -265,7 +299,7 @@ class TestFit:
         ds, _, _ = small_corpus
         split = split_leave_one_out(ds)
         model = small_model(small_stores, seed=14)
-        cfg = TrainConfig(max_epochs=3, patience=10, eval_negatives=20, seed=14)
-        model, state = fit(model, split, ds, cfg, max_seq_len=50)
+        cfg = RunConfig(max_epochs=3, patience=10, eval_negatives=20, max_seq_len=50)
+        model, state = fit(model, split, ds, cfg, 14)
         report, _ = evaluate(model, split, ds, "valid", eval_negatives=20, seed=14, max_seq_len=50)
         assert report.ndcg[10] == state.best_val_ndcg10
