@@ -17,14 +17,19 @@ class Reader:
         self.pos = 0
         self.path = str(path)
 
-    def _take(self, n: int) -> bytes:
+    def _advance(self, n: int) -> int:
+        """Move past ``n`` bytes, checking the length first; returns their offset."""
         if self.pos + n > len(self.data):
             raise FormatError(
                 f"{self.path}: truncated at byte {self.pos} (needed {n} more bytes)"
             )
-        chunk = self.data[self.pos : self.pos + n]
+        start = self.pos
         self.pos += n
-        return chunk
+        return start
+
+    def _take(self, n: int) -> bytes:
+        start = self._advance(n)
+        return self.data[start : start + n]
 
     def magic(self, expected: bytes) -> None:
         offset = self.pos
@@ -61,9 +66,10 @@ class Reader:
             )
         return arr
 
-    def u64_array(self, count: int) -> np.ndarray:
-        raw = self._take(8 * count)
-        return np.frombuffer(raw, dtype="<u8").astype(np.int64)
+    def records(self, dtype: np.dtype, count: int) -> np.ndarray:
+        """``count`` packed records of a structured dtype, as a read-only view."""
+        start = self._advance(dtype.itemsize * count)
+        return np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
 
     def expect_field(self, name: str, got, want) -> None:
         """A header field read from the file must equal what the model needs."""
@@ -102,8 +108,8 @@ class Writer:
     def f32_array(self, arr: np.ndarray):
         self.parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
-    def u64_array(self, arr: np.ndarray):
-        self.parts.append(np.ascontiguousarray(arr, dtype="<u8").tobytes())
+    def records(self, arr: np.ndarray):
+        self.parts.append(arr.tobytes())
 
     def tobytes(self) -> bytes:
         return b"".join(self.parts)

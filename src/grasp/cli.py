@@ -1,9 +1,9 @@
 """Operator command line: synth, build-db, train, eval, sweep, report.
 
-Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric
-failure.  ``GRASP_THREADS`` caps BLAS worker threads (applied before numpy
-loads).  Output directories are guarded by a lock file and refuse to
-overwrite previous results without ``--force``.
+Exit codes: 0 success, 2 usage error, 3 data/format or I/O error, 4
+numeric failure.  ``GRASP_THREADS`` caps BLAS worker threads (applied
+before numpy loads).  Output directories are guarded by a lock file and
+refuse to overwrite previous results without ``--force``.
 """
 
 from __future__ import annotations
@@ -363,7 +363,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, ProtocolError) as exc:
+    except (DataError, ProtocolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:

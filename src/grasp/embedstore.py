@@ -3,10 +3,11 @@
 Matrices are immutable once constructed (the backing arrays are marked
 read-only) so that nothing downstream -- training included -- can mutate
 the semantic databases.  Retrieval has brute-force semantics: the k most
-cosine-similar rows excluding the query row itself, ties broken by
-ascending row index.  Neighbor means are pooled from the rows of the
-matrix as given (similarity is measured on internally normalized copies);
-zero-norm rows have similarity 0 to everything but remain queryable.
+cosine-similar rows excluding the query row itself, ties in the computed
+similarities broken by ascending row index.  Neighbor means are pooled
+from the rows of the matrix as given (similarity is measured on
+internally normalized copies); zero-norm rows have similarity 0 to
+everything but remain queryable.
 
 On-disk formats:
 
@@ -98,8 +99,10 @@ def topk_neighbors(m: EmbeddingMatrix, row: int, k: int) -> list[tuple[int, floa
     """The k most similar rows to ``row`` (self excluded), best first.
 
     Requires a normalized matrix so that the dot product is cosine
-    similarity.  Ties are broken by ascending row index; the result is
-    exact regardless of any internal blocking.
+    similarity.  The order is (-sim, index) over the similarities as one
+    matrix-vector product computes them, so ties are broken by ascending
+    row index.  Distinct vectors whose cosines are equal mathematically
+    may still differ in the last bit and then order by rounding.
     """
     if not m.normalized:
         raise ValueError("topk_neighbors requires a normalized matrix")
@@ -107,16 +110,31 @@ def topk_neighbors(m: EmbeddingMatrix, row: int, k: int) -> list[tuple[int, floa
         raise ValueError(f"row {row} out of range for {m.rows} rows")
     if not (1 <= k <= m.rows - 1):
         raise ValueError(f"k={k} out of range: need 1 <= k <= rows-1 = {m.rows - 1}")
-    sims = m.values @ m.values[row]
-    order = _ranked_candidates(sims, row)[:k]
-    return [(int(i), float(sims[i])) for i in order]
+    sims = (m.values @ m.values[row])[None, :]
+    order = _select_topk(sims, np.array([row]), k)[0]
+    return [(int(i), float(sims[0, i])) for i in order]
 
 
-def _ranked_candidates(sims: np.ndarray, exclude: int) -> np.ndarray:
-    sims = sims.copy()
-    sims[exclude] = -np.inf
+def _select_topk(sims: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """Ids of the k best columns of each row of ``sims``, by (-sim, index).
+
+    ``rows[i]`` is row i's own column; it is excluded by setting it to
+    -inf in place.  An argpartition finds each row's k best columns and
+    its k-th value.  A row with more than k columns at or above that value
+    has a tie across the boundary, so only such rows (duplicates, zero
+    rows) rank every one of those columns instead.
+    """
+    n = sims.shape[1]
+    sims[np.arange(len(rows)), rows] = -np.inf
+    top = np.argpartition(sims, n - k, axis=1)[:, n - k :]
+    top_sims = np.take_along_axis(sims, top, axis=1)
     # lexsort: primary key last -> sort by descending similarity, then index.
-    return np.lexsort((np.arange(len(sims)), -sims))[: len(sims) - 1]
+    ids = np.take_along_axis(top, np.lexsort((top, -top_sims), axis=1), axis=1)
+    kth = top_sims[:, 0]
+    for i in np.flatnonzero((sims >= kth[:, None]).sum(axis=1) > k):
+        cand = np.flatnonzero(sims[i] >= kth[i])
+        ids[i] = cand[np.lexsort((cand, -sims[i, cand]))[:k]]
+    return ids
 
 
 @dataclass(frozen=True)
@@ -140,24 +158,32 @@ class NeighborCache:
         return self.pooled_means.shape[1]
 
 
-def build_neighbor_cache(m: EmbeddingMatrix, k: int, block: int = 512) -> NeighborCache:
-    """Exact neighbor ids plus the mean of each row's k neighbors.
+def build_neighbor_cache(m: EmbeddingMatrix, k: int, block: int = 64) -> NeighborCache:
+    """Top-k neighbor ids plus the mean of each row's k neighbors.
 
-    Similarity is computed on a normalized copy; pooled means average the
+    Similarity is computed on a normalized copy, one GEMM per ``block``
+    rows, and each row's neighbors are in exact (-sim, index) order over
+    those similarities.  Rows that are mathematically tied but distinct
+    may round differently, and the rounding can depend on ``block``, so
+    their order is not fixed across block sizes.  Pooled means average the
     rows of ``m`` as given, so callers pooling raw embeddings simply pass
-    the raw matrix.  Blocked evaluation keeps memory bounded without
-    changing the output.
+    the raw matrix.  A small block keeps the selection's and the pooling's
+    temporaries small.
     """
     if not (1 <= k <= m.rows - 1):
         raise ValueError(f"k={k} out of range: need 1 <= k <= rows-1 = {m.rows - 1}")
     unit = m.values if m.normalized else normalize_rows(m).values
     ids = np.empty((m.rows, k), dtype=np.int64)
+    pooled = np.empty((m.rows, m.dim), dtype=np.float64)
+    # One buffer for every block: a fresh block-sized array per GEMM is a
+    # new mmap whose pages fault in each time, which cost about a third of
+    # an 8k build.
+    sims = np.empty((min(block, m.rows), m.rows))
     for start in range(0, m.rows, block):
         stop = min(start + block, m.rows)
-        sims = unit[start:stop] @ unit.T
-        for local, row in enumerate(range(start, stop)):
-            ids[row] = _ranked_candidates(sims[local], row)[:k]
-    pooled = m.values[ids].mean(axis=1)
+        np.matmul(unit[start:stop], unit.T, out=sims[: stop - start])
+        ids[start:stop] = _select_topk(sims[: stop - start], np.arange(start, stop), k)
+        pooled[start:stop] = m.values[ids[start:stop]].mean(axis=1)
     return NeighborCache(k=k, neighbor_ids=ids, pooled_means=pooled)
 
 
@@ -242,6 +268,10 @@ def load_embedding_matrix(path) -> EmbeddingMatrix:
     return _load_tsv_matrix(path)
 
 
+def _gnbc_record(k: int, dim: int) -> np.dtype:
+    return np.dtype([("ids", "<u8", (k,)), ("mean", "<f4", (dim,))])
+
+
 def save_neighbor_cache(cache: NeighborCache, path) -> None:
     w = Writer()
     w.magic(GNBC_MAGIC)
@@ -249,9 +279,10 @@ def save_neighbor_cache(cache: NeighborCache, path) -> None:
     w.u32(cache.k)
     w.u64(cache.rows)
     w.u64(cache.dim)
-    for row in range(cache.rows):
-        w.u64_array(cache.neighbor_ids[row])
-        w.f32_array(cache.pooled_means[row])
+    records = np.empty(cache.rows, dtype=_gnbc_record(cache.k, cache.dim))
+    records["ids"] = cache.neighbor_ids
+    records["mean"] = cache.pooled_means
+    w.records(records)
     w.save(path)
 
 
@@ -264,17 +295,24 @@ def load_neighbor_cache(path) -> NeighborCache:
     k = r.u32()
     rows = r.u64()
     dim = r.u64()
-    ids = np.empty((rows, k), dtype=np.int64)
-    pooled = np.empty((rows, dim), dtype=np.float64)
-    for row in range(rows):
-        ids[row] = r.u64_array(k)
-        pooled[row] = r.f32_array(dim)
+    if k == 0 or dim == 0:
+        raise FormatError(f"{path}: k and dim must be positive")
+    record = _gnbc_record(k, dim)
+    start = r.pos
+    records = r.records(record, rows)
     r.expect_eof()
+    means = records["mean"]
+    bad = np.argwhere(~np.isfinite(means))
+    if len(bad):
+        row, col = bad[0]
+        offset = start + row * record.itemsize + record.fields["mean"][1] + 4 * col
+        raise FormatError(f"{path}: non-finite value at byte {offset}")
+    ids = records["ids"].astype(np.int64)
     if rows and (ids.min() < 0 or ids.max() >= rows):
         raise FormatError(f"{path}: neighbor id out of range")
-    if any(row in ids[row] for row in range(rows)):
+    if (ids == np.arange(rows)[:, None]).any():
         raise FormatError(f"{path}: a row lists itself among its neighbors")
-    return NeighborCache(k=k, neighbor_ids=ids, pooled_means=pooled)
+    return NeighborCache(k=k, neighbor_ids=ids, pooled_means=means.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------

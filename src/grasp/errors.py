@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-CLI exit-code mapping: usage errors -> 2, ``DataError`` (and subclasses)
--> 3, ``NumericError`` -> 4.
+CLI exit-code mapping: usage errors -> 2, ``DataError`` (and subclasses),
+``ProtocolError`` and ``OSError`` -> 3, ``NumericError`` -> 4.
 """
 
 

@@ -300,6 +300,13 @@ class TestConfigPrecedence:
         assert run("train", "--data", data_dir, "--out", tmp_path / "z",
                    "--config", cfg_file) == 3
 
+    def test_missing_config_file_is_data_error(self, data_dir, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        out = tmp_path / "never"
+        assert run("train", "--data", data_dir, "--out", out, "--config", missing) == 3
+        assert str(missing) in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepAndReport:
     def test_sweep_grid(self, data_dir, tmp_path):
@@ -340,6 +347,11 @@ class TestSweepAndReport:
         metrics.write_text("\n".join(lines) + "\n")
         assert run("report", "--metrics", metrics) == 3
         assert f"{metrics}:4:" in capsys.readouterr().err
+
+    def test_missing_metrics_file_is_data_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.tsv"
+        assert run("report", "--metrics", missing) == 3
+        assert str(missing) in capsys.readouterr().err
 
 
 class TestIdempotency:

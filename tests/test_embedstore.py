@@ -1,5 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from grasp import embedstore as es
 from grasp.errors import FormatError
@@ -221,6 +226,123 @@ class TestNeighborCache:
         m = es.matrix_from_array(np.eye(3))
         with pytest.raises(ValueError):
             es.build_neighbor_cache(m, 3)
+
+
+def lexsort_topk(sims: np.ndarray, row: int, k: int) -> list[int]:
+    """Per-row (-sim, index) order of one similarity row, self excluded."""
+    s = sims.copy()
+    s[row] = -np.inf
+    return np.lexsort((np.arange(len(s)), -s))[:k].tolist()
+
+
+# Integer entries in {-1, 0, 1}: many exact ties, zero rows, duplicates.
+tie_heavy = st.tuples(st.integers(2, 24), st.integers(1, 5)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.sampled_from([-1.0, 0.0, 1.0]))
+)
+
+
+class TestSelectionProperties:
+    """The selection equals a full per-row lexsort of the same similarities.
+
+    The matrices fit in one block, so ``unit @ unit.T`` below is the very
+    product the build computes.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(tie_heavy)
+    @example(np.zeros((6, 3)))
+    @example(np.array([[1.0, 0.0]] * 5 + [[0.0, 0.0]] * 3))
+    def test_build_equals_per_row_lexsort(self, values):
+        m = es.matrix_from_array(values)
+        unit = es.normalize_rows(m).values
+        sims = unit @ unit.T
+        rows = len(values)
+        for k in range(1, rows):
+            ids = es.build_neighbor_cache(m, k).neighbor_ids
+            assert ids.tolist() == [lexsort_topk(sims[row], row, k) for row in range(rows)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(tie_heavy)
+    @example(np.zeros((4, 2)))
+    def test_topk_neighbors_equals_per_row_lexsort(self, values):
+        m = es.normalize_rows(es.matrix_from_array(values))
+        for row in range(m.rows):
+            sims = m.values @ m.values[row]
+            for k in range(1, m.rows):
+                got = es.topk_neighbors(m, row, k)
+                assert [i for i, _ in got] == lexsort_topk(sims, row, k)
+                assert [s for _, s in got] == sims[[i for i, _ in got]].tolist()
+
+
+GNBC_HEADER = 26  # magic 4 | version 2 | k 4 | rows 8 | dim 8
+
+
+def pack_gnbc(ids: np.ndarray, means: np.ndarray, rows=None) -> bytes:
+    """A GNBC file packed field by field with ``struct``, independent of numpy I/O."""
+    k, dim = ids.shape[1], means.shape[1]
+    out = [b"GNBC", struct.pack("<HIQQ", 1, k, len(ids) if rows is None else rows, dim)]
+    for row_ids, mean in zip(ids, means):
+        out.append(struct.pack(f"<{k}Q", *row_ids.tolist()))
+        out.append(struct.pack(f"<{dim}f", *mean.tolist()))
+    return b"".join(out)
+
+
+class TestGnbcFile:
+    @pytest.fixture
+    def cache(self):
+        rng = np.random.default_rng(8)
+        return es.build_neighbor_cache(es.matrix_from_array(rng.standard_normal((6, 3))), 2)
+
+    def _load(self, tmp_path, data: bytes):
+        path = tmp_path / "c.gnbc"
+        path.write_bytes(data)
+        return es.load_neighbor_cache(path)
+
+    def test_save_matches_struct_packing(self, cache, tmp_path):
+        path = tmp_path / "c.gnbc"
+        es.save_neighbor_cache(cache, path)
+        assert path.read_bytes() == pack_gnbc(cache.neighbor_ids, cache.pooled_means)
+
+    def test_truncation_at_every_offset(self, cache, tmp_path):
+        data = pack_gnbc(cache.neighbor_ids, cache.pooled_means)
+        for cut in range(len(data)):
+            with pytest.raises(FormatError, match="truncated|magic"):
+                self._load(tmp_path, data[:cut])
+
+    def test_huge_row_count_is_format_error(self, cache, tmp_path):
+        data = pack_gnbc(cache.neighbor_ids, cache.pooled_means, rows=2**40)
+        with pytest.raises(FormatError, match="truncated at byte 26"):
+            self._load(tmp_path, data)
+
+    def test_trailing_bytes_refused(self, cache, tmp_path):
+        data = pack_gnbc(cache.neighbor_ids, cache.pooled_means)
+        with pytest.raises(FormatError, match=f"1 trailing bytes at byte {len(data)}"):
+            self._load(tmp_path, data + b"\0")
+
+    def test_self_neighbor_refused(self, cache, tmp_path):
+        ids = cache.neighbor_ids.copy()
+        ids[4, 1] = 4
+        with pytest.raises(FormatError, match="lists itself"):
+            self._load(tmp_path, pack_gnbc(ids, cache.pooled_means))
+
+    def test_out_of_range_id_refused(self, cache, tmp_path):
+        ids = cache.neighbor_ids.copy()
+        ids[2, 0] = 6
+        with pytest.raises(FormatError, match="out of range"):
+            self._load(tmp_path, pack_gnbc(ids, cache.pooled_means))
+
+    @pytest.mark.parametrize("k,dim", [(0, 3), (2, 0), (0, 0)])
+    def test_empty_record_fields_refused(self, tmp_path, k, dim):
+        data = pack_gnbc(np.zeros((4, k), dtype=np.uint64), np.zeros((4, dim)))
+        with pytest.raises(FormatError, match="k and dim must be positive"):
+            self._load(tmp_path, data)
+
+    def test_nan_mean_reported_at_its_byte(self, cache, tmp_path):
+        means = cache.pooled_means.copy()
+        means[3, 2] = np.nan
+        offset = GNBC_HEADER + 3 * (8 * 2 + 4 * 3) + 8 * 2 + 4 * 2
+        with pytest.raises(FormatError, match=f"non-finite value at byte {offset}$"):
+            self._load(tmp_path, pack_gnbc(cache.neighbor_ids, means))
 
 
 class TestSynthCorpus:
