@@ -30,8 +30,14 @@ def _cap_threads() -> None:
 
 @contextlib.contextmanager
 def _output_lock(out_dir):
+    """Hold ``out_dir/.grasp.lock``; a failed run removes the empty directories it created."""
     from .errors import DataError
 
+    created = []  # deepest first
+    path = os.path.abspath(out_dir)
+    while not os.path.isdir(path):
+        created.append(path)
+        path = os.path.dirname(path)
     os.makedirs(out_dir, exist_ok=True)
     lock = os.path.join(out_dir, ".grasp.lock")
     try:
@@ -45,7 +51,14 @@ def _output_lock(out_dir):
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
         yield
-    finally:
+    except BaseException:
+        os.unlink(lock)
+        for path in created:
+            if os.listdir(path):
+                break
+            os.rmdir(path)
+        raise
+    else:
         os.unlink(lock)
 
 

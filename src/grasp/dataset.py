@@ -40,11 +40,13 @@ class InteractionDataset:
     def interaction_count(self) -> int:
         return int(self.user_frequency.sum())
 
-    def history(self, user: int) -> np.ndarray:
-        """Distinct item ids in the user's full sequence, sorted ascending."""
+    def non_history(self, user: int) -> np.ndarray:
+        """Item ids outside the user's full sequence, sorted ascending."""
         if user not in self.sequences:
             raise DataError(f"unknown user id {user}")
-        return np.unique(np.asarray(self.sequences[user], dtype=np.int64))
+        outside = np.ones(self.item_count, dtype=bool)
+        outside[self.sequences[user]] = False
+        return np.flatnonzero(outside)
 
 
 @dataclass(frozen=True)
@@ -241,8 +243,7 @@ def sample_negatives(
     """
     if count == 0:
         return np.empty(0, dtype=np.int64)
-    history = ds.history(user)
-    candidates = np.setdiff1d(np.arange(ds.item_count, dtype=np.int64), history)
+    candidates = ds.non_history(user)
     if count > len(candidates):
         raise DataError(
             f"cannot sample {count} negatives for user {user}: "

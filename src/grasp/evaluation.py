@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import GroupLabels, InteractionDataset, LeaveOneOutSplit, sample_negatives
-from .errors import DataError, ProtocolError
+from .errors import DataError, NumericError, ProtocolError
+from .ops import length_buckets
 
 KS = (1, 3, 5, 10, 20)
 
@@ -85,48 +86,66 @@ def _eval_candidates(ds: InteractionDataset, user: int, target: int,
     return candidates[order], int(np.flatnonzero(order == 0)[0])
 
 
+def _protocol(entry, which: str):
+    """(input sequence, target item) of one split entry under ``which``."""
+    if which == "valid":
+        return entry.train_prefix, entry.valid_target
+    return entry.train_prefix + [entry.valid_target], entry.test_target
+
+
+def eval_candidates(split: LeaveOneOutSplit, ds: InteractionDataset, which: str,
+                    eval_negatives: int, seed: int):
+    """Every split user's candidates (U, 1 + eval_negatives) and target positions (U,).
+
+    Rows follow ascending user id.  The draw depends only on its
+    arguments, so one result serves every ``evaluate`` of the same split.
+    """
+    rows = [
+        _eval_candidates(ds, u, _protocol(split.entries[u], which)[1], eval_negatives, seed)
+        for u in split.users
+    ]
+    return np.stack([c for c, _ in rows]), np.array([t for _, t in rows], dtype=np.int64)
+
+
 def evaluate(model, split: LeaveOneOutSplit, ds: InteractionDataset, which: str,
              eval_negatives: int = 100, seed: int = 42, max_seq_len: int = 100,
-             batch_size: int = 256):
+             batch_size: int = 256, candidates=None):
     """Rank each user's held-out target among sampled negatives.
 
     ``which`` selects the validation protocol (input = train prefix,
     target = validation item) or the test protocol (input = prefix +
-    validation item, target = test item).  Returns (MetricReport,
-    [UserRecord]) with users processed in ascending id order.
+    validation item, target = test item).  ``candidates`` is a reused
+    ``eval_candidates`` result for the same arguments; it is drawn here
+    when omitted.  Users are scored in ``length_buckets`` of at most
+    ``batch_size`` rows; a user's rank does not depend on the bucket.
+    Returns (MetricReport, [UserRecord]) in ascending user id order.
+    Non-finite scores raise ``NumericError`` naming the first such user.
     """
     if which not in ("valid", "test"):
         raise ValueError(f"which must be 'valid' or 'test', got {which!r}")
     if len(split) == 0:
         raise ProtocolError("cannot evaluate an empty split")
+    if candidates is None:
+        candidates = eval_candidates(split, ds, which, eval_negatives, seed)
+    cand_rows, target_pos = candidates
 
-    users = split.users
-    ranks: list[int] = []
-    records: list[UserRecord] = []
-    for start in range(0, len(users), batch_size):
-        chunk = users[start : start + batch_size]
-        seqs, cand_rows, target_pos = [], [], []
-        for u in chunk:
-            entry = split.entries[u]
-            if which == "valid":
-                seqs.append(entry.train_prefix)
-                target = entry.valid_target
-            else:
-                seqs.append(entry.train_prefix + [entry.valid_target])
-                target = entry.test_target
-            cands, tpos = _eval_candidates(ds, u, target, eval_negatives, seed)
-            cand_rows.append(cands)
-            target_pos.append(tpos)
-        o_final = model.final_representations(np.asarray(chunk), seqs, max_seq_len)
-        scores = model.candidate_scores(np.asarray(chunk), np.stack(cand_rows), o_final)
-        for i, u in enumerate(chunk):
-            rank = rank_of_target(scores[i], target_pos[i])
-            ranks.append(rank)
-            records.append(UserRecord(
-                user=u,
-                target_item=int(cand_rows[i][target_pos[i]]),
-                rank=rank,
-            ))
+    users = np.asarray(split.users, dtype=np.int64)
+    seqs = [_protocol(split.entries[u], which)[0] for u in split.users]
+    ranks = [0] * len(users)
+    finite = np.ones(len(users), dtype=bool)
+    for rows in length_buckets([min(len(s), max_seq_len) for s in seqs], batch_size):
+        o_final = model.final_representations(users[rows], [seqs[i] for i in rows], max_seq_len)
+        scores = model.candidate_scores(users[rows], cand_rows[rows], o_final)
+        finite[rows] = np.isfinite(scores).all(axis=1)
+        for i, row_scores in zip(rows, scores):
+            ranks[i] = rank_of_target(row_scores, target_pos[i])
+    if not finite.all():
+        bad = int(users[np.argmin(finite)])
+        raise NumericError(f"non-finite {which} scores, first for user {bad}")
+    records = [
+        UserRecord(user=int(u), target_item=int(cand_rows[i, target_pos[i]]), rank=ranks[i])
+        for i, u in enumerate(users)
+    ]
     report = report_from_ranks(ranks, group="overall", n_skipped=split.n_excluded)
     return report, records
 

@@ -20,7 +20,7 @@ from .backbone import build_backbone
 from .config import RunConfig
 from .errors import DataError
 from .hae import SemanticStore
-from .ops import sigmoid
+from .ops import length_buckets, sigmoid
 
 PROB_CLAMP = 1e-7
 
@@ -159,10 +159,39 @@ class RecModel:
         """Mean BCE over real (position, candidate) pairs plus gradients.
 
         ``batch`` carries users (B,), inputs (B, L), mask (B, L), targets
-        (B, L) and negatives (B, L, n_neg).  Returns (loss, grads, n_pairs).
+        (B, L) and negatives (B, L, n_neg), left-padded, with at least one
+        real position per row.  Rows are computed per power-of-two length
+        class (``length_buckets``), each class trimmed to its own longest
+        row; padded positions contribute nothing, so the classes' sums
+        equal the padded batch's up to rounding, and a batch of one class
+        is computed as a whole.  Dropout masks are drawn per class.
+        Returns (loss, grads, n_pairs).
         """
-        users, inputs, mask = batch.users, batch.inputs, batch.mask
-        targets, negatives = batch.targets, batch.negatives
+        mask = batch.mask
+        n_pairs = float(mask.sum()) * (1 + batch.negatives.shape[-1])
+        if n_pairs == 0:
+            raise ValueError("batch contains no real training positions")
+        lengths = mask.sum(axis=1)
+        loss, grads = 0.0, None
+        for rows in length_buckets(lengths, len(lengths)):
+            L = lengths[rows].max()
+            part_loss, part_grads = self._pair_loss_and_grads(
+                batch.users[rows], batch.inputs[rows, -L:], mask[rows, -L:],
+                batch.targets[rows, -L:], batch.negatives[rows, -L:],
+                n_pairs, training, rng,
+            )
+            loss += part_loss
+            if grads is None:
+                grads = part_grads
+            else:
+                for group, tensors in part_grads.items():
+                    for name, g in tensors.items():
+                        grads[group][name] += g
+        return loss, grads, n_pairs
+
+    def _pair_loss_and_grads(self, users, inputs, mask, targets, negatives, n_pairs,
+                             training, rng):
+        """BCE summed over this grid's real pairs, divided by ``n_pairs``, plus gradients."""
         enc_in, cache_in = self.encoder.encode_items(
             users, inputs, positions_mask=mask, softmax_over_positions=True
         )
@@ -175,9 +204,6 @@ class RecModel:
         labels = np.zeros_like(probs)
         labels[..., 0] = 1.0
         pair_mask = np.broadcast_to(mask[..., None], probs.shape).astype(np.float64)
-        n_pairs = pair_mask.sum()
-        if n_pairs == 0:
-            raise ValueError("batch contains no real training positions")
 
         clamped = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
         losses = -(labels * np.log(clamped) + (1.0 - labels) * np.log(1.0 - clamped))
@@ -192,7 +218,7 @@ class RecModel:
         enc_grads = self.encoder.backward(cache_in, d_enc_in)
         for name, g in self.encoder.backward(cache_cand, d_cand).items():
             enc_grads[name] = enc_grads[name] + g
-        return loss, {self.encoder.group_name: enc_grads, "backbone": bb_grads}, n_pairs
+        return loss, {self.encoder.group_name: enc_grads, "backbone": bb_grads}
 
     # -- inference -----------------------------------------------------
     def final_representations(self, users, seqs, max_seq_len: int) -> np.ndarray:

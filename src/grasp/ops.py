@@ -12,3 +12,26 @@ def sigmoid(x):
 def mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x @ w over the last axis as a single 2-D GEMM (fast for (..., K) inputs)."""
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + (w.shape[1],))
+
+
+def length_buckets(lengths, max_rows: int) -> list[np.ndarray]:
+    """Row indices grouped by power-of-two length class, in chunks of ``max_rows``.
+
+    The classes are 1, 2, 3-4, 5-8, ...; rows are ordered by (class,
+    index) and each class is cut into chunks of at most ``max_rows``
+    rows, so no row in a chunk is padded to more than twice its length.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if max_rows < 1:
+        raise ValueError(f"max_rows must be >= 1, got {max_rows}")
+    if lengths.size and lengths.min() < 1:
+        raise ValueError("every length must be >= 1")
+    # ceil(log2(n)) for n >= 1: the bit length of n - 1.
+    classes = np.array([int(n - 1).bit_length() for n in lengths], dtype=np.int64)
+    order = np.argsort(classes, kind="stable")
+    bounds = np.flatnonzero(np.diff(classes[order])) + 1
+    return [
+        group[start : start + max_rows]
+        for group in np.split(order, bounds)
+        for start in range(0, len(group), max_rows)
+    ]

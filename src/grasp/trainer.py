@@ -3,8 +3,10 @@
 Validation metrics are always computed on parameters round-tripped
 through checkpoint precision (float32), so a logged value is exactly what
 re-evaluating the stored checkpoint reproduces; training itself continues
-in float64.  Validation negatives are drawn once per user with a fixed
-seed and reused across epochs so early stopping compares like with like.
+in float64.  Validation candidates are drawn once per fit with a fixed
+seed and reused by every epoch, so early stopping compares like with like.
+Each batch is computed in power-of-two length buckets (see
+``RecModel.loss_and_grads``), so dropout masks are drawn per bucket.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import NumericError, ProtocolError
-from .evaluation import evaluate
+from .evaluation import eval_candidates, evaluate
 from .model import RecModel
 
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -71,10 +73,6 @@ class TrainBatch:
     negatives: np.ndarray
 
 
-def _non_history(ds, user) -> np.ndarray:
-    return np.setdiff1d(np.arange(ds.item_count, dtype=np.int64), ds.history(user))
-
-
 def make_training_batch(split, ds, cfg: RunConfig, rng, users=None) -> TrainBatch:
     """Shift-by-one batch: inputs are prefix[:-1], targets prefix[1:].
 
@@ -106,7 +104,7 @@ def make_training_batch(split, ds, cfg: RunConfig, rng, users=None) -> TrainBatc
         inputs[b, L - n:] = rows_in[b]
         targets[b, L - n:] = rows_tg[b]
         mask[b, L - n:] = True
-        pool = _non_history(ds, u)
+        pool = ds.non_history(u)
         draws = rng.integers(len(pool), size=(n, cfg.negatives_per_positive))
         negatives[b, L - n:] = pool[draws]
     return TrainBatch(np.asarray(users, dtype=np.int64), inputs, mask, targets, negatives)
@@ -138,7 +136,7 @@ def fit(model: RecModel, split, ds, cfg: RunConfig, seed: int,
         log=None) -> tuple[RecModel, TrainState]:
     """Train until validation NDCG@10 stalls for ``patience`` epochs.
 
-    ``seed`` drives the shuffle, dropout and validation negatives.
+    ``seed`` drives the shuffle, dropout and validation candidates.
     Returns the model restored to its best (checkpoint-precision)
     parameters plus the training state.  ``log`` receives one
     ``(epoch, mean_loss, val_ndcg10)`` tuple per epoch.
@@ -150,6 +148,7 @@ def fit(model: RecModel, split, ds, cfg: RunConfig, seed: int,
     adam = Adam(model.parameter_groups(), cfg.lr)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     dropout_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+    candidates = eval_candidates(split, ds, "valid", cfg.eval_negatives, seed)
 
     best_snapshot = None
     for _ in range(cfg.max_epochs):
@@ -161,6 +160,7 @@ def fit(model: RecModel, split, ds, cfg: RunConfig, seed: int,
         report, _ = evaluate(
             model, split, ds, which="valid",
             eval_negatives=cfg.eval_negatives, seed=seed, max_seq_len=cfg.max_seq_len,
+            candidates=candidates,
         )
         model.load_snapshot(exact)
         val = report.ndcg[10]
@@ -180,6 +180,8 @@ def fit(model: RecModel, split, ds, cfg: RunConfig, seed: int,
                 state.stopped_early = True
                 break
 
+    if best_snapshot is None:
+        raise NumericError("no epoch produced a best validation snapshot")
     model.load_snapshot(best_snapshot)
     state.wall_seconds = time.perf_counter() - start
     return model, state

@@ -157,6 +157,20 @@ class TestTrainEval:
         assert code == 3
         assert "users.gnbc" in capsys.readouterr().err
 
+    def test_failed_run_removes_the_out_dir_it_created(self, data_dir, trained, tmp_path):
+        broken = tmp_path / "no_caches"
+        broken.mkdir()
+        (broken / "interactions.tsv").write_bytes((data_dir / "interactions.tsv").read_bytes())
+        out = tmp_path / "new" / "eval"
+        assert run("eval", "--data", broken, "--checkpoint", trained / "seed42",
+                   "--out", out) == 3
+        assert not (tmp_path / "new").exists()
+        existing = tmp_path / "existing"
+        existing.mkdir()
+        assert run("eval", "--data", broken, "--checkpoint", trained / "seed42",
+                   "--out", existing) == 3
+        assert existing.is_dir() and not any(existing.iterdir())
+
     def test_dimension_mismatch_is_compatibility_error(self, data_dir, trained, tmp_path):
         other = tmp_path / "other_data"
         assert run("synth", "--out", other, "--n-users", 30, "--n-items", 20,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grasp.dataset import (
     InteractionDataset,
@@ -230,6 +232,31 @@ class TestNegativeSampling:
             negs = sample_negatives(ds, user, 12, rng)
             assert len(set(negs.tolist()) & history) == 0
             assert len(set(negs.tolist())) == 12
+
+
+class TestNonHistory:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 30).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=60))))
+    @example((3, [0, 1, 2, 2, 0]))  # empty complement, repeated items
+    @example((4, []))
+    def test_equals_setdiff_of_history(self, case):
+        item_count, seq = case
+        ds = make_ds({0: seq}, item_count=item_count)
+        want = np.setdiff1d(np.arange(item_count, dtype=np.int64), np.unique(seq))
+        got = ds.non_history(0)
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == np.int64
+        # the pool feeds the seeded draws, so equal pools give equal draws
+        if len(want):
+            np.testing.assert_array_equal(
+                np.random.default_rng(1).choice(got, size=len(want), replace=False),
+                np.random.default_rng(1).choice(want, size=len(want), replace=False),
+            )
+
+    def test_unknown_user_is_data_error(self):
+        with pytest.raises(DataError):
+            make_ds({0: [0, 1]}).non_history(5)
 
 
 def test_id_map_round_trip(tmp_path):

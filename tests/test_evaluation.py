@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grasp.dataset import partition_head_tail, split_leave_one_out
-from grasp.errors import ProtocolError
+from grasp.errors import NumericError, ProtocolError
 from grasp.evaluation import (
     KS,
     UserRecord,
@@ -107,6 +107,20 @@ class _PerfectScorer:
         return np.where(cand_ids == want, 1.0, 0.0)
 
 
+class _NanScorer:
+    """Scores every candidate of the listed users NaN."""
+
+    def __init__(self, bad_users):
+        self.bad_users = set(bad_users)
+
+    def final_representations(self, users, seqs, max_seq_len):
+        return np.zeros((len(users), 4))
+
+    def candidate_scores(self, users, cand_ids, o_final):
+        bad = np.array([int(u) in self.bad_users for u in users])[:, None]
+        return np.where(bad, np.nan, 0.5) * np.ones(cand_ids.shape)
+
+
 @pytest.fixture(scope="module")
 def big_corpus():
     from grasp import embedstore as es
@@ -186,6 +200,31 @@ class TestEvaluateProtocol:
         va, _ = evaluate(model, split, ds, "valid", eval_negatives=20, seed=8)
         te, _ = evaluate(model, split, ds, "test", eval_negatives=20, seed=8)
         assert va != te
+
+    def test_nan_scores_raise_numeric_error(self, big_corpus):
+        # an all-NaN scorer would otherwise rank every target first (NDCG 1.0)
+        ds, split = big_corpus
+        bad = split.users[::500][1:]
+        with pytest.raises(NumericError, match=f"user {bad[0]}$"):
+            evaluate(_NanScorer(bad), split, ds, "test", eval_negatives=20, seed=3)
+        with pytest.raises(NumericError):
+            evaluate(_NanScorer(split.users), split, ds, "valid", eval_negatives=20, seed=3)
+
+    @pytest.mark.parametrize("backbone", ["sasrec", "gru4rec"])
+    def test_nan_model_raises_numeric_error(self, small_corpus, small_stores, backbone):
+        from grasp.config import RunConfig
+        from grasp.model import build_semantic_model
+
+        ds, _, _ = small_corpus
+        split = split_leave_one_out(ds)
+        model = build_semantic_model(
+            small_stores[0], small_stores[1],
+            RunConfig(backbone=backbone, h=8, max_seq_len=50), seed=0,
+        )
+        for tensor in model.backbone.params.values():
+            tensor[...] = np.nan
+        with pytest.raises(NumericError, match=f"user {split.users[0]}$"):
+            evaluate(model, split, ds, "test", eval_negatives=20, seed=8)
 
     def test_random_baseline_constant(self):
         # the analytic uniform-rank NDCG@10 constant used by the trend gates

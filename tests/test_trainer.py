@@ -293,6 +293,19 @@ class TestFit:
         with pytest.raises(ProtocolError):
             fit(model, empty, ds, RunConfig(max_seq_len=50), 42)
 
+    def test_no_best_snapshot_is_numeric_error(self, small_corpus, small_stores, monkeypatch):
+        # evaluate itself refuses non-finite scores; this guards the fallback
+        from grasp import trainer
+        from grasp.evaluation import MetricReport
+
+        nan_report = MetricReport(ndcg={10: float("nan")}, hr={}, n_users_evaluated=1)
+        monkeypatch.setattr(trainer, "evaluate", lambda *a, **k: (nan_report, []))
+        ds, _, _ = small_corpus
+        model = small_model(small_stores, seed=15)
+        cfg = RunConfig(max_epochs=2, patience=5, eval_negatives=20, max_seq_len=50)
+        with pytest.raises(NumericError, match="best validation snapshot"):
+            fit(model, split_leave_one_out(ds), ds, cfg, 15)
+
     def test_logged_values_match_checkpoint_replay(self, small_corpus, small_stores):
         from grasp.evaluation import evaluate
 
