@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import RunConfig
-from ..ops import mm
+from ..ops import mm, segment_sum
 from .common import dropout_mask, uniform_init
 
 LN_EPS = 1e-8
@@ -193,5 +193,5 @@ class SasRec:
         if dm0 is not None:
             d = d * dm0
         d = d * fmask
-        np.add.at(grads["pos_emb"], pos_idx[mask], d[mask])
+        grads["pos_emb"] = segment_sum(pos_idx[mask], d[mask], len(grads["pos_emb"]))
         return d, grads

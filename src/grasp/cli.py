@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 usage error, 3 data/format or I/O error, 4
 numeric failure.  ``GRASP_THREADS`` caps BLAS worker threads (applied
 before numpy loads).  Output directories are guarded by a lock file and
-refuse to overwrite previous results without ``--force``.
+refuse to overwrite previous results without ``--force``; a lock whose
+recorded pid names no running process is replaced with a warning.
 """
 
 from __future__ import annotations
@@ -28,6 +29,33 @@ def _cap_threads() -> None:
             os.environ.setdefault(var, cap)
 
 
+def _take_stale_lock(lock, flags):
+    """Replace a lock whose pid names no running process; the new fd, or None if held.
+
+    An unreadable, empty or non-numeric lock, or a live (or unsignallable)
+    process, counts as held.
+    """
+    try:
+        with open(lock, encoding="ascii") as fh:
+            pid = int(fh.read().strip())
+        if pid <= 0:
+            return None
+        os.kill(pid, 0)
+        return None
+    except ProcessLookupError:
+        pass
+    except (OSError, ValueError, OverflowError):
+        return None
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(lock)
+    try:
+        fd = os.open(lock, flags)
+    except FileExistsError:
+        return None
+    print(f"warning: replaced stale lock {lock} of exited process {pid}", file=sys.stderr)
+    return fd
+
+
 @contextlib.contextmanager
 def _output_lock(out_dir):
     """Hold ``out_dir/.grasp.lock``; a failed run removes the empty directories it created."""
@@ -40,13 +68,16 @@ def _output_lock(out_dir):
         path = os.path.dirname(path)
     os.makedirs(out_dir, exist_ok=True)
     lock = os.path.join(out_dir, ".grasp.lock")
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        fd = os.open(lock, flags)
     except FileExistsError:
-        raise DataError(
-            f"output directory {out_dir} is locked ({lock}); "
-            "another run may be active, or remove the stale lock"
-        ) from None
+        fd = _take_stale_lock(lock, flags)
+        if fd is None:
+            raise DataError(
+                f"output directory {out_dir} is locked ({lock}); "
+                "another run may be active, or remove the stale lock"
+            ) from None
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)

@@ -16,12 +16,23 @@ projects into the backbone's hidden size ``h``.  The semantic inputs are
 constants: gradients exist only for the MLP parameters, and the backward
 pass never touches embedding storage.
 
-Ablation switches: ``no_attention`` bypasses the gates (branch = value
-vector), ``no_similar`` / ``no_global`` zero out the respective concat
-slots, and ``softmax_variant`` replaces the per-item sigmoid with a
-softmax over sequence positions (standalone items then see a singleton
-softmax, i.e. gate 1); the softmax variant is the one configuration whose
-rows are not independent across positions.
+The concat is never built.  Each branch is a scalar gate times a frozen
+item row, so the MLP's first layer factors through per-item projections:
+``a1 = g_s*(i W1_s) + g_m*(i_bar W1_m) + g_g*((i||i_bar) W1_g) + b1``,
+with ``W1_s``, ``W1_m``, ``W1_g`` the row blocks of ``w1``.  A call over
+R rows of n distinct items therefore costs n*4d*hh for the projections
+plus R*(3*hh + hh*h) for the rows (R*(4*hh) when candidate scores fold
+``w2`` into the readout), against R*(4d*hh + hh*h) for the concat GEMM.
+Rows are formed ``CHUNK_ROWS`` at a time, so no (R, 4d) or (R, 3, hh)
+array exists.  ``_branch_concat`` returns the gates (..., 3);
+``fuse_forward`` applies them.
+
+Ablation switches are gate values: ``no_attention`` sets every gate to
+1 (branch = value vector), ``no_similar`` / ``no_global`` set the
+similar / global gate to 0, and ``softmax_variant`` replaces the per-item
+sigmoid with a masked softmax over sequence positions (standalone items,
+such as candidates, get gate 1); the softmax variant is the one
+configuration whose rows are not independent across positions.
 
 Checkpoint format ``GHAE``: magic | version u16 | d_sem u32 | h_hidden u32
 | h u32 | tensors w1, b1, w2, b2 as float32 LE.
@@ -37,7 +48,7 @@ from .binio import Writer, read_file
 from .config import RunConfig
 from .embedstore import EmbeddingMatrix, NeighborCache
 from .errors import FormatError
-from .ops import mm, sigmoid
+from .ops import sigmoid
 
 GHAE_MAGIC = b"GHAE"
 GHAE_VERSION = 1
@@ -91,67 +102,106 @@ class SemanticStore:
 # ---------------------------------------------------------------------------
 # Batched core
 
-
-def _gate_preacts(u, ubar, it, itbar, d: int):
-    pre_self = (u * it).sum(axis=-1) / np.sqrt(d)
-    pre_sim = (ubar * itbar).sum(axis=-1) / np.sqrt(d)
-    pre_glob = ((u * it).sum(axis=-1) + (ubar * itbar).sum(axis=-1)) / np.sqrt(2 * d)
-    return pre_self, pre_sim, pre_glob
+# Rows of the hidden layer formed per step: small enough that a step's
+# gathered projections and activations stay a few MB.
+CHUNK_ROWS = 2048
 
 
-def _masked_softmax(pre: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    # Softmax over the last axis, restricted to mask-valid entries.
-    if mask is None:
-        mask = np.ones(pre.shape, dtype=bool)
+def _masked_softmax(pre: np.ndarray, mask: np.ndarray, axis: int) -> np.ndarray:
+    # Softmax along ``axis``, restricted to mask-valid entries.
     z = np.where(mask, pre, -np.inf)
-    zmax = z.max(axis=-1, keepdims=True)
+    zmax = z.max(axis=axis, keepdims=True)
     zmax = np.where(np.isfinite(zmax), zmax, 0.0)
     e = np.exp(z - zmax) * mask
-    total = e.sum(axis=-1, keepdims=True)
+    total = e.sum(axis=axis, keepdims=True)
     return np.where(total > 0, e / np.where(total == 0, 1.0, total), 0.0)
 
 
 def _branch_concat(u, ubar, it, itbar, cfg: RunConfig, positions_mask=None,
                    softmax_over_positions=False):
-    """Gated branch concatenation, shape (..., 4*d_sem); reads ``cfg``'s ablation switches.
+    """Branch gates (self, similar, global) per row, shape (..., 3).
 
-    ``softmax_over_positions`` applies only under ``cfg.softmax_variant``;
-    it normalizes the gate pre-activations across the last axis of the
-    leading shape (sequence positions), honoring ``positions_mask``.
+    The gated concat ``[g_s*i, g_m*i_bar, g_g*(i||i_bar)]`` is never
+    materialised: ``fuse_forward`` applies these gates to per-item
+    projections.  ``u``/``ubar`` broadcast against ``it``/``itbar``.
+    ``cfg``'s ablations become gate values: ``no_attention`` gives ones,
+    ``no_similar``/``no_global`` a zero column.  ``softmax_over_positions``
+    applies only under ``cfg.softmax_variant``; it normalizes each
+    branch's pre-activations across the last axis of the leading shape
+    (sequence positions), honoring ``positions_mask``; without it the
+    variant's gates are ones.
     """
     d = it.shape[-1]
-    pre_self, pre_sim, pre_glob = _gate_preacts(u, ubar, it, itbar, d)
-    if cfg.no_attention:
-        ones = np.ones_like(pre_self)
-        g_self, g_sim, g_glob = ones, ones, ones
+    s, m = np.einsum("...d,...d->...", u, it), np.einsum("...d,...d->...", ubar, itbar)
+    pre = np.stack([s / np.sqrt(d), m / np.sqrt(d), (s + m) / np.sqrt(2 * d)], axis=-1)
+    if cfg.no_attention or (cfg.softmax_variant and not softmax_over_positions):
+        gates = np.ones_like(pre)
     elif cfg.softmax_variant:
-        if softmax_over_positions:
-            g_self = _masked_softmax(pre_self, positions_mask)
-            g_sim = _masked_softmax(pre_sim, positions_mask)
-            g_glob = _masked_softmax(pre_glob, positions_mask)
-        else:
-            ones = np.ones_like(pre_self)
-            g_self, g_sim, g_glob = ones, ones, ones
+        mask = True if positions_mask is None else positions_mask[..., None]
+        gates = _masked_softmax(pre, np.broadcast_to(mask, pre.shape), axis=-2)
     else:
-        g_self = sigmoid(pre_self)
-        g_sim = sigmoid(pre_sim)
-        g_glob = sigmoid(pre_glob)
-
-    self_b = g_self[..., None] * it
-    sim_b = np.zeros_like(itbar) if cfg.no_similar else g_sim[..., None] * itbar
+        gates = sigmoid(pre)
+    if cfg.no_similar:
+        gates[..., 1] = 0.0
     if cfg.no_global:
-        glob_b = np.zeros(it.shape[:-1] + (2 * d,), dtype=np.float64)
+        gates[..., 2] = 0.0
+    return gates
+
+
+def _projections(items: np.ndarray, w1: np.ndarray) -> np.ndarray:
+    """First-layer projections (n, 3, hh) of item rows ``[i || i_bar]``, one per branch."""
+    d = items.shape[1] // 2
+    proj = np.empty((items.shape[0], 3, w1.shape[1]))
+    proj[:, 0] = items[:, :d] @ w1[:d]
+    proj[:, 1] = items[:, d:] @ w1[d : 2 * d]
+    proj[:, 2] = items @ w1[2 * d :]
+    return proj
+
+
+def fuse_forward(gates: np.ndarray, index: np.ndarray, items: np.ndarray, p: HaeParams,
+                 readout: np.ndarray | None = None):
+    """Fusion MLP on gated branches, factored through per-item projections.
+
+    ``gates`` (..., 3) come from ``_branch_concat``; row ``r`` reads item
+    ``items[index[r]]``, where ``items`` (n, 2d) holds ``[i || i_bar]``
+    of each distinct item once.  The first layer of the concat row is
+    ``a1 = g_s*(i W1_s) + g_m*(i_bar W1_m) + g_g*((i||i_bar) W1_g) + b1``,
+    so ``w1`` multiplies the n items only and each row sums three
+    gathered projection rows, ``CHUNK_ROWS`` rows at a time.
+
+    Returns (fused (..., h), cache).  With ``readout`` (B, h), B the
+    leading axis, returns (logits, None) instead, where ``logits[b, ...]
+    = readout[b] . fused[b, ...]`` is computed as ``relu(a1) .
+    (w2 readout[b]) + readout[b] . b2`` without building ``fused``.
+    """
+    lead = gates.shape[:-1]
+    g2 = gates.reshape(-1, 3)
+    idx = index.reshape(-1)
+    proj = _projections(items, p.w1)
+    n = len(idx)
+    if readout is None:
+        h1 = np.empty((n, p.w1.shape[1]))
+        out = np.empty((n, p.w2.shape[1]))
     else:
-        glob_b = g_glob[..., None] * np.concatenate([it, itbar], axis=-1)
-    return np.concatenate([self_b, sim_b, glob_b], axis=-1)
-
-
-def fuse_forward(concat: np.ndarray, p: HaeParams):
-    """MLP forward on (..., 4d) -> (..., h); returns (fused, cache)."""
-    a1 = mm(concat, p.w1) + p.b1
-    h1 = np.maximum(a1, 0.0)
-    fused = mm(h1, p.w2) + p.b2
-    return fused, (concat, a1, h1)
+        per_user = n // max(len(readout), 1)
+        v = readout @ p.w2.T
+        out = np.empty(n)
+    for start in range(0, n, CHUNK_ROWS):
+        rows = slice(start, min(start + CHUNK_ROWS, n))
+        a1 = np.einsum("rk,rkh->rh", g2[rows], proj[idx[rows]])
+        a1 += p.b1
+        np.maximum(a1, 0.0, out=a1)
+        if readout is None:
+            h1[rows] = a1
+            out[rows] = a1 @ p.w2
+        else:
+            owner = np.arange(rows.start, rows.stop) // per_user
+            out[rows] = np.einsum("rh,rh->r", a1, v[owner])
+    if readout is None:
+        out += p.b2
+        return out.reshape(lead + out.shape[1:]), (gates, index, items, h1)
+    out = out.reshape(lead) + (readout @ p.b2).reshape((-1,) + (1,) * (len(lead) - 1))
+    return out, None
 
 
 def fuse_backward(cache, d_fused: np.ndarray, p: HaeParams) -> dict[str, np.ndarray]:
@@ -159,18 +209,29 @@ def fuse_backward(cache, d_fused: np.ndarray, p: HaeParams) -> dict[str, np.ndar
 
     The semantic inputs are frozen, so no input gradient is produced; the
     caller supplies the upstream gradient of the loss w.r.t. ``fused``.
+    ``d_w1`` is the gated concat's transpose times ``d_a1``, with the
+    concat rows rebuilt ``CHUNK_ROWS`` at a time (measured faster than
+    per-item segment sums of ``g * d_a1``).
     """
-    concat, a1, h1 = cache
-    concat2 = concat.reshape(-1, concat.shape[-1])
-    a12 = a1.reshape(-1, a1.shape[-1])
-    h12 = h1.reshape(-1, h1.shape[-1])
+    gates, index, items, h1 = cache
+    g2 = gates.reshape(-1, 3)
+    idx = index.reshape(-1)
     d2 = d_fused.reshape(-1, d_fused.shape[-1])
+    d = items.shape[1] // 2
 
-    d_w2 = h12.T @ d2
+    d_w2 = h1.T @ d2
     d_b2 = d2.sum(axis=0)
-    d_a1 = (d2 @ p.w2.T) * (a12 > 0)
-    d_w1 = concat2.T @ d_a1
+    d_a1 = (d2 @ p.w2.T) * (h1 > 0)
     d_b1 = d_a1.sum(axis=0)
+    d_w1 = np.zeros_like(p.w1)
+    for start in range(0, len(idx), CHUNK_ROWS):
+        rows = slice(start, min(start + CHUNK_ROWS, len(idx)))
+        vals, g = items[idx[rows]], g2[rows]
+        gated = np.empty((len(vals), 4 * d))
+        np.multiply(g[:, :1], vals[:, :d], out=gated[:, :d])
+        np.multiply(g[:, 1:2], vals[:, d:], out=gated[:, d : 2 * d])
+        np.multiply(g[:, 2:], vals, out=gated[:, 2 * d :])
+        d_w1 += gated.T @ d_a1[rows]
     return {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
 
 

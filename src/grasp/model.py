@@ -20,7 +20,7 @@ from .backbone import build_backbone
 from .config import RunConfig
 from .errors import DataError
 from .hae import SemanticStore
-from .ops import length_buckets, sigmoid
+from .ops import length_buckets, segment_sum, sigmoid
 
 PROB_CLAMP = 1e-7
 
@@ -91,29 +91,34 @@ class SemanticEncoder:
     def params(self) -> dict[str, np.ndarray]:
         return self.hae.tensors()
 
-    def encode_items(self, user_ids, item_ids, positions_mask=None, softmax_over_positions=False):
+    def encode_items(self, user_ids, item_ids, positions_mask=None, softmax_over_positions=False,
+                     readout=None):
         """Enhanced representations for items under each user's query.
 
         ``item_ids`` may have any trailing shape after the batch axis; the
-        user vectors broadcast across it.  Returns (fused, cache).
+        user vectors broadcast across it.  Returns (fused, cache), or with
+        ``readout`` (B, h) the logits ``readout[b] . fused[b, ...]`` and
+        no cache (``hae.fuse_forward``).
         """
         user_ids = np.asarray(user_ids, dtype=np.int64)
         item_ids = np.asarray(item_ids, dtype=np.int64)
         urows = self._map(user_ids, self.user_rows)
         irows = self._map(item_ids, self.item_rows)
+        distinct, index = np.unique(irows, return_inverse=True)
         extra = item_ids.ndim - 1
         shape = (len(user_ids),) + (1,) * extra + (self.d_sem,)
-        u = np.broadcast_to(self.user_store.matrix.values[urows].reshape(shape), irows.shape + (self.d_sem,))
-        ubar = np.broadcast_to(self.user_store.cache.pooled_means[urows].reshape(shape), irows.shape + (self.d_sem,))
-        it = self.item_store.matrix.values[irows]
-        itbar = self.item_store.cache.pooled_means[irows]
-        concat = hae_mod._branch_concat(
-            u, ubar, it, itbar, self.cfg,
+        user_store, item_store = self.user_store, self.item_store
+        gates = hae_mod._branch_concat(
+            user_store.matrix.values[urows].reshape(shape),
+            user_store.cache.pooled_means[urows].reshape(shape),
+            item_store.matrix.values[irows], item_store.cache.pooled_means[irows], self.cfg,
             positions_mask=positions_mask,
             softmax_over_positions=softmax_over_positions and self.cfg.softmax_variant,
         )
-        fused, mlp_cache = hae_mod.fuse_forward(concat, self.hae)
-        return fused, mlp_cache
+        items = np.concatenate(
+            [item_store.matrix.values[distinct], item_store.cache.pooled_means[distinct]], axis=1
+        )
+        return hae_mod.fuse_forward(gates, index.reshape(irows.shape), items, self.hae, readout)
 
     def backward(self, cache, d_fused) -> dict[str, np.ndarray]:
         return hae_mod.fuse_backward(cache, d_fused, self.hae)
@@ -133,15 +138,16 @@ class IdEncoder:
     def params(self) -> dict[str, np.ndarray]:
         return {"emb": self.emb}
 
-    def encode_items(self, user_ids, item_ids, positions_mask=None, softmax_over_positions=False):
+    def encode_items(self, user_ids, item_ids, positions_mask=None, softmax_over_positions=False,
+                     readout=None):
         item_ids = np.asarray(item_ids, dtype=np.int64)
+        if readout is not None:
+            return np.einsum("bh,bch->bc", readout, self.emb[item_ids]), None
         return self.emb[item_ids], item_ids
 
     def backward(self, cache, d_fused) -> dict[str, np.ndarray]:
-        item_ids = cache
-        grad = np.zeros_like(self.emb)
-        np.add.at(grad, item_ids.reshape(-1), d_fused.reshape(-1, d_fused.shape[-1]))
-        return {"emb": grad}
+        return {"emb": segment_sum(cache.reshape(-1), d_fused.reshape(-1, d_fused.shape[-1]),
+                                   len(self.emb))}
 
 
 class RecModel:
@@ -232,8 +238,7 @@ class RecModel:
 
     def candidate_scores(self, users, cand_ids, o_final) -> np.ndarray:
         """sigma(o . repr) for each candidate, shape (B, C)."""
-        cand, _ = self.encoder.encode_items(users, cand_ids)
-        logits = np.einsum("bh,bch->bc", o_final, cand)
+        logits, _ = self.encoder.encode_items(users, cand_ids, readout=o_final)
         return sigmoid(logits)
 
     # -- parameter snapshots --------------------------------------------

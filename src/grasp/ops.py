@@ -14,6 +14,17 @@ def mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + (w.shape[1],))
 
 
+def segment_sum(ids: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Rows of ``values`` (R, h) summed by ``ids`` (R,) into an (n, h) array.
+
+    One flattened ``np.bincount``; it adds in row order, so the result
+    equals ``np.add.at`` into zeros bit for bit.
+    """
+    h = values.shape[1]
+    flat = (ids[:, None] * h + np.arange(h)).reshape(-1)
+    return np.bincount(flat, weights=values.reshape(-1), minlength=n * h).reshape(n, h)
+
+
 def length_buckets(lengths, max_rows: int) -> list[np.ndarray]:
     """Row indices grouped by power-of-two length class, in chunks of ``max_rows``.
 

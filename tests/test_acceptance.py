@@ -108,20 +108,22 @@ def test_criterion_03_gradient_checks():
     start = time.perf_counter()
     rng = np.random.default_rng(1003)
 
-    # fusion module: gates feed the concat, analytic grads on the MLP
+    # fusion module: gates weight the item projections, analytic grads on the MLP
     d_sem, h = 4, 4
     cfg = RunConfig(h=h, h_hidden=6)
     p = init_params(cfg, d_sem, seed=3)
     u, ubar, it, itbar = (rng.standard_normal((3, d_sem)) for _ in range(4))
     upstream = rng.standard_normal((3, h))
 
+    items, index = np.concatenate([it, itbar], axis=1), np.arange(3)
+
     def hae_scalar():
-        concat = _branch_concat(u, ubar, it, itbar, cfg)
-        fused, _ = fuse_forward(concat, p)
+        gates = _branch_concat(u, ubar, it, itbar, cfg)
+        fused, _ = fuse_forward(gates, index, items, p)
         return float((fused * upstream).sum())
 
-    concat = _branch_concat(u, ubar, it, itbar, cfg)
-    _, cache = fuse_forward(concat, p)
+    gates = _branch_concat(u, ubar, it, itbar, cfg)
+    _, cache = fuse_forward(gates, index, items, p)
     grads = fuse_backward(cache, upstream, p)
     for name, tensor in p.tensors().items():
         err = rel_error(grads[name], finite_diff(hae_scalar, tensor, step=1e-5))

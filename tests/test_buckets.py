@@ -9,7 +9,7 @@ from grasp.config import RunConfig
 from grasp.dataset import split_leave_one_out
 from grasp.evaluation import _eval_candidates, eval_candidates, evaluate, rank_of_target
 from grasp.model import build_id_model, build_semantic_model
-from grasp.ops import length_buckets
+from grasp.ops import length_buckets, segment_sum
 from grasp.trainer import make_training_batch
 
 
@@ -42,6 +42,30 @@ class TestLengthBuckets:
     def test_rejects_bad_arguments(self, lengths, max_rows):
         with pytest.raises(ValueError):
             length_buckets(lengths, max_rows)
+
+
+class TestSegmentSum:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 6), max_size=60), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_equals_add_at_with_repeated_ids(self, ids, h, seed):
+        ids = np.asarray(ids, dtype=np.int64)
+        values = np.random.default_rng(seed).standard_normal((len(ids), h)) * 10.0 ** np.arange(h)
+        want = np.zeros((7, h))
+        np.add.at(want, ids, values)
+        got = segment_sum(ids, values, 7)
+        assert got.shape == (7, h)
+        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+    def test_id_encoder_gradient_equals_add_at(self):
+        model = build_id_model(9, RunConfig(h=4), 0)
+        rng = np.random.default_rng(1)
+        ids = rng.integers(9, size=(3, 5, 2))
+        d_fused = rng.standard_normal((3, 5, 2, 4))
+        _, cache = model.encoder.encode_items(np.arange(3), ids)
+        want = np.zeros((9, 4))
+        np.add.at(want, ids.reshape(-1), d_fused.reshape(-1, 4))
+        assert model.encoder.backward(cache, d_fused)["emb"].tobytes() == want.tobytes()
 
 
 def _model(small_stores, item_count, backbone, encoder, softmax_variant=False):

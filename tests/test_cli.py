@@ -1,7 +1,10 @@
 import dataclasses
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -385,8 +388,33 @@ class TestIdempotency:
 
 class TestLocking:
     def test_lock_refuses_second_run(self, data_dir, tmp_path):
+        # the lock names a live process: this one
         out = tmp_path / "locked"
         out.mkdir()
-        (out / ".grasp.lock").write_text("999")
+        (out / ".grasp.lock").write_text(str(os.getpid()))
         assert run("train", "--data", data_dir, "--out", out, "--seeds", "42",
                    *TRAIN_FLAGS) == 3
+        assert (out / ".grasp.lock").read_text() == str(os.getpid())
+        assert not (out / "seed42").exists()
+
+    def test_lock_of_exited_process_is_taken_over(self, data_dir, tmp_path, capsys):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped: its pid names no process now
+        out = tmp_path / "stale"
+        out.mkdir()
+        (out / ".grasp.lock").write_text(str(child.pid))
+        assert run("train", "--data", data_dir, "--out", out, "--seeds", "42",
+                   *TRAIN_FLAGS) == 0
+        assert f"stale lock {out / '.grasp.lock'} of exited process {child.pid}" in (
+            capsys.readouterr().err)
+        assert (out / "seed42" / "summary.json").exists()
+        assert not (out / ".grasp.lock").exists()
+
+    @pytest.mark.parametrize("content", ["", "not a pid\n", "0", "-4000000", "1" * 40])
+    def test_unreadable_lock_is_refused(self, data_dir, tmp_path, content):
+        out = tmp_path / "garbage"
+        out.mkdir()
+        (out / ".grasp.lock").write_text(content)
+        assert run("train", "--data", data_dir, "--out", out, "--seeds", "42",
+                   *TRAIN_FLAGS) == 3
+        assert (out / ".grasp.lock").read_text() == content

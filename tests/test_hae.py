@@ -16,7 +16,7 @@ from grasp.hae import (
     load_hae_checkpoint,
     save_hae_checkpoint,
 )
-from grasp.model import SemanticEncoder
+from grasp.model import SemanticEncoder, build_semantic_model
 from helpers import finite_diff, rel_error
 
 
@@ -30,31 +30,44 @@ def rows(*vectors):
 
 
 def read_gate(q, v, scale_dim: int) -> float:
-    """The scalar gate sigma(q.v / sqrt(scale_dim)), read back from the batched concat.
+    """The scalar gate sigma(q.v / sqrt(scale_dim)), read back from the batched gates.
 
     With query ``q`` and value ``v`` and zero similar-branch inputs, the
-    self slot is ``sigma(q.v/sqrt(d)) * v`` and the global slot starts with
-    ``sigma(q.v/sqrt(2d)) * v``; ``scale_dim`` picks which of the two.
+    self gate is ``sigma(q.v/sqrt(d))`` and the global gate
+    ``sigma(q.v/sqrt(2d))``; ``scale_dim`` picks which of the two.
     """
     u, it = rows(q, v)
     zeros = np.zeros_like(u)
-    concat = hae._branch_concat(u, zeros, it, zeros, RunConfig())[0]
+    gates = hae._branch_concat(u, zeros, it, zeros, RunConfig())[0]
     d = it.shape[-1]
-    branch = {d: concat[:d], 2 * d: concat[2 * d : 3 * d]}[scale_dim]
-    return float(branch @ it[0] / (it[0] @ it[0]))
+    return float({d: gates[0], 2 * d: gates[2]}[scale_dim])
+
+
+def gated_concat(gates, it, itbar):
+    """The concat the gates stand for: [g_s*i, g_m*i_bar, g_g*(i||i_bar)], shape (..., 4d)."""
+    return np.concatenate([gates[..., :1] * it, gates[..., 1:2] * itbar,
+                           gates[..., 2:] * np.concatenate([it, itbar], axis=-1)], axis=-1)
 
 
 def item_branches(u, ubar, item, ibar):
-    """(self, similar, global) slots of the batched concat for one item."""
-    concat = hae._branch_concat(*rows(u, ubar, item, ibar), RunConfig())[0]
-    d = len(u)
+    """(self, similar, global) branch vectors of one item under the batched gates."""
+    u, ubar, item, ibar = rows(u, ubar, item, ibar)
+    concat = gated_concat(hae._branch_concat(u, ubar, item, ibar, RunConfig()), item, ibar)[0]
+    d = u.shape[-1]
     return concat[:d], concat[d : 2 * d], concat[2 * d :]
 
 
-def fuse_one(branches, p: HaeParams) -> np.ndarray:
-    """The fusion MLP applied to one item's concatenated branches."""
-    fused, _ = fuse_forward(np.concatenate(branches)[None], p)
+def fuse_one(gates, item, ibar, p: HaeParams) -> np.ndarray:
+    """The fusion MLP applied to one item's gated branches."""
+    items = np.concatenate([item, ibar])[None].astype(np.float64)
+    fused, _ = fuse_forward(np.asarray(gates, dtype=np.float64)[None], np.zeros(1, dtype=np.int64),
+                            items, p)
     return fused[0]
+
+
+def reference_fuse(concat, p: HaeParams) -> np.ndarray:
+    """relu(concat @ w1 + b1) @ w2 + b2 on the materialised concat."""
+    return np.maximum(concat @ p.w1 + p.b1, 0.0) @ p.w2 + p.b2
 
 
 def encoder(stores, h=6, seed=1, **flags) -> SemanticEncoder:
@@ -152,11 +165,11 @@ class TestFuse:
             w2=np.zeros((hh, h)), b2=np.array([1.0, -2.0, 3.5, 0.0]),
         )
         rng = np.random.default_rng(3)
-        out = fuse_one((rng.standard_normal(d), rng.standard_normal(d), rng.standard_normal(2 * d)), p)
+        out = fuse_one(rng.random(3), rng.standard_normal(d), rng.standard_normal(d), p)
         np.testing.assert_array_equal(out, p.b2)
 
     def test_identity_slice_recovers_affine_self_branch(self):
-        # w1 copies the self branch (first 2 slots) into the hidden layer;
+        # w1 copies the self branch (first 2 slots, gate 1) into the hidden layer;
         # a large positive b1 keeps the rectifier in its linear region; w2
         # copies back. Output = self_branch + b1_head + b2, computed by hand.
         d = 2
@@ -169,7 +182,7 @@ class TestFuse:
         b2 = np.array([0.25, -0.75])
         p = HaeParams(w1=w1, b1=b1, w2=w2, b2=b2)
         self_b = np.array([0.3, -0.2])
-        out = fuse_one((self_b, np.zeros(d), np.zeros(2 * d)), p)
+        out = fuse_one([1.0, 0.0, 0.0], self_b, np.zeros(d), p)
         np.testing.assert_allclose(out, self_b + 10.0 + b2, atol=1e-12)
 
     def test_all_zero_bundle_zero_biases(self):
@@ -177,13 +190,13 @@ class TestFuse:
         p = HaeParams(
             w1=np.ones((4 * d, hh)), b1=np.zeros(hh), w2=np.ones((hh, h)), b2=np.zeros(h)
         )
-        out = fuse_one((np.zeros(d), np.zeros(d), np.zeros(2 * d)), p)
+        out = fuse_one(np.ones(3), np.zeros(d), np.zeros(d), p)
         np.testing.assert_array_equal(out, np.zeros(h))
 
     def test_shape_mismatch(self):
         p = init_params(RunConfig(h=3), 2, seed=0)
         with pytest.raises(ValueError):
-            fuse_one((np.zeros(3), np.zeros(3), np.zeros(6)), p)
+            fuse_one(np.ones(3), np.zeros(3), np.zeros(3), p)
 
 
 class TestEnhanceSequence:
@@ -199,11 +212,12 @@ class TestEnhanceSequence:
         user_store, item_store = small_stores
         enc = encoder(small_stores)
         out = encode_sequence(enc, 4, [11])
-        branches = item_branches(
-            user_store.matrix.values[4], user_store.cache.pooled_means[4],
-            item_store.matrix.values[11], item_store.cache.pooled_means[11],
-        )
-        expected = fuse_one(branches, init_params(RunConfig(h=6), 8, seed=1))
+        item, ibar = item_store.matrix.values[11], item_store.cache.pooled_means[11]
+        gates = hae._branch_concat(
+            *rows(user_store.matrix.values[4], user_store.cache.pooled_means[4], item, ibar),
+            RunConfig(),
+        )[0]
+        expected = fuse_one(gates, item, ibar, init_params(RunConfig(h=6), 8, seed=1))
         np.testing.assert_allclose(out[0], expected, atol=1e-12)
 
     def test_no_cross_position_coupling(self, small_stores):
@@ -223,23 +237,24 @@ class TestEnhanceSequence:
 
 class TestBackward:
     def make_case(self, seed=0, n=5, d=3, h=4):
+        """Random gates over 3 items, repeated across the n rows."""
         rng = np.random.default_rng(seed)
         cfg = RunConfig(h=h, h_hidden=6)
         p = init_params(cfg, d, seed=seed)
-        concat = rng.standard_normal((n, 4 * d))
+        inputs = (rng.random((n, 3)), rng.integers(3, size=n), rng.standard_normal((3, 2 * d)))
         upstream = rng.standard_normal((n, h))
-        return cfg, p, concat, upstream
+        return cfg, p, inputs, upstream
 
     def test_zero_upstream_zero_grads(self):
         _, p, concat, upstream = self.make_case()
-        _, cache = fuse_forward(concat, p)
+        _, cache = fuse_forward(*concat, p)
         grads = fuse_backward(cache, np.zeros_like(upstream), p)
         for g in grads.values():
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
     def test_bias_gradient_is_summed_upstream(self):
         _, p, concat, upstream = self.make_case(seed=4)
-        _, cache = fuse_forward(concat, p)
+        _, cache = fuse_forward(*concat, p)
         grads = fuse_backward(cache, upstream, p)
         np.testing.assert_allclose(grads["b2"], upstream.sum(axis=0), atol=1e-12)
 
@@ -247,10 +262,10 @@ class TestBackward:
         _, p, concat, upstream = self.make_case(seed=7)
 
         def scalar():
-            fused, _ = fuse_forward(concat, p)
+            fused, _ = fuse_forward(*concat, p)
             return float((fused * upstream).sum())
 
-        _, cache = fuse_forward(concat, p)
+        _, cache = fuse_forward(*concat, p)
         grads = fuse_backward(cache, upstream, p)
         for name, tensor in p.tensors().items():
             fd = finite_diff(scalar, tensor, step=1e-5)
@@ -270,13 +285,13 @@ class TestBackward:
             return float((out * upstream).sum())
 
         out = encode_sequence(enc, 0, items)
-        # rebuild the concat exactly as the encoder does
+        # rebuild the gates and item rows exactly as the encoder does
         u = np.broadcast_to(user_store.matrix.values[0], (3, 8))
         ubar = np.broadcast_to(user_store.cache.pooled_means[0], (3, 8))
         it = item_store.matrix.values[items]
         itbar = item_store.cache.pooled_means[items]
-        concat = hae._branch_concat(u, ubar, it, itbar, cfg)
-        _, cache = fuse_forward(concat, p)
+        gates = hae._branch_concat(u, ubar, it, itbar, cfg)
+        _, cache = fuse_forward(gates, np.arange(3), np.concatenate([it, itbar], axis=1), p)
         grads = fuse_backward(cache, upstream, p)
         for name, tensor in p.tensors().items():
             fd = finite_diff(scalar, tensor, step=1e-5)
@@ -293,10 +308,9 @@ class TestBackward:
         items = np.arange(6)
         u = np.broadcast_to(user_store.matrix.values[1], (6, 8))
         ubar = np.broadcast_to(user_store.cache.pooled_means[1], (6, 8))
-        concat = hae._branch_concat(
-            u, ubar, item_store.matrix.values[items], item_store.cache.pooled_means[items], cfg
-        )
-        _, cache = fuse_forward(concat, p)
+        it, itbar = item_store.matrix.values[items], item_store.cache.pooled_means[items]
+        gates = hae._branch_concat(u, ubar, it, itbar, cfg)
+        _, cache = fuse_forward(gates, np.arange(6), np.concatenate([it, itbar], axis=1), p)
         fuse_backward(cache, np.ones((6, 4)), p)
         after = (
             user_store.matrix.values, user_store.cache.pooled_means,
@@ -315,7 +329,7 @@ class TestAblations:
     def test_no_attention_bypasses_gates(self):
         u, ubar, it, itbar = self.setup_arrays()
         cfg = RunConfig(h=2, no_attention=True)
-        concat = hae._branch_concat(u, ubar, it, itbar, cfg)
+        concat = gated_concat(hae._branch_concat(u, ubar, it, itbar, cfg), it, itbar)
         np.testing.assert_array_equal(concat[:, :4], it)
         np.testing.assert_array_equal(concat[:, 4:8], itbar)
         np.testing.assert_array_equal(concat[:, 8:], np.concatenate([it, itbar], axis=-1))
@@ -324,15 +338,16 @@ class TestAblations:
         u, ubar, it, itbar = self.setup_arrays()
         base_cfg = RunConfig(h=2)
         abl_cfg = RunConfig(h=2, no_similar=True)
-        base = hae._branch_concat(u, ubar, it, itbar, base_cfg)
-        ablated = hae._branch_concat(u, ubar, it, itbar, abl_cfg)
+        base = gated_concat(hae._branch_concat(u, ubar, it, itbar, base_cfg), it, itbar)
+        ablated = gated_concat(hae._branch_concat(u, ubar, it, itbar, abl_cfg), it, itbar)
         np.testing.assert_array_equal(ablated[:, 4:8], np.zeros((3, 4)))
         np.testing.assert_array_equal(ablated[:, :4], base[:, :4])
         np.testing.assert_array_equal(ablated[:, 8:], base[:, 8:])
 
     def test_no_global_zeroes_slot(self):
         u, ubar, it, itbar = self.setup_arrays()
-        ablated = hae._branch_concat(u, ubar, it, itbar, RunConfig(h=2, no_global=True))
+        gates = hae._branch_concat(u, ubar, it, itbar, RunConfig(h=2, no_global=True))
+        ablated = gated_concat(gates, it, itbar)
         np.testing.assert_array_equal(ablated[:, 8:], np.zeros((3, 8)))
 
     def test_softmax_variant_normalizes_over_positions(self):
@@ -341,30 +356,140 @@ class TestAblations:
         d = 4
         pre = (u * it).sum(-1) / np.sqrt(d)
         weights = np.exp(pre - pre.max()) / np.exp(pre - pre.max()).sum()
-        concat = hae._branch_concat(
+        gates = hae._branch_concat(
             u, ubar, it, itbar, cfg,
             positions_mask=np.ones(3, dtype=bool), softmax_over_positions=True,
         )
+        concat = gated_concat(gates, it, itbar)
         np.testing.assert_allclose(concat[:, :4], weights[:, None] * it, atol=1e-12)
 
     def test_softmax_standalone_items_get_unit_gate(self):
         u, ubar, it, itbar = self.setup_arrays()
         cfg = RunConfig(h=2, softmax_variant=True)
-        concat = hae._branch_concat(u, ubar, it, itbar, cfg, softmax_over_positions=False)
+        gates = hae._branch_concat(u, ubar, it, itbar, cfg, softmax_over_positions=False)
+        concat = gated_concat(gates, it, itbar)
         np.testing.assert_array_equal(concat[:, :4], it)
 
 
+def reference_concat(enc: SemanticEncoder, users, items, mask=None, over_positions=False):
+    """The gated (..., 4d) concat built in full from the branch formulas and ``enc.cfg``."""
+    cfg, us, ist = enc.cfg, enc.user_store, enc.item_store
+    shape = (len(users),) + (1,) * (items.ndim - 1) + (-1,)
+    u, ubar = us.matrix.values[users].reshape(shape), us.cache.pooled_means[users].reshape(shape)
+    it, itbar = ist.matrix.values[items], ist.cache.pooled_means[items]
+    d = it.shape[-1]
+    s, m = (u * it).sum(axis=-1), (ubar * itbar).sum(axis=-1)
+    pre = [s / math.sqrt(d), m / math.sqrt(d), (s + m) / math.sqrt(2 * d)]
+    if cfg.no_attention or (cfg.softmax_variant and not over_positions):
+        g = [np.ones_like(s)] * 3
+    elif cfg.softmax_variant:
+        valid = np.ones(s.shape, dtype=bool) if mask is None else mask
+        g = []
+        for x in pre:
+            e = np.where(valid, np.exp(x - np.where(valid, x, -np.inf).max(axis=-1, keepdims=True)), 0.0)
+            g.append(e / e.sum(axis=-1, keepdims=True))
+    else:
+        g = [1.0 / (1.0 + np.exp(-x)) for x in pre]
+    self_b = g[0][..., None] * it
+    sim_b = np.zeros_like(itbar) if cfg.no_similar else g[1][..., None] * itbar
+    both = np.concatenate([it, itbar], axis=-1)
+    glob_b = np.zeros_like(both) if cfg.no_global else g[2][..., None] * both
+    return np.concatenate([self_b, sim_b, glob_b], axis=-1)
+
+
+ABLATIONS = [{}, {"no_attention": True}, {"no_similar": True}, {"no_global": True},
+             {"softmax_variant": True}]
+
+
+def flag_id(flags):
+    return next(iter(flags), "default")
+
+
+class TestFactoredForward:
+    @pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "mask"])
+    @pytest.mark.parametrize("flags", ABLATIONS, ids=flag_id)
+    def test_matches_concat_reference(self, small_stores, flags, masked):
+        enc = encoder(small_stores, h=6, seed=4, **flags)
+        rng = np.random.default_rng(11)
+        users = np.array([5, 17, 5, 42])
+        items = rng.integers(40, size=(4, 7))
+        mask = np.arange(7) >= 7 - np.array([7, 3, 1, 5])[:, None] if masked else None
+        got, _ = enc.encode_items(users, items, positions_mask=mask, softmax_over_positions=True)
+        want = reference_fuse(reference_concat(enc, users, items, mask, over_positions=True), enc.hae)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        # candidate grids: gates are never normalised across positions
+        cands = rng.integers(40, size=(4, 7, 3))
+        got, _ = enc.encode_items(users, cands)
+        np.testing.assert_allclose(got, reference_fuse(reference_concat(enc, users, cands), enc.hae),
+                                   rtol=1e-12, atol=0)
+
+    def test_backward_matches_concat_reference(self, monkeypatch):
+        monkeypatch.setattr(hae, "CHUNK_ROWS", 4)  # 15 rows: chunks of 4, 4, 4, 3
+        rng = np.random.default_rng(12)
+        d, h = 3, 4
+        p = init_params(RunConfig(h=h, h_hidden=6), d, seed=2)
+        gates = rng.random((5, 3, 3))
+        gates[0, :, 1] = 0.0  # an ablated branch
+        index = rng.integers(4, size=(5, 3))
+        items = rng.standard_normal((4, 2 * d))
+        upstream = rng.standard_normal((5, 3, h))
+
+        fused, cache = fuse_forward(gates, index, items, p)
+        grads = fuse_backward(cache, upstream, p)
+        concat = gated_concat(gates, items[index, :d], items[index, d:]).reshape(-1, 4 * d)
+        a1 = concat @ p.w1 + p.b1
+        h1 = np.maximum(a1, 0.0)
+        np.testing.assert_allclose(fused.reshape(-1, h), h1 @ p.w2 + p.b2, rtol=1e-12, atol=0)
+        up = upstream.reshape(-1, h)
+        d_a1 = (up @ p.w2.T) * (a1 > 0)
+        want = {"w1": concat.T @ d_a1, "b1": d_a1.sum(axis=0), "w2": h1.T @ up, "b2": up.sum(axis=0)}
+        for name, g in want.items():
+            np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12 * np.abs(g).max(),
+                                       err_msg=name)
+
+        def scalar():
+            out, _ = fuse_forward(gates, index, items, p)
+            return float((out * upstream).sum())
+
+        for name, tensor in p.tensors().items():
+            assert rel_error(grads[name], finite_diff(scalar, tensor, step=1e-5)) < 1e-4, name
+
+    @pytest.mark.parametrize("n_cand, chunk", [(9, 4), (2100, None)], ids=["chunk_4", "C_over_chunk"])
+    @pytest.mark.parametrize("flags", ABLATIONS, ids=flag_id)
+    def test_candidate_scores_match_fused_readout(self, small_stores, monkeypatch, flags, n_cand,
+                                                  chunk):
+        if chunk is not None:
+            monkeypatch.setattr(hae, "CHUNK_ROWS", chunk)
+        assert n_cand > hae.CHUNK_ROWS
+        model = build_semantic_model(*small_stores, RunConfig(h=6, **flags), seed=5)
+        rng = np.random.default_rng(13)
+        users = np.array([3, 17, 3])
+        cands = rng.integers(40, size=(3, n_cand))
+        cands[:, 1] = cands[:, 0]  # a repeated item in every row
+        o = rng.standard_normal((3, 6))
+        got = model.candidate_scores(users, cands, o)
+        assert got.shape == (3, n_cand)
+        fused, _ = model.encoder.encode_items(users, cands)
+        want = 1.0 / (1.0 + np.exp(-np.einsum("bh,bch->bc", o, fused)))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        ref = reference_fuse(reference_concat(model.encoder, users, cands), model.encoder.hae)
+        want = 1.0 / (1.0 + np.exp(-np.einsum("bh,bch->bc", o, ref)))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 def test_enhance_and_fuse_record(small_stores):
-    # the encoder's cache keeps the branch record its fused output came from
+    # the encoder's cache keeps the branch record (gates and item row) its fused output came from
     user_store, item_store = small_stores
     enc = encoder(small_stores, h=4, seed=21)
-    fused, (concat, _, _) = enc.encode_items(np.array([3]), np.array([[5]]))
+    fused, (gates, index, items, _) = enc.encode_items(np.array([3]), np.array([[5]]))
+    item, ibar = item_store.matrix.values[5], item_store.cache.pooled_means[5]
     branches = item_branches(
-        user_store.matrix.values[3], user_store.cache.pooled_means[3],
-        item_store.matrix.values[5], item_store.cache.pooled_means[5],
+        user_store.matrix.values[3], user_store.cache.pooled_means[3], item, ibar,
     )
-    np.testing.assert_array_equal(concat[0, 0], np.concatenate(branches))
-    np.testing.assert_array_equal(fused[0, 0], fuse_one(branches, enc.hae))
+    row = items[index[0, 0]]
+    np.testing.assert_array_equal(gated_concat(gates[0, 0], row[:8], row[8:]),
+                                  np.concatenate(branches))
+    np.testing.assert_array_equal(fused[0, 0], fuse_one(gates[0, 0], item, ibar, enc.hae))
     assert branches[0].shape == (8,)
     assert branches[2].shape == (16,)
 
