@@ -79,7 +79,15 @@ class SasRec:
         B, nh, L, hd = x.shape
         return x.transpose(0, 2, 1, 3).reshape(B, L, nh * hd)
 
-    def forward(self, x: np.ndarray, mask: np.ndarray, *, training: bool = False, rng=None):
+    def forward(self, x: np.ndarray, mask: np.ndarray, *, training: bool = False, rng=None,
+                last_only: bool = False):
+        """Blocks over a left-padded (B, L, h) grid; returns (outputs, cache).
+
+        With ``last_only`` returns (the (B, h) last-position outputs, None):
+        the last block computes keys and values for every position but its
+        query, attention, output projection, FFN and the final layer norm
+        for the last position only.
+        """
         B, L, h = x.shape
         cfg = self.cfg
         if h != cfg.h:
@@ -101,37 +109,43 @@ class SasRec:
         allowed = causal[None, None, :, :] & mask[:, None, None, :]
 
         layer_caches = []
+        rows = slice(None)
         for layer in range(self.n_layers):
+            if last_only and layer == self.n_layers - 1:
+                rows = slice(L - 1, L)
             x_in = cur
             a, ln1_cache = _ln_forward(x_in, self.params[f"ln1_g{layer}"], self.params[f"ln1_b{layer}"])
-            q = mm(a, self.params[f"wq{layer}"]) + self.params[f"bq{layer}"]
+            q = mm(a[:, rows], self.params[f"wq{layer}"]) + self.params[f"bq{layer}"]
             k = mm(a, self.params[f"wk{layer}"]) + self.params[f"bk{layer}"]
             v = mm(a, self.params[f"wv{layer}"]) + self.params[f"bv{layer}"]
             qh, kh, vh = self._split(q), self._split(k), self._split(v)
             hd = cfg.h // cfg.n_heads
             scores = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(hd)
-            scores = np.where(allowed, scores, MASKED_SCORE)
+            scores = np.where(allowed[:, :, rows], scores, MASKED_SCORE)
             smax = scores.max(axis=-1, keepdims=True)
             e = np.exp(scores - smax)
             s = e / e.sum(axis=-1, keepdims=True)
             ctx = self._merge(s @ vh)
             attn_out = mm(ctx, self.params[f"wo{layer}"]) + self.params[f"bo{layer}"]
             dm1 = dropout_mask(rng, attn_out.shape, p) if p > 0.0 else None
-            x_mid = (x_in + (attn_out * dm1 if dm1 is not None else attn_out)) * fmask
+            x_mid = (x_in[:, rows] + (attn_out * dm1 if dm1 is not None else attn_out)) * fmask[:, rows]
 
             f, ln2_cache = _ln_forward(x_mid, self.params[f"ln2_g{layer}"], self.params[f"ln2_b{layer}"])
             a1 = mm(f, self.params[f"wf1{layer}"]) + self.params[f"bf1{layer}"]
             h1 = np.maximum(a1, 0.0)
             ff = mm(h1, self.params[f"wf2{layer}"]) + self.params[f"bf2{layer}"]
             dm2 = dropout_mask(rng, ff.shape, p) if p > 0.0 else None
-            cur = (x_mid + (ff * dm2 if dm2 is not None else ff)) * fmask
+            cur = (x_mid + (ff * dm2 if dm2 is not None else ff)) * fmask[:, rows]
 
-            layer_caches.append(
-                (ln1_cache, a, qh, kh, vh, s, ctx, dm1, ln2_cache, f, a1, h1, dm2)
-            )
+            if not last_only:
+                layer_caches.append(
+                    (ln1_cache, a, qh, kh, vh, s, ctx, dm1, ln2_cache, f, a1, h1, dm2)
+                )
 
         out, lnf_cache = _ln_forward(cur, self.params["lnf_g"], self.params["lnf_b"])
-        out = out * fmask
+        out = out * fmask[:, rows]
+        if last_only:
+            return out[:, -1], None
         cache = (x0, dm0, fmask, pos_idx, mask, layer_caches, lnf_cache)
         return out, cache
 

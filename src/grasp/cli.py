@@ -17,7 +17,9 @@ import os
 import sys
 
 # config imports no numpy, so it may load before _cap_threads runs.
-from .config import CHOICES, FIELD_TYPES, RunConfig, parse_config_file, write_key_values
+from .config import (
+    CHOICES, FIELD_TYPES, RunConfig, parse_config_file, write_key_values, write_text_atomic,
+)
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -225,9 +227,8 @@ def cmd_train(args) -> int:
             "mean_best_val_ndcg10": sum(s["best_val_ndcg10"] for s in summaries) / len(summaries),
             "per_seed": summaries,
         }
-        with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
-            json.dump(combined, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_text_atomic(os.path.join(args.out, "summary.json"),
+                          json.dumps(combined, indent=2, sort_keys=True) + "\n")
     print(f"train: mean best val NDCG@10 {combined['mean_best_val_ndcg10']:.4f}")
     return 0
 
@@ -250,8 +251,7 @@ def cmd_eval(args) -> int:
         )
         emit_report(reports, metrics_path)
         table = format_report_table(reports)
-        with open(os.path.join(args.out, "report.txt"), "w", encoding="utf-8") as fh:
-            fh.write(table)
+        write_text_atomic(os.path.join(args.out, "report.txt"), table)
         echo = cfg.echo()
         summary = {
             "config": echo,
@@ -270,9 +270,8 @@ def cmd_eval(args) -> int:
             "groups": {r.group: {"ndcg": r.ndcg, "hr": r.hr, "n_users": r.n_users_evaluated}
                        for r in reports},
         }
-        with open(os.path.join(args.out, "eval_summary.json"), "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_text_atomic(os.path.join(args.out, "eval_summary.json"),
+                          json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(table, end="")
     return 0
 
@@ -316,10 +315,9 @@ def cmd_sweep(args) -> int:
                                     which="test", with_groups=False)
             rows.append((param, value, reports[0].ndcg[10], reports[0].hr[10]))
             print(f"sweep: {param}={value} NDCG@10 {rows[-1][2]:.4f} HR@10 {rows[-1][3]:.4f}")
-        with open(os.path.join(args.out, "sweep.tsv"), "w", encoding="utf-8") as fh:
-            fh.write("param\tvalue\tndcg10\thr10\n")
-            for param, value, ndcg, hr in rows:
-                fh.write(f"{param}\t{value}\t{ndcg!r}\t{hr!r}\n")
+        lines = ["param\tvalue\tndcg10\thr10\n"]
+        lines += [f"{param}\t{value}\t{ndcg!r}\t{hr!r}\n" for param, value, ndcg, hr in rows]
+        write_text_atomic(os.path.join(args.out, "sweep.tsv"), "".join(lines))
     return 0
 
 
@@ -328,8 +326,7 @@ def cmd_report(args) -> int:
 
     table = format_report_table(parse_report_tsv(args.metrics))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(table)
+        write_text_atomic(args.out, table)
     print(table, end="")
     return 0
 

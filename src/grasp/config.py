@@ -5,11 +5,14 @@ the fields, every layer reads its settings from it, and a checkpoint's
 ``model.txt`` stores it in full.  The config file is flat ``key=value``
 text mirroring flag names (dashes or underscores both accepted); ``#``
 starts a comment.  Every command echoes its effective configuration into
-its summary output.
+its summary output.  ``write_text_atomic``, the one writer of every text
+output, lives here because this module loads without numpy.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass, asdict, fields
 
 from .errors import DataError
@@ -113,6 +116,29 @@ def parse_config_file(path) -> dict:
 
 def write_key_values(path, entries: dict) -> None:
     """Flat ``key=value`` lines, bools as 0/1, readable by ``parse_config_file``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in entries.items():
-            fh.write(f"{key}={int(value) if isinstance(value, bool) else value}\n")
+    write_text_atomic(path, "".join(
+        f"{key}={int(value) if isinstance(value, bool) else value}\n"
+        for key, value in entries.items()
+    ))
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Replace ``path`` with UTF-8 ``text`` in one step.
+
+    The text goes to a temporary file in the same directory, which
+    ``os.replace`` then moves over ``path``: a reader, or a crash, sees the
+    old file or the new one, never a part.  On any error the old file is
+    left as it was and the temporary file is removed.  (Durable against a
+    crash of the process, not of the machine: nothing is fsynced.)
+    """
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import write_text_atomic
 from .dataset import GroupLabels, InteractionDataset, LeaveOneOutSplit, sample_negatives
 from .errors import DataError, NumericError, ProtocolError
 from .ops import length_buckets
@@ -176,8 +177,7 @@ def emit_report(reports, path) -> None:
         lines.append(f"# meta\t{rep.group}\t{rep.n_users_evaluated}\t{rep.n_skipped}\t{int(rep.empty)}")
         for k in KS:
             lines.append(f"{rep.group}\t{k}\t{rep.ndcg[k]!r}\t{rep.hr[k]!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def parse_report_tsv(path) -> list[MetricReport]:

@@ -228,13 +228,17 @@ class RecModel:
 
     # -- inference -----------------------------------------------------
     def final_representations(self, users, seqs, max_seq_len: int) -> np.ndarray:
-        """Last-position backbone output per user, shape (B, h)."""
+        """Last-position backbone output per user, shape (B, h).
+
+        The backbone runs with ``last_only``: it keeps no training cache and
+        computes no output it would discard.
+        """
         inputs, mask = pad_sequences(seqs, max_seq_len)
         enc_in, _ = self.encoder.encode_items(
             users, inputs, positions_mask=mask, softmax_over_positions=True
         )
-        out, _ = self.backbone.forward(enc_in, mask)
-        return out[:, -1, :]
+        out, _ = self.backbone.forward(enc_in, mask, last_only=True)
+        return out
 
     def candidate_scores(self, users, cand_ids, o_final) -> np.ndarray:
         """sigma(o . repr) for each candidate, shape (B, C)."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .backbone import load_backbone_checkpoint, save_backbone_checkpoint
-from .config import RunConfig, parse_config_file, write_key_values
+from .config import RunConfig, parse_config_file, write_key_values, write_text_atomic
 from .dataset import InteractionDataset, LeaveOneOutSplit, load_interactions, partition_head_tail, split_leave_one_out
 from .embedstore import (
     load_embedding_matrix,
@@ -177,9 +177,9 @@ def train_one_seed(data: PipelineData, cfg: RunConfig, seed: int, out_dir) -> di
         model, data.split, data.ds, cfg, seed,
         log=lambda e, l, v: log_rows.append((e, l, v)),
     )
-    with open(os.path.join(out_dir, "train_log.tsv"), "w", encoding="utf-8") as fh:
-        for epoch, loss, val in log_rows:
-            fh.write(f"{epoch}\t{loss!r}\t{val!r}\n")
+    write_text_atomic(os.path.join(out_dir, "train_log.tsv"), "".join(
+        f"{epoch}\t{loss!r}\t{val!r}\n" for epoch, loss, val in log_rows
+    ))
     save_model_dir(model, out_dir, cfg)
     summary = {
         "config": cfg.echo(),
@@ -190,9 +190,8 @@ def train_one_seed(data: PipelineData, cfg: RunConfig, seed: int, out_dir) -> di
         "stopped_early": state.stopped_early,
         "wall_clock_seconds": state.wall_seconds,
     }
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text_atomic(os.path.join(out_dir, "summary.json"),
+                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 

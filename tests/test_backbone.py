@@ -8,9 +8,11 @@ from grasp.backbone import (
     load_backbone_checkpoint,
     save_backbone_checkpoint,
 )
+from grasp.backbone.common import dropout_mask
 from grasp.config import RunConfig
 from grasp.errors import FormatError
 from grasp.model import IdEncoder, RecModel
+from grasp.ops import sigmoid
 from helpers import finite_diff, rel_error, run_sequence
 
 
@@ -69,6 +71,123 @@ class TestGru4Rec:
         out, _ = model.forward(padded, mask)
         np.testing.assert_allclose(out[0, 2:], plain, atol=1e-12)
         np.testing.assert_array_equal(out[0, :2], np.zeros((2, 4)))
+
+
+def batch_major_gru_forward(model, x, mask, drops):
+    """Reference GRU recurrence on (B, L, h) slices, one step at a time.
+
+    ``drops`` holds each layer's dropout multiplier or None.  Returns
+    (outputs, per-layer caches) for ``batch_major_gru_backward``.
+    """
+    caches = []
+    layer_in = x
+    for layer, drop in enumerate(drops):
+        xin = layer_in * drop if drop is not None else layer_in
+        B, L, h = xin.shape
+        w_h = model.params[f"w_h{layer}"]
+        gx_all = (xin.reshape(-1, h) @ model.params[f"w_x{layer}"]).reshape(B, L, 3 * h)
+        gx_all = gx_all + model.params[f"b{layer}"]
+        h_prev = np.zeros((B, h))
+        states, prev_all, r_all, z_all, n_all, hn_lin_all = (np.empty((B, L, h)) for _ in range(6))
+        for t in range(L):
+            gh = h_prev @ w_h
+            r = sigmoid(gx_all[:, t, :h] + gh[:, :h])
+            z = sigmoid(gx_all[:, t, h : 2 * h] + gh[:, h : 2 * h])
+            hn_lin = gh[:, 2 * h :]
+            n = np.tanh(gx_all[:, t, 2 * h :] + r * hn_lin)
+            h_new = ((1.0 - z) * n + z * h_prev) * mask[:, t, None]
+            prev_all[:, t], r_all[:, t], z_all[:, t] = h_prev, r, z
+            n_all[:, t], hn_lin_all[:, t], states[:, t] = n, hn_lin, h_new
+            h_prev = h_new
+        caches.append((layer, xin, prev_all, r_all, z_all, n_all, hn_lin_all))
+        layer_in = states
+    return layer_in, caches
+
+
+def batch_major_gru_backward(model, caches, mask, drops, d_out):
+    """Reference BPTT for ``batch_major_gru_forward``; returns (d_x, grads)."""
+    grads = {name: np.zeros_like(p) for name, p in model.params.items()}
+    d_layer = d_out
+    for (layer, x, prev_all, r_all, z_all, n_all, hn_lin_all), drop in zip(
+        reversed(caches), reversed(drops)
+    ):
+        B, L, h = x.shape
+        d_gx_all, d_gh_all = np.empty((B, L, 3 * h)), np.empty((B, L, 3 * h))
+        d_h = np.zeros((B, h))
+        for t in reversed(range(L)):
+            dh_total = (d_layer[:, t] + d_h) * mask[:, t, None]
+            r, z, n = r_all[:, t], z_all[:, t], n_all[:, t]
+            dn = dh_total * (1.0 - z)
+            dz = dh_total * (prev_all[:, t] - n)
+            da_n = dn * (1.0 - n * n)
+            da_r = da_n * hn_lin_all[:, t] * r * (1.0 - r)
+            da_z = dz * z * (1.0 - z)
+            d_gx_all[:, t] = np.concatenate([da_r, da_z, da_n], axis=1)
+            d_gh_all[:, t] = np.concatenate([da_r, da_z, da_n * r], axis=1)
+            d_h = dh_total * z + d_gh_all[:, t] @ model.params[f"w_h{layer}"].T
+        flat_gx = d_gx_all.reshape(-1, 3 * h)
+        grads[f"w_x{layer}"] += x.reshape(-1, h).T @ flat_gx
+        grads[f"w_h{layer}"] += prev_all.reshape(-1, h).T @ d_gh_all.reshape(-1, 3 * h)
+        grads[f"b{layer}"] += flat_gx.sum(axis=0)
+        d_layer = (flat_gx @ model.params[f"w_x{layer}"].T).reshape(B, L, h)
+        if drop is not None:
+            d_layer = d_layer * drop
+    return d_layer, grads
+
+
+def left_padded_grid(rng, B, L, h):
+    lengths = rng.integers(1, L + 1, size=B)
+    lengths[0] = L
+    mask = np.arange(L)[None, :] >= (L - lengths)[:, None]
+    return rng.standard_normal((B, L, h)) * mask[..., None], mask
+
+
+class TestGruRecurrence:
+    """The time-major recurrence against the batch-major reference, bit for bit."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("B", [1, 7, 128])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_matches_batch_major_reference(self, n_layers, B, dropout):
+        h, L = 64, 12
+        model = gru(h=h, n_layers=n_layers, seed=B, dropout=dropout)
+        rng = np.random.default_rng(B)
+        x, mask = left_padded_grid(rng, B, L, h)
+        d_out = rng.standard_normal((B, L, h)) * mask[..., None]
+        draw = np.random.default_rng(7)
+        drops = [dropout_mask(draw, x.shape, dropout) if dropout else None
+                 for _ in range(n_layers)]
+        ref_out, ref_caches = batch_major_gru_forward(model, x, mask, drops)
+        ref_dx, ref_grads = batch_major_gru_backward(model, ref_caches, mask, drops, d_out)
+
+        out, cache = model.forward(x, mask, training=True, rng=np.random.default_rng(7))
+        d_x, grads = model.backward(cache, d_out)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(d_x, ref_dx)
+        for name, g in ref_grads.items():
+            assert np.array_equal(grads[name], g), name
+
+
+class TestLastOnly:
+    @pytest.mark.parametrize("make_model", [
+        lambda: gru(h=16, n_layers=1, seed=40),
+        lambda: gru(h=16, n_layers=2, seed=41),
+        lambda: sas(h=16, n_layers=1, n_heads=2, seed=42),
+        lambda: sas(h=16, n_layers=2, n_heads=2, seed=43),
+    ], ids=["gru4rec-1", "gru4rec-2", "sasrec-1", "sasrec-2"])
+    @pytest.mark.parametrize("B", [1, 7, 128])
+    def test_equals_the_last_position_of_the_full_forward(self, make_model, B):
+        model = make_model()
+        x, mask = left_padded_grid(np.random.default_rng(B), B, 9, 16)
+        full, _ = model.forward(x, mask)
+        last, cache = model.forward(x, mask, last_only=True)
+        assert cache is None
+        assert last.shape == (B, 16)
+        if isinstance(model, Gru4Rec):
+            assert np.array_equal(last, full[:, -1])
+        else:
+            # One query row takes another BLAS kernel than L rows do.
+            np.testing.assert_allclose(last, full[:, -1], rtol=1e-12, atol=0.0)
 
 
 class TestSasRec:
@@ -141,9 +260,11 @@ class TestSasRec:
 class TestGradients:
     @pytest.mark.parametrize("make_model", [
         lambda: gru(h=4, n_layers=2, seed=20),
+        lambda: gru(h=4, n_layers=2, seed=20, dropout=0.5),
         lambda: sas(h=4, n_layers=2, seed=21, max_seq_len=8),
-    ], ids=["gru4rec", "sasrec"])
+    ], ids=["gru4rec", "gru4rec-dropout", "sasrec"])
     def test_param_and_input_gradients(self, make_model):
+        """Finite differences; with dropout each call redraws the same masks."""
         model = make_model()
         rng = np.random.default_rng(22)
         B, L, h = 2, 3, 4
@@ -153,11 +274,13 @@ class TestGradients:
         x = x * mask[..., None]
         upstream = rng.standard_normal((B, L, h)) * mask[..., None]
 
-        def scalar():
-            out, _ = model.forward(x, mask)
-            return float((out * upstream).sum())
+        def forward():
+            return model.forward(x, mask, training=True, rng=np.random.default_rng(0))
 
-        out, cache = model.forward(x, mask)
+        def scalar():
+            return float((forward()[0] * upstream).sum())
+
+        out, cache = forward()
         d_x, grads = model.backward(cache, upstream)
 
         for name, tensor in model.params.items():

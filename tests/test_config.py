@@ -1,6 +1,9 @@
+import os
+
 import pytest
 
-from grasp.config import RunConfig, parse_config_file, write_key_values
+from grasp.config import RunConfig, parse_config_file, write_key_values, write_text_atomic
+from grasp.evaluation import emit_report, report_from_ranks
 
 
 @pytest.mark.parametrize("bad", [
@@ -40,3 +43,50 @@ def test_key_value_file_round_trips(tmp_path):
     write_key_values(path, cfg.echo())
     assert "no_similar=1\n" in path.read_text()
     assert RunConfig(**parse_config_file(path)) == cfg
+
+
+class TestAtomicTextWrites:
+    OLD = "previous\tcontents\n"
+
+    def _existing(self, tmp_path, name="out.txt"):
+        path = tmp_path / name
+        path.write_text(self.OLD, encoding="utf-8")
+        return path
+
+    def test_replaces_the_file_and_leaves_no_temporary(self, tmp_path):
+        path = self._existing(tmp_path)
+        write_text_atomic(path, "new\u00e9\n")
+        assert path.read_bytes() == "new\u00e9\n".encode("utf-8")
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_failing_replace_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = self._existing(tmp_path)
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_text_atomic(path, "new\n")
+        assert path.read_text(encoding="utf-8") == self.OLD
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    @pytest.mark.parametrize("writer", ["model.txt", "metrics.tsv"])
+    def test_failing_serializer_keeps_the_old_file(self, tmp_path, writer):
+        class Unprintable:
+            def __format__(self, spec):
+                raise RuntimeError("cannot format")
+
+            def __repr__(self):
+                raise RuntimeError("cannot format")
+
+        path = self._existing(tmp_path, writer)
+        with pytest.raises(RuntimeError, match="cannot format"):
+            if writer == "model.txt":
+                write_key_values(path, {"h": 8, "lr": Unprintable()})
+            else:
+                report = report_from_ranks([1, 2, 3])
+                report.ndcg[10] = Unprintable()
+                emit_report([report], path)
+        assert path.read_text(encoding="utf-8") == self.OLD
+        assert os.listdir(tmp_path) == [writer]
