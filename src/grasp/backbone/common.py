@@ -1,8 +1,10 @@
-"""Initialisation helpers and checkpoint IO for the backbones.
+"""Dropout masks and checkpoint IO for the backbones.
 
 Checkpoint format ``GBKB``: magic | version u16 | kind u8 (1 = gru4rec,
 2 = sasrec) | h u32 | max_seq_len u32 | n_layers u32 | n_heads u32 |
 dropout f32 | parameter tensors in construction order, float32 LE.
+Version 1 SASRec files also hold an inert key bias after each ``wk{layer}``;
+loading reads and drops it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from ..binio import Writer, read_file
 from ..errors import FormatError
 
 GBKB_MAGIC = b"GBKB"
-GBKB_VERSION = 1
+GBKB_VERSION = 2
 KIND_CODES = {"gru4rec": 1, "sasrec": 2}
 KIND_NAMES = {v: k for k, v in KIND_CODES.items()}
 
@@ -21,11 +23,6 @@ KIND_NAMES = {v: k for k, v in KIND_CODES.items()}
 def dropout_mask(rng: np.random.Generator, shape, p: float) -> np.ndarray:
     """Inverted-dropout multiplier; identity when p == 0."""
     return (rng.random(shape) >= p) / (1.0 - p)
-
-
-def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    s = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-s, s, size=shape)
 
 
 def save_backbone_checkpoint(model, path) -> None:
@@ -49,7 +46,7 @@ def load_backbone_checkpoint(model, path) -> None:
     r = read_file(path)
     r.magic(GBKB_MAGIC)
     version = r.u16()
-    if version != GBKB_VERSION:
+    if version not in (1, GBKB_VERSION):
         raise FormatError(f"{path}: unsupported version {version}")
     cfg = model.cfg
     kind_code = r.u8()
@@ -59,6 +56,8 @@ def load_backbone_checkpoint(model, path) -> None:
     r.expect_field("n_layers", r.u32(), model.n_layers)
     r.expect_field("n_heads", r.u32(), cfg.n_heads)
     r.expect_field("dropout", r.f32(), float(np.float32(cfg.dropout)))
-    for tensor in model.params.values():
+    for name, tensor in model.params.items():
         tensor[...] = r.f32_array(tensor.size).reshape(tensor.shape)
+        if version == 1 and cfg.backbone == "sasrec" and name.startswith("wk"):
+            r.f32_array(cfg.h)
     r.expect_eof()

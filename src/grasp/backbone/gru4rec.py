@@ -21,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import RunConfig
-from ..ops import sigmoid
-from .common import dropout_mask, uniform_init
+from ..ops import sigmoid, uniform_init
+from .common import dropout_mask
 
 
 class Gru4Rec:

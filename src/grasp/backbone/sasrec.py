@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import RunConfig
-from ..ops import mm, segment_sum
-from .common import dropout_mask, uniform_init
+from ..ops import mm, segment_sum, uniform_init
+from .common import dropout_mask
 
 LN_EPS = 1e-8
 MASKED_SCORE = -1e30
@@ -58,7 +58,8 @@ class SasRec:
             p[f"ln1_b{layer}"] = np.zeros(h)
             for name in ("wq", "wk", "wv", "wo"):
                 p[f"{name}{layer}"] = uniform_init(rng, (h, h), h)
-                p[f"b{name[1]}{layer}"] = np.zeros(h)
+                if name != "wk":  # a key bias adds q.bk to all of a query's scores: inert
+                    p[f"b{name[1]}{layer}"] = np.zeros(h)
             p[f"ln2_g{layer}"] = np.ones(h)
             p[f"ln2_b{layer}"] = np.zeros(h)
             p[f"wf1{layer}"] = uniform_init(rng, (h, h), h)
@@ -116,7 +117,7 @@ class SasRec:
             x_in = cur
             a, ln1_cache = _ln_forward(x_in, self.params[f"ln1_g{layer}"], self.params[f"ln1_b{layer}"])
             q = mm(a[:, rows], self.params[f"wq{layer}"]) + self.params[f"bq{layer}"]
-            k = mm(a, self.params[f"wk{layer}"]) + self.params[f"bk{layer}"]
+            k = mm(a, self.params[f"wk{layer}"])
             v = mm(a, self.params[f"wv{layer}"]) + self.params[f"bv{layer}"]
             qh, kh, vh = self._split(q), self._split(k), self._split(v)
             hd = cfg.h // cfg.n_heads
@@ -197,7 +198,8 @@ class SasRec:
             for nm, dx in (("wq", d_q), ("wk", d_k), ("wv", d_v)):
                 flat_dx = dx.reshape(-1, cfg.h)
                 grads[f"{nm}{layer}"] += flat_a.T @ flat_dx
-                grads[f"b{nm[1]}{layer}"] += flat_dx.sum(axis=0)
+                if nm != "wk":
+                    grads[f"b{nm[1]}{layer}"] += flat_dx.sum(axis=0)
                 d_a += mm(dx, self.params[f"{nm}{layer}"].T)
             d_ln1, dg, db = _ln_backward(ln1_cache, self.params[f"ln1_g{layer}"], d_a)
             grads[f"ln1_g{layer}"] += dg

@@ -6,6 +6,7 @@ import struct
 
 import numpy as np
 
+from .config import write_text_atomic
 from .errors import FormatError
 
 
@@ -84,8 +85,10 @@ class Reader:
 
 
 class Writer:
+    """File parts in order; arrays are kept by reference until ``save`` writes them."""
+
     def __init__(self):
-        self.parts: list[bytes] = []
+        self.parts: list = []
 
     def magic(self, m: bytes):
         self.parts.append(m)
@@ -106,17 +109,13 @@ class Writer:
         self.parts.append(struct.pack("<f", v))
 
     def f32_array(self, arr: np.ndarray):
-        self.parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        self.parts.append(np.ascontiguousarray(arr, dtype="<f4"))
 
     def records(self, arr: np.ndarray):
-        self.parts.append(arr.tobytes())
-
-    def tobytes(self) -> bytes:
-        return b"".join(self.parts)
+        self.parts.append(np.ascontiguousarray(arr))
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.tobytes())
+        write_text_atomic(path, *self.parts)
 
 
 def read_file(path) -> Reader:

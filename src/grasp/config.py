@@ -5,8 +5,8 @@ the fields, every layer reads its settings from it, and a checkpoint's
 ``model.txt`` stores it in full.  The config file is flat ``key=value``
 text mirroring flag names (dashes or underscores both accepted); ``#``
 starts a comment.  Every command echoes its effective configuration into
-its summary output.  ``write_text_atomic``, the one writer of every text
-output, lives here because this module loads without numpy.
+its summary output.  ``write_text_atomic``, the one writer of every output
+file, text or binary, lives here because this module loads without numpy.
 """
 
 from __future__ import annotations
@@ -122,10 +122,10 @@ def write_key_values(path, entries: dict) -> None:
     ))
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Replace ``path`` with UTF-8 ``text`` in one step.
+def write_text_atomic(path, *chunks) -> None:
+    """Replace ``path`` with ``chunks`` in one step: each a str, written as UTF-8, or bytes-like.
 
-    The text goes to a temporary file in the same directory, which
+    The chunks go to a temporary file in the same directory, which
     ``os.replace`` then moves over ``path``: a reader, or a crash, sees the
     old file or the new one, never a part.  On any error the old file is
     left as it was and the temporary file is removed.  (Durable against a
@@ -135,8 +135,8 @@ def write_text_atomic(path, text: str) -> None:
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.writelines(c.encode("utf-8") if isinstance(c, str) else c for c in chunks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import write_text_atomic
 from .errors import DataError, ParseError
 
 
@@ -254,23 +255,4 @@ def sample_negatives(
 
 def write_id_map(path, raw_ids: list[str]) -> None:
     """Persist a dense<->raw id map as ``raw_id<TAB>dense_id`` TSV."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for dense, raw in enumerate(raw_ids):
-            fh.write(f"{raw}\t{dense}\n")
-
-
-def read_id_map(path) -> list[str]:
-    raw_ids: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError("expected raw_id<TAB>dense_id", lineno)
-            raw, dense = parts
-            if int(dense) != len(raw_ids):
-                raise ParseError(f"dense ids must be contiguous, got {dense}", lineno)
-            raw_ids.append(raw)
-    return raw_ids
+    write_text_atomic(path, "".join(f"{raw}\t{dense}\n" for dense, raw in enumerate(raw_ids)))

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .binio import Reader, Writer, read_file
+from .config import write_text_atomic
 from .dataset import InteractionDataset
 from .errors import FormatError
 
@@ -70,9 +71,6 @@ class EmbeddingMatrix:
             if nonzero.any() and np.abs(norms[nonzero] - 1.0).max() > NORM_TOL:
                 raise ValueError("matrix flagged normalized but row norms deviate from 1")
         object.__setattr__(self, "values", _frozen(self.values))
-
-    def row(self, index: int) -> np.ndarray:
-        return self.values[index]
 
 
 def matrix_from_array(values: np.ndarray) -> EmbeddingMatrix:
@@ -395,9 +393,9 @@ def synth_corpus(
 
 def write_interaction_log(ds: InteractionDataset, path) -> None:
     """Write a dataset back out in the standard log format (timestamp = position)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for user in range(ds.user_count):
-            raw_user = ds.user_raw_ids[user] if ds.user_raw_ids else str(user)
-            for ts, item in enumerate(ds.sequences[user]):
-                raw_item = ds.item_raw_ids[item] if ds.item_raw_ids else str(item)
-                fh.write(f"{raw_user}\t{raw_item}\t{ts}\n")
+    users = ds.user_raw_ids or [str(u) for u in range(ds.user_count)]
+    items = ds.item_raw_ids or [str(i) for i in range(ds.item_count)]
+    write_text_atomic(path, "".join(
+        f"{users[user]}\t{items[item]}\t{ts}\n"
+        for user in range(ds.user_count) for ts, item in enumerate(ds.sequences[user])
+    ))

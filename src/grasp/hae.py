@@ -21,11 +21,13 @@ item row, so the MLP's first layer factors through per-item projections:
 ``a1 = g_s*(i W1_s) + g_m*(i_bar W1_m) + g_g*((i||i_bar) W1_g) + b1``,
 with ``W1_s``, ``W1_m``, ``W1_g`` the row blocks of ``w1``.  A call over
 R rows of n distinct items therefore costs n*4d*hh for the projections
-plus R*(3*hh + hh*h) for the rows (R*(4*hh) when candidate scores fold
-``w2`` into the readout), against R*(4d*hh + hh*h) for the concat GEMM.
-Rows are formed ``CHUNK_ROWS`` at a time, so no (R, 4d) or (R, 3, hh)
-array exists.  ``_branch_concat`` returns the gates (..., 3);
-``fuse_forward`` applies them.
+plus R*(3*hh + hh*h) for sequence rows, or R*(4*hh) for candidate rows
+(training and evaluation alike fold ``w2`` into the readout), against
+R*(4d*hh + hh*h) for the concat GEMM.  Rows are formed about ``CHUNK_ROWS``
+at a time, so no (R, 4d) or (R, 3, hh) array exists; the readout backward
+recomputes ``a1`` per chunk, so candidates keep no (R, hh) or (R, h)
+array.  ``_branch_concat`` returns the gates (..., 3); ``fuse_forward``
+applies them.
 
 Ablation switches are gate values: ``no_attention`` sets every gate to
 1 (branch = value vector), ``no_similar`` / ``no_global`` set the
@@ -48,7 +50,7 @@ from .binio import Writer, read_file
 from .config import RunConfig
 from .embedstore import EmbeddingMatrix, NeighborCache
 from .errors import FormatError
-from .ops import sigmoid
+from .ops import sigmoid, uniform_init
 
 GHAE_MAGIC = b"GHAE"
 GHAE_VERSION = 1
@@ -74,13 +76,11 @@ def init_params(cfg: RunConfig, d_sem: int, seed: int) -> HaeParams:
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4AE]))
     din, hh, h = 4 * d_sem, cfg.h_hidden or 2 * cfg.h, cfg.h
-    s1 = 1.0 / np.sqrt(din)
-    s2 = 1.0 / np.sqrt(hh)
     return HaeParams(
-        w1=rng.uniform(-s1, s1, size=(din, hh)),
-        b1=rng.uniform(-s1, s1, size=hh),
-        w2=rng.uniform(-s2, s2, size=(hh, h)),
-        b2=rng.uniform(-s2, s2, size=h),
+        w1=uniform_init(rng, (din, hh), din),
+        b1=uniform_init(rng, hh, din),
+        w2=uniform_init(rng, (hh, h), hh),
+        b2=uniform_init(rng, h, hh),
     )
 
 
@@ -117,28 +117,28 @@ def _masked_softmax(pre: np.ndarray, mask: np.ndarray, axis: int) -> np.ndarray:
     return np.where(total > 0, e / np.where(total == 0, 1.0, total), 0.0)
 
 
-def _branch_concat(u, ubar, it, itbar, cfg: RunConfig, positions_mask=None,
-                   softmax_over_positions=False):
+def _branch_concat(u, ubar, it, itbar, cfg: RunConfig, positions_mask=None):
     """Branch gates (self, similar, global) per row, shape (..., 3).
 
     The gated concat ``[g_s*i, g_m*i_bar, g_g*(i||i_bar)]`` is never
     materialised: ``fuse_forward`` applies these gates to per-item
     projections.  ``u``/``ubar`` broadcast against ``it``/``itbar``.
     ``cfg``'s ablations become gate values: ``no_attention`` gives ones,
-    ``no_similar``/``no_global`` a zero column.  ``softmax_over_positions``
-    applies only under ``cfg.softmax_variant``; it normalizes each
-    branch's pre-activations across the last axis of the leading shape
-    (sequence positions), honoring ``positions_mask``; without it the
-    variant's gates are ones.
+    ``no_similar``/``no_global`` a zero column.  Under
+    ``cfg.softmax_variant`` a ``positions_mask`` marks a sequence: each
+    branch's pre-activations are normalised across the last axis of the
+    leading shape (positions), over the mask's real entries; without a
+    mask (standalone items, such as candidates) the variant's gates are
+    ones.
     """
     d = it.shape[-1]
     s, m = np.einsum("...d,...d->...", u, it), np.einsum("...d,...d->...", ubar, itbar)
     pre = np.stack([s / np.sqrt(d), m / np.sqrt(d), (s + m) / np.sqrt(2 * d)], axis=-1)
-    if cfg.no_attention or (cfg.softmax_variant and not softmax_over_positions):
+    if cfg.no_attention or (cfg.softmax_variant and positions_mask is None):
         gates = np.ones_like(pre)
     elif cfg.softmax_variant:
-        mask = True if positions_mask is None else positions_mask[..., None]
-        gates = _masked_softmax(pre, np.broadcast_to(mask, pre.shape), axis=-2)
+        mask = np.broadcast_to(positions_mask[..., None], pre.shape)
+        gates = _masked_softmax(pre, mask, axis=-2)
     else:
         gates = sigmoid(pre)
     if cfg.no_similar:
@@ -151,11 +151,15 @@ def _branch_concat(u, ubar, it, itbar, cfg: RunConfig, positions_mask=None,
 def _projections(items: np.ndarray, w1: np.ndarray) -> np.ndarray:
     """First-layer projections (n, 3, hh) of item rows ``[i || i_bar]``, one per branch."""
     d = items.shape[1] // 2
-    proj = np.empty((items.shape[0], 3, w1.shape[1]))
-    proj[:, 0] = items[:, :d] @ w1[:d]
-    proj[:, 1] = items[:, d:] @ w1[d : 2 * d]
-    proj[:, 2] = items @ w1[2 * d :]
-    return proj
+    return np.stack([items[:, :d] @ w1[:d], items[:, d:] @ w1[d : 2 * d], items @ w1[2 * d :]],
+                    axis=1)
+
+
+def _hidden(g2, proj, idx, rows, b1, out=None) -> np.ndarray:
+    """``relu(a1)`` for ``rows``: three gated projection rows plus ``b1``, formed in place."""
+    h1 = np.einsum("rk,rkh->rh", g2[rows], proj[idx[rows]], out=out)
+    h1 += b1
+    return np.maximum(h1, 0.0, out=h1)
 
 
 def fuse_forward(gates: np.ndarray, index: np.ndarray, items: np.ndarray, p: HaeParams,
@@ -167,72 +171,90 @@ def fuse_forward(gates: np.ndarray, index: np.ndarray, items: np.ndarray, p: Hae
     of each distinct item once.  The first layer of the concat row is
     ``a1 = g_s*(i W1_s) + g_m*(i_bar W1_m) + g_g*((i||i_bar) W1_g) + b1``,
     so ``w1`` multiplies the n items only and each row sums three
-    gathered projection rows, ``CHUNK_ROWS`` rows at a time.
+    gathered projection rows, about ``CHUNK_ROWS`` rows at a time: a
+    chunk holds whole lists along the last axis (C items each).
 
-    Returns (fused (..., h), cache).  With ``readout`` (B, h), B the
-    leading axis, returns (logits, None) instead, where ``logits[b, ...]
-    = readout[b] . fused[b, ...]`` is computed as ``relu(a1) .
-    (w2 readout[b]) + readout[b] . b2`` without building ``fused``.
+    Returns (fused (..., h), cache).  With ``readout``, one row per
+    candidate list (``index.shape[:-1] + (h,)``; flat row ``r`` is in list
+    ``r // C``), returns (logits, cache) instead, with ``logits[..., c] =
+    readout . fused[..., c]`` computed as ``relu(a1) . (w2 readout) +
+    readout . b2``.  The readout cache holds the inputs only.
     """
     lead = gates.shape[:-1]
-    g2 = gates.reshape(-1, 3)
-    idx = index.reshape(-1)
+    g2, idx = gates.reshape(-1, 3), index.reshape(-1)
     proj = _projections(items, p.w1)
-    n = len(idx)
+    n, C = len(idx), max(lead[-1], 1)
+    step = max(CHUNK_ROWS // C, 1) * C  # whole lists along the last axis per chunk
     if readout is None:
-        h1 = np.empty((n, p.w1.shape[1]))
-        out = np.empty((n, p.w2.shape[1]))
+        h1, out = np.empty((n, p.w1.shape[1])), np.empty((n, p.w2.shape[1]))
     else:
-        per_user = n // max(len(readout), 1)
-        v = readout @ p.w2.T
+        ro = readout.reshape(-1, p.w2.shape[1])
+        v = ro @ p.w2.T
         out = np.empty(n)
-    for start in range(0, n, CHUNK_ROWS):
-        rows = slice(start, min(start + CHUNK_ROWS, n))
-        a1 = np.einsum("rk,rkh->rh", g2[rows], proj[idx[rows]])
-        a1 += p.b1
-        np.maximum(a1, 0.0, out=a1)
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
         if readout is None:
-            h1[rows] = a1
-            out[rows] = a1 @ p.w2
+            out[rows] = _hidden(g2, proj, idx, rows, p.b1, out=h1[rows]) @ p.w2
         else:
-            owner = np.arange(rows.start, rows.stop) // per_user
-            out[rows] = np.einsum("rh,rh->r", a1, v[owner])
+            hc = _hidden(g2, proj, idx, rows, p.b1).reshape(-1, C, v.shape[1])
+            out[rows] = np.einsum("nch,nh->nc", hc, v[start // C : rows.stop // C]).reshape(-1)
     if readout is None:
         out += p.b2
-        return out.reshape(lead + out.shape[1:]), (gates, index, items, h1)
-    out = out.reshape(lead) + (readout @ p.b2).reshape((-1,) + (1,) * (len(lead) - 1))
-    return out, None
+        return out.reshape(lead + out.shape[1:]), (gates, index, items, h1, None)
+    return out.reshape(lead) + (ro @ p.b2).reshape(lead[:-1] + (1,)), (gates, index, items, None, readout)
 
 
-def fuse_backward(cache, d_fused: np.ndarray, p: HaeParams) -> dict[str, np.ndarray]:
-    """Analytic gradients of the fused output w.r.t. the MLP parameters.
+def fuse_backward(cache, d_out: np.ndarray, p: HaeParams) -> dict[str, np.ndarray]:
+    """Analytic gradients of ``fuse_forward``'s output w.r.t. the MLP parameters.
 
-    The semantic inputs are frozen, so no input gradient is produced; the
-    caller supplies the upstream gradient of the loss w.r.t. ``fused``.
+    The semantic inputs are frozen and get no gradient; ``d_out`` is the
+    loss gradient w.r.t. the fused rows, or the logits of a readout cache.
     ``d_w1`` is the gated concat's transpose times ``d_a1``, with the
-    concat rows rebuilt ``CHUNK_ROWS`` at a time (measured faster than
-    per-item segment sums of ``g * d_a1``).
-    """
-    gates, index, items, h1 = cache
-    g2 = gates.reshape(-1, 3)
-    idx = index.reshape(-1)
-    d2 = d_fused.reshape(-1, d_fused.shape[-1])
-    d = items.shape[1] // 2
+    concat rows rebuilt per chunk (measured faster than per-item segment
+    sums of ``g * d_a1``).
 
-    d_w2 = h1.T @ d2
-    d_b2 = d2.sum(axis=0)
-    d_a1 = (d2 @ p.w2.T) * (h1 > 0)
-    d_b1 = d_a1.sum(axis=0)
-    d_w1 = np.zeros_like(p.w1)
-    for start in range(0, len(idx), CHUNK_ROWS):
-        rows = slice(start, min(start + CHUNK_ROWS, len(idx)))
+    A readout cache also yields ``"readout"``.  With ``v = readout w2^T``,
+    ``s[n] = sum_c d_logit[n, c]`` and ``d_v[n] = sum_c d_logit[n, c]
+    relu(a1[n, c])``: ``d_w2 = d_v^T readout``, ``d_b2 = s readout``,
+    ``d_readout = d_v w2 + s b2`` and ``d_a1 = d_logit v[n] [a1 > 0]``,
+    with ``a1`` recomputed per chunk.
+    """
+    gates, index, items, h1, readout = cache
+    g2, idx = gates.reshape(-1, 3), index.reshape(-1)
+    d, C = items.shape[1] // 2, max(index.shape[-1], 1)
+    step = max(CHUNK_ROWS // C, 1) * C
+    if readout is None:
+        d2 = d_out.reshape(-1, d_out.shape[-1])
+    else:
+        ro = readout.reshape(-1, p.w2.shape[1])
+        d_logit = d_out.reshape(len(ro), -1)
+        v = ro @ p.w2.T
+        d_v = np.zeros_like(v)
+        proj = _projections(items, p.w1)
+    d_w1, d_b1 = np.zeros_like(p.w1), np.zeros_like(p.b1)
+    for start in range(0, len(idx), step):
+        rows = slice(start, min(start + step, len(idx)))
+        if readout is None:
+            d_a1 = d2[rows] @ p.w2.T
+            d_a1 *= h1[rows] > 0
+        else:
+            lists = slice(start // C, rows.stop // C)
+            hc = _hidden(g2, proj, idx, rows, p.b1)
+            d_v[lists] = np.einsum("nc,nch->nh", d_logit[lists], hc.reshape(-1, C, hc.shape[1]))
+            d_a1 = (d_logit[lists, :, None] * v[lists, None, :]).reshape(hc.shape)
+            d_a1 *= hc > 0
+        d_b1 += d_a1.sum(axis=0)
         vals, g = items[idx[rows]], g2[rows]
         gated = np.empty((len(vals), 4 * d))
         np.multiply(g[:, :1], vals[:, :d], out=gated[:, :d])
         np.multiply(g[:, 1:2], vals[:, d:], out=gated[:, d : 2 * d])
         np.multiply(g[:, 2:], vals, out=gated[:, 2 * d :])
-        d_w1 += gated.T @ d_a1[rows]
-    return {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
+        d_w1 += gated.T @ d_a1
+    if readout is None:
+        return {"w1": d_w1, "b1": d_b1, "w2": h1.T @ d2, "b2": d2.sum(axis=0)}
+    s = d_logit.sum(axis=1)
+    return {"w1": d_w1, "b1": d_b1, "w2": d_v.T @ ro, "b2": s @ ro,
+            "readout": (d_v @ p.w2 + s[:, None] * p.b2).reshape(readout.shape)}
 
 
 # ---------------------------------------------------------------------------

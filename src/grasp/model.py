@@ -7,6 +7,11 @@ frozen embedding stores -> gated branches -> fusion MLP) and ``IdEncoder``
 entropy over {positive, sampled negatives} -- and routes gradients to
 exactly two parameter groups: the encoder's and the backbone's.  Semantic
 stores are read-only; no gradient path into them exists.
+
+Each encoder's ``encode_items`` has one job per mode: without ``readout``
+it encodes sequence inputs; with ``readout`` it scores candidates, in
+training and evaluation alike, and ``backward`` on that cache also
+returns the readout's gradient.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .backbone import build_backbone
 from .config import RunConfig
 from .errors import DataError
 from .hae import SemanticStore
-from .ops import length_buckets, segment_sum, sigmoid
+from .ops import length_buckets, segment_sum, sigmoid, uniform_init
 
 PROB_CLAMP = 1e-7
 
@@ -32,14 +37,11 @@ def pad_sequences(seqs, max_seq_len: int):
     is the longest kept length in the batch.
     """
     kept = [list(s)[-max_seq_len:] for s in seqs]
-    L = max((len(s) for s in kept), default=0)
-    B = len(kept)
-    items = np.zeros((B, L), dtype=np.int64)
-    mask = np.zeros((B, L), dtype=bool)
-    for b, s in enumerate(kept):
-        if s:
-            items[b, L - len(s):] = s
-            mask[b, L - len(s):] = True
+    lengths = np.array([len(s) for s in kept], dtype=np.int64)
+    L = int(lengths.max(initial=0))
+    mask = np.arange(L) >= L - lengths[:, None]
+    items = np.zeros(mask.shape, dtype=np.int64)
+    items[mask] = [item for s in kept for item in s]
     return items, mask
 
 
@@ -91,37 +93,34 @@ class SemanticEncoder:
     def params(self) -> dict[str, np.ndarray]:
         return self.hae.tensors()
 
-    def encode_items(self, user_ids, item_ids, positions_mask=None, softmax_over_positions=False,
-                     readout=None):
+    def encode_items(self, user_ids, item_ids, positions_mask=None, readout=None):
         """Enhanced representations for items under each user's query.
 
         ``item_ids`` may have any trailing shape after the batch axis; the
-        user vectors broadcast across it.  Returns (fused, cache), or with
-        ``readout`` (B, h) the logits ``readout[b] . fused[b, ...]`` and
-        no cache (``hae.fuse_forward``).
+        user vectors broadcast across it; ``positions_mask`` marks a
+        sequence.  Returns (fused, cache), or with ``readout`` the logits
+        and their cache (``hae.fuse_forward``).
         """
         user_ids = np.asarray(user_ids, dtype=np.int64)
         item_ids = np.asarray(item_ids, dtype=np.int64)
         urows = self._map(user_ids, self.user_rows)
         irows = self._map(item_ids, self.item_rows)
         distinct, index = np.unique(irows, return_inverse=True)
-        extra = item_ids.ndim - 1
-        shape = (len(user_ids),) + (1,) * extra + (self.d_sem,)
+        shape = (len(user_ids),) + (1,) * (item_ids.ndim - 1) + (self.d_sem,)
         user_store, item_store = self.user_store, self.item_store
         gates = hae_mod._branch_concat(
             user_store.matrix.values[urows].reshape(shape),
             user_store.cache.pooled_means[urows].reshape(shape),
             item_store.matrix.values[irows], item_store.cache.pooled_means[irows], self.cfg,
             positions_mask=positions_mask,
-            softmax_over_positions=softmax_over_positions and self.cfg.softmax_variant,
         )
         items = np.concatenate(
             [item_store.matrix.values[distinct], item_store.cache.pooled_means[distinct]], axis=1
         )
         return hae_mod.fuse_forward(gates, index.reshape(irows.shape), items, self.hae, readout)
 
-    def backward(self, cache, d_fused) -> dict[str, np.ndarray]:
-        return hae_mod.fuse_backward(cache, d_fused, self.hae)
+    def backward(self, cache, d_out) -> dict[str, np.ndarray]:
+        return hae_mod.fuse_backward(cache, d_out, self.hae)
 
 
 class IdEncoder:
@@ -131,23 +130,34 @@ class IdEncoder:
 
     def __init__(self, item_count: int, h: int, seed: int):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1DE]))
-        s = 1.0 / np.sqrt(h)
-        self.emb = rng.uniform(-s, s, size=(item_count, h))
+        self.emb = uniform_init(rng, (item_count, h), h)
 
     @property
     def params(self) -> dict[str, np.ndarray]:
         return {"emb": self.emb}
 
-    def encode_items(self, user_ids, item_ids, positions_mask=None, softmax_over_positions=False,
-                     readout=None):
+    def encode_items(self, user_ids, item_ids, positions_mask=None, readout=None):
+        """Rows ``emb[item_ids]``, or with ``readout`` the logits, one candidate column at a time."""
         item_ids = np.asarray(item_ids, dtype=np.int64)
-        if readout is not None:
-            return np.einsum("bh,bch->bc", readout, self.emb[item_ids]), None
-        return self.emb[item_ids], item_ids
+        if readout is None:
+            return self.emb[item_ids], (item_ids, None)
+        logits = np.empty(item_ids.shape)
+        for c in range(item_ids.shape[-1]):
+            logits[..., c] = np.einsum("...h,...h->...", readout, self.emb[item_ids[..., c]])
+        return logits, (item_ids, readout)
 
-    def backward(self, cache, d_fused) -> dict[str, np.ndarray]:
-        return {"emb": segment_sum(cache.reshape(-1), d_fused.reshape(-1, d_fused.shape[-1]),
-                                   len(self.emb))}
+    def backward(self, cache, d_out) -> dict[str, np.ndarray]:
+        """Table gradient, plus ``"readout"`` for a readout cache: sums over candidate
+        columns, formed after each column's temporaries (allocating the sums first
+        measured 2-3x the page faults in the backbone passes that follow)."""
+        ids, readout = cache
+        n, h = self.emb.shape
+        if readout is None:
+            return {"emb": segment_sum(ids.reshape(-1), d_out.reshape(-1, h), n)}
+        cols = [(ids[..., c], d_out[..., c, None]) for c in range(ids.shape[-1])]
+        return {"emb": sum(segment_sum(col.reshape(-1), (d_c * readout).reshape(-1, h), n)
+                           for col, d_c in cols),
+                "readout": sum(d_c * self.emb[col] for col, d_c in cols)}
 
 
 class RecModel:
@@ -187,25 +197,19 @@ class RecModel:
                 n_pairs, training, rng,
             )
             loss += part_loss
-            if grads is None:
-                grads = part_grads
-            else:
-                for group, tensors in part_grads.items():
-                    for name, g in tensors.items():
-                        grads[group][name] += g
+            grads = part_grads if grads is None else {
+                group: {name: g + part_grads[group][name] for name, g in tensors.items()}
+                for group, tensors in grads.items()}
         return loss, grads, n_pairs
 
     def _pair_loss_and_grads(self, users, inputs, mask, targets, negatives, n_pairs,
                              training, rng):
         """BCE summed over this grid's real pairs, divided by ``n_pairs``, plus gradients."""
-        enc_in, cache_in = self.encoder.encode_items(
-            users, inputs, positions_mask=mask, softmax_over_positions=True
-        )
+        enc_in, cache_in = self.encoder.encode_items(users, inputs, positions_mask=mask)
         o, bb_cache = self.backbone.forward(enc_in, mask, training=training, rng=rng)
         cand_ids = np.concatenate([targets[..., None], negatives], axis=-1)
-        cand, cache_cand = self.encoder.encode_items(users, cand_ids)
+        logits, cache_cand = self.encoder.encode_items(users, cand_ids, readout=o)
 
-        logits = np.einsum("blh,blch->blc", o, cand)
         probs = sigmoid(logits)
         labels = np.zeros_like(probs)
         labels[..., 0] = 1.0
@@ -217,13 +221,10 @@ class RecModel:
 
         inside = (probs > PROB_CLAMP) & (probs < 1.0 - PROB_CLAMP)
         d_logits = (probs - labels) * inside * pair_mask / n_pairs
-        d_o = np.einsum("blc,blch->blh", d_logits, cand)
-        d_cand = d_logits[..., None] * o[:, :, None, :]
-
-        d_enc_in, bb_grads = self.backbone.backward(bb_cache, d_o)
-        enc_grads = self.encoder.backward(cache_in, d_enc_in)
-        for name, g in self.encoder.backward(cache_cand, d_cand).items():
-            enc_grads[name] = enc_grads[name] + g
+        cand_grads = self.encoder.backward(cache_cand, d_logits)
+        d_enc_in, bb_grads = self.backbone.backward(bb_cache, cand_grads.pop("readout"))
+        enc_grads = {name: g + cand_grads[name]
+                     for name, g in self.encoder.backward(cache_in, d_enc_in).items()}
         return loss, {self.encoder.group_name: enc_grads, "backbone": bb_grads}
 
     # -- inference -----------------------------------------------------
@@ -234,9 +235,7 @@ class RecModel:
         computes no output it would discard.
         """
         inputs, mask = pad_sequences(seqs, max_seq_len)
-        enc_in, _ = self.encoder.encode_items(
-            users, inputs, positions_mask=mask, softmax_over_positions=True
-        )
+        enc_in, _ = self.encoder.encode_items(users, inputs, positions_mask=mask)
         out, _ = self.backbone.forward(enc_in, mask, last_only=True)
         return out
 

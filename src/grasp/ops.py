@@ -16,6 +16,12 @@ def sigmoid(x, out=None):
     return np.divide(1.0, out, out=out)
 
 
+def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+    """Seeded symmetric uniform draws in ``[-1/sqrt(fan_in), 1/sqrt(fan_in))``."""
+    s = 1.0 / np.sqrt(fan_in)
+    return rng.uniform(-s, s, size=shape)
+
+
 def mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x @ w over the last axis as a single 2-D GEMM (fast for (..., K) inputs)."""
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + (w.shape[1],))

@@ -19,7 +19,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import NumericError, ProtocolError
 from .evaluation import eval_candidates, evaluate
-from .model import RecModel
+from .model import RecModel, pad_sequences
 
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -88,25 +88,15 @@ def make_training_batch(split, ds, cfg: RunConfig, rng, users=None) -> TrainBatc
     if not users:
         raise ProtocolError("no user in the batch has a trainable prefix (length >= 2)")
 
-    rows_in, rows_tg = [], []
-    for u in users:
-        prefix = split.entries[u].train_prefix
-        rows_in.append(prefix[:-1][-cfg.max_seq_len:])
-        rows_tg.append(prefix[1:][-cfg.max_seq_len:])
-    L = max(len(r) for r in rows_in)
-    B = len(users)
-    inputs = np.zeros((B, L), dtype=np.int64)
-    targets = np.zeros((B, L), dtype=np.int64)
-    mask = np.zeros((B, L), dtype=bool)
+    prefixes = [split.entries[u].train_prefix for u in users]
+    inputs, mask = pad_sequences([prefix[:-1] for prefix in prefixes], cfg.max_seq_len)
+    targets, _ = pad_sequences([prefix[1:] for prefix in prefixes], cfg.max_seq_len)
+    B, L = inputs.shape
     negatives = np.zeros((B, L, cfg.negatives_per_positive), dtype=np.int64)
     for b, u in enumerate(users):
-        n = len(rows_in[b])
-        inputs[b, L - n:] = rows_in[b]
-        targets[b, L - n:] = rows_tg[b]
-        mask[b, L - n:] = True
+        n = int(mask[b].sum())
         pool = ds.non_history(u)
-        draws = rng.integers(len(pool), size=(n, cfg.negatives_per_positive))
-        negatives[b, L - n:] = pool[draws]
+        negatives[b, L - n:] = pool[rng.integers(len(pool), size=(n, cfg.negatives_per_positive))]
     return TrainBatch(np.asarray(users, dtype=np.int64), inputs, mask, targets, negatives)
 
 

@@ -276,8 +276,7 @@ def test_criterion_10_enhancement_cost_scales_linearly():
     user = np.zeros(1, dtype=np.int64)
 
     def enhance_sequence(items):
-        return encoder.encode_items(user, items, positions_mask=np.ones(items.shape, dtype=bool),
-                                    softmax_over_positions=True)
+        return encoder.encode_items(user, items, positions_mask=np.ones(items.shape, dtype=bool))
 
     lengths = [10, 50, 100, 200]
     best = []

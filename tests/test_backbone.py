@@ -9,6 +9,7 @@ from grasp.backbone import (
     save_backbone_checkpoint,
 )
 from grasp.backbone.common import dropout_mask
+from grasp.binio import Writer
 from grasp.config import RunConfig
 from grasp.errors import FormatError
 from grasp.model import IdEncoder, RecModel
@@ -373,3 +374,34 @@ class TestDeterminismAndCheckpoints:
             np.testing.assert_array_equal(
                 loaded.params[name], tensor.astype(np.float32).astype(np.float64)
             )
+
+    @pytest.mark.parametrize("kind", ["gru4rec", "sasrec"])
+    def test_version_1_file_loads(self, kind, tmp_path):
+        # A version 1 SASRec file holds a key bias after each wk{layer}: read and dropped.
+        cfg = RunConfig(backbone=kind, h=4, max_seq_len=12, n_layers=2)
+        model = build_backbone(cfg, seed=5)
+        rng = np.random.default_rng(0)
+        w = Writer()
+        w.magic(b"GBKB")
+        w.u16(1)
+        w.u8({"gru4rec": 1, "sasrec": 2}[kind])
+        for value in (cfg.h, cfg.max_seq_len, model.n_layers, cfg.n_heads):
+            w.u32(value)
+        w.f32(cfg.dropout)
+        for name, tensor in model.params.items():
+            w.f32_array(tensor)
+            if kind == "sasrec" and name.startswith("wk"):
+                w.f32_array(rng.standard_normal(cfg.h))
+        path = tmp_path / "v1.gbkb"
+        w.save(path)
+        loaded = build_backbone(cfg, seed=6)
+        load_backbone_checkpoint(loaded, path)
+        assert not any(name.startswith("bk") for name in loaded.params)
+        for name, tensor in model.params.items():
+            np.testing.assert_array_equal(
+                loaded.params[name], tensor.astype(np.float32).astype(np.float64)
+            )
+        w.parts[1] = (3).to_bytes(2, "little")
+        w.save(path)
+        with pytest.raises(FormatError, match="unsupported version 3"):
+            load_backbone_checkpoint(loaded, path)

@@ -4,6 +4,7 @@ import pytest
 
 from grasp.config import RunConfig, parse_config_file, write_key_values, write_text_atomic
 from grasp.evaluation import emit_report, report_from_ranks
+from grasp.hae import init_params, save_hae_checkpoint
 
 
 @pytest.mark.parametrize("bad", [
@@ -65,11 +66,17 @@ class TestAtomicTextWrites:
         def fail(src, dst):
             raise OSError("disk full")
 
+        checkpoint = tmp_path / "fusion.ghae"
+        save_hae_checkpoint(init_params(RunConfig(h=4), 3, seed=1), checkpoint)
+        old_bytes = checkpoint.read_bytes()
         monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(OSError, match="disk full"):
             write_text_atomic(path, "new\n")
+        with pytest.raises(OSError, match="disk full"):
+            save_hae_checkpoint(init_params(RunConfig(h=4), 3, seed=2), checkpoint)
         assert path.read_text(encoding="utf-8") == self.OLD
-        assert os.listdir(tmp_path) == ["out.txt"]
+        assert checkpoint.read_bytes() == old_bytes
+        assert sorted(os.listdir(tmp_path)) == ["fusion.ghae", "out.txt"]
 
     @pytest.mark.parametrize("writer", ["model.txt", "metrics.tsv"])
     def test_failing_serializer_keeps_the_old_file(self, tmp_path, writer):

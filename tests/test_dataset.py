@@ -7,7 +7,6 @@ from grasp.dataset import (
     InteractionDataset,
     load_interactions,
     partition_head_tail,
-    read_id_map,
     sample_negatives,
     split_leave_one_out,
     write_id_map,
@@ -259,8 +258,7 @@ class TestNonHistory:
             make_ds({0: [0, 1]}).non_history(5)
 
 
-def test_id_map_round_trip(tmp_path):
-    raw = ["alpha", "beta", "42"]
+def test_write_id_map_bytes(tmp_path):
     path = tmp_path / "ids.tsv"
-    write_id_map(path, raw)
-    assert read_id_map(path) == raw
+    write_id_map(path, ["alpha", "beta", "42", "caf\u00e9"])
+    assert path.read_bytes() == "alpha\t0\nbeta\t1\n42\t2\ncaf\u00e9\t3\n".encode("utf-8")

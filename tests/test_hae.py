@@ -77,10 +77,8 @@ def encoder(stores, h=6, seed=1, **flags) -> SemanticEncoder:
 def encode_sequence(enc: SemanticEncoder, user: int, items) -> np.ndarray:
     """Enhanced (L, h) rows for one user's item sequence via the batched encoder."""
     items = np.asarray(items, dtype=np.int64)[None]
-    fused, _ = enc.encode_items(
-        np.array([user]), items,
-        positions_mask=np.ones(items.shape, dtype=bool), softmax_over_positions=True,
-    )
+    fused, _ = enc.encode_items(np.array([user]), items,
+                                positions_mask=np.ones(items.shape, dtype=bool))
     return fused[0]
 
 
@@ -356,23 +354,23 @@ class TestAblations:
         d = 4
         pre = (u * it).sum(-1) / np.sqrt(d)
         weights = np.exp(pre - pre.max()) / np.exp(pre - pre.max()).sum()
-        gates = hae._branch_concat(
-            u, ubar, it, itbar, cfg,
-            positions_mask=np.ones(3, dtype=bool), softmax_over_positions=True,
-        )
+        gates = hae._branch_concat(u, ubar, it, itbar, cfg, positions_mask=np.ones(3, dtype=bool))
         concat = gated_concat(gates, it, itbar)
         np.testing.assert_allclose(concat[:, :4], weights[:, None] * it, atol=1e-12)
 
     def test_softmax_standalone_items_get_unit_gate(self):
         u, ubar, it, itbar = self.setup_arrays()
         cfg = RunConfig(h=2, softmax_variant=True)
-        gates = hae._branch_concat(u, ubar, it, itbar, cfg, softmax_over_positions=False)
+        gates = hae._branch_concat(u, ubar, it, itbar, cfg)
         concat = gated_concat(gates, it, itbar)
         np.testing.assert_array_equal(concat[:, :4], it)
 
 
-def reference_concat(enc: SemanticEncoder, users, items, mask=None, over_positions=False):
-    """The gated (..., 4d) concat built in full from the branch formulas and ``enc.cfg``."""
+def reference_concat(enc: SemanticEncoder, users, items, mask=None):
+    """The gated (..., 4d) concat built in full from the branch formulas and ``enc.cfg``.
+
+    A ``mask`` marks a sequence: the softmax variant normalises over its real positions.
+    """
     cfg, us, ist = enc.cfg, enc.user_store, enc.item_store
     shape = (len(users),) + (1,) * (items.ndim - 1) + (-1,)
     u, ubar = us.matrix.values[users].reshape(shape), us.cache.pooled_means[users].reshape(shape)
@@ -380,13 +378,12 @@ def reference_concat(enc: SemanticEncoder, users, items, mask=None, over_positio
     d = it.shape[-1]
     s, m = (u * it).sum(axis=-1), (ubar * itbar).sum(axis=-1)
     pre = [s / math.sqrt(d), m / math.sqrt(d), (s + m) / math.sqrt(2 * d)]
-    if cfg.no_attention or (cfg.softmax_variant and not over_positions):
+    if cfg.no_attention or (cfg.softmax_variant and mask is None):
         g = [np.ones_like(s)] * 3
     elif cfg.softmax_variant:
-        valid = np.ones(s.shape, dtype=bool) if mask is None else mask
         g = []
         for x in pre:
-            e = np.where(valid, np.exp(x - np.where(valid, x, -np.inf).max(axis=-1, keepdims=True)), 0.0)
+            e = np.where(mask, np.exp(x - np.where(mask, x, -np.inf).max(axis=-1, keepdims=True)), 0.0)
             g.append(e / e.sum(axis=-1, keepdims=True))
     else:
         g = [1.0 / (1.0 + np.exp(-x)) for x in pre]
@@ -409,13 +406,15 @@ class TestFactoredForward:
     @pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "mask"])
     @pytest.mark.parametrize("flags", ABLATIONS, ids=flag_id)
     def test_matches_concat_reference(self, small_stores, flags, masked):
+        # "no_mask": every position of the sequence is real; "mask": left padding
         enc = encoder(small_stores, h=6, seed=4, **flags)
         rng = np.random.default_rng(11)
         users = np.array([5, 17, 5, 42])
         items = rng.integers(40, size=(4, 7))
-        mask = np.arange(7) >= 7 - np.array([7, 3, 1, 5])[:, None] if masked else None
-        got, _ = enc.encode_items(users, items, positions_mask=mask, softmax_over_positions=True)
-        want = reference_fuse(reference_concat(enc, users, items, mask, over_positions=True), enc.hae)
+        lengths = np.array([7, 3, 1, 5]) if masked else np.full(4, 7)
+        mask = np.arange(7) >= 7 - lengths[:, None]
+        got, _ = enc.encode_items(users, items, positions_mask=mask)
+        want = reference_fuse(reference_concat(enc, users, items, mask), enc.hae)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         # candidate grids: gates are never normalised across positions
         cands = rng.integers(40, size=(4, 7, 3))
@@ -424,7 +423,7 @@ class TestFactoredForward:
                                    rtol=1e-12, atol=0)
 
     def test_backward_matches_concat_reference(self, monkeypatch):
-        monkeypatch.setattr(hae, "CHUNK_ROWS", 4)  # 15 rows: chunks of 4, 4, 4, 3
+        monkeypatch.setattr(hae, "CHUNK_ROWS", 7)  # 15 rows in lists of 3: chunks of 6, 6, 3
         rng = np.random.default_rng(12)
         d, h = 3, 4
         p = init_params(RunConfig(h=h, h_hidden=6), d, seed=2)
@@ -454,6 +453,44 @@ class TestFactoredForward:
         for name, tensor in p.tensors().items():
             assert rel_error(grads[name], finite_diff(scalar, tensor, step=1e-5)) < 1e-4, name
 
+    # 18 rows in lists of 3: chunks of 12 and 6 rows, or one list per chunk when C > CHUNK_ROWS
+    @pytest.mark.parametrize("chunk", [12, 2], ids=["ragged", "C_over_chunk"])
+    @pytest.mark.parametrize("flags", ABLATIONS, ids=flag_id)
+    def test_readout_backward_matches_concat_reference(self, small_stores, monkeypatch, flags,
+                                                       chunk):
+        monkeypatch.setattr(hae, "CHUNK_ROWS", chunk)
+        enc = encoder(small_stores, h=4, seed=6, h_hidden=5, **flags)
+        p = enc.hae
+        rng = np.random.default_rng(14)
+        users = np.array([5, 17])
+        cands = rng.integers(40, size=(2, 3, 3))
+        cands[1, 2, 2] = cands[0, 0, 1]  # a repeated item
+        o = rng.standard_normal((2, 3, 4))
+        d_logit = rng.standard_normal((2, 3, 3))
+
+        logits, cache = enc.encode_items(users, cands, readout=o)
+        grads = enc.backward(cache, d_logit)
+        concat = reference_concat(enc, users, cands).reshape(-1, p.w1.shape[0])
+        a1 = concat @ p.w1 + p.b1
+        h1 = np.maximum(a1, 0.0)
+        fused = (h1 @ p.w2 + p.b2).reshape(2, 3, 3, 4)
+        np.testing.assert_allclose(logits, np.einsum("blh,blch->blc", o, fused), rtol=1e-12, atol=0)
+        up = (d_logit[..., None] * o[:, :, None, :]).reshape(-1, 4)
+        d_a1 = (up @ p.w2.T) * (a1 > 0)
+        want = {"w1": concat.T @ d_a1, "b1": d_a1.sum(axis=0), "w2": h1.T @ up,
+                "b2": up.sum(axis=0), "readout": np.einsum("blc,blch->blh", d_logit, fused)}
+        assert grads.keys() == want.keys()
+        for name, g in want.items():
+            np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12 * np.abs(g).max(),
+                                       err_msg=name)
+
+        def scalar():
+            out, _ = enc.encode_items(users, cands, readout=o)
+            return float((out * d_logit).sum())
+
+        for name, tensor in dict(p.tensors(), readout=o).items():
+            assert rel_error(grads[name], finite_diff(scalar, tensor, step=1e-5)) < 1e-4, name
+
     @pytest.mark.parametrize("n_cand, chunk", [(9, 4), (2100, None)], ids=["chunk_4", "C_over_chunk"])
     @pytest.mark.parametrize("flags", ABLATIONS, ids=flag_id)
     def test_candidate_scores_match_fused_readout(self, small_stores, monkeypatch, flags, n_cand,
@@ -481,7 +518,7 @@ def test_enhance_and_fuse_record(small_stores):
     # the encoder's cache keeps the branch record (gates and item row) its fused output came from
     user_store, item_store = small_stores
     enc = encoder(small_stores, h=4, seed=21)
-    fused, (gates, index, items, _) = enc.encode_items(np.array([3]), np.array([[5]]))
+    fused, (gates, index, items, *_) = enc.encode_items(np.array([3]), np.array([[5]]))
     item, ibar = item_store.matrix.values[5], item_store.cache.pooled_means[5]
     branches = item_branches(
         user_store.matrix.values[3], user_store.cache.pooled_means[3], item, ibar,

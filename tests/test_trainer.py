@@ -146,6 +146,22 @@ class TestTrainingBatch:
         assert batch.inputs.tolist() == [[22, 23, 24, 25, 26]]
         assert batch.targets.tolist() == [[23, 24, 25, 26, 27]]
 
+    def test_mixed_lengths_are_left_padded(self, small_corpus):
+        ds, _, _ = small_corpus
+        split = split_leave_one_out(ds)
+        batch = make_training_batch(split, ds, RunConfig(batch_size=16, max_seq_len=6),
+                                    np.random.default_rng(3))
+        assert len(set(batch.mask.sum(axis=1).tolist())) > 1
+        L = batch.inputs.shape[1]
+        for b, user in enumerate(batch.users):
+            prefix = split.entries[int(user)].train_prefix
+            real_in, real_tg = prefix[:-1][-6:], prefix[1:][-6:]
+            pad = L - len(real_in)
+            assert batch.mask[b].tolist() == [False] * pad + [True] * len(real_in)
+            assert batch.inputs[b].tolist() == [0] * pad + list(real_in)
+            assert batch.targets[b].tolist() == [0] * pad + list(real_tg)
+            assert not batch.negatives[b, :pad].any()
+
 
 class TestTrainEpoch:
     def test_zero_lr_keeps_params_bit_identical(self, small_corpus, small_stores):
