@@ -6,7 +6,8 @@ the fields, every layer reads its settings from it, and a checkpoint's
 text mirroring flag names (dashes or underscores both accepted); ``#``
 starts a comment.  Every command echoes its effective configuration into
 its summary output.  ``write_text_atomic``, the one writer of every output
-file, text or binary, lives here because this module loads without numpy.
+file, text or binary, and ``read_text``, which the line-based parsers
+share, live here because this module loads without numpy.
 """
 
 from __future__ import annotations
@@ -96,21 +97,20 @@ FIELD_TYPES = {
 def parse_config_file(path) -> dict:
     """Read flat key=value pairs, coercing to the RunConfig field types."""
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if key not in FIELD_TYPES:
-                raise DataError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = FIELD_TYPES[key](value.strip())
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        key = key.strip().replace("-", "_")
+        if key not in FIELD_TYPES:
+            raise DataError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = FIELD_TYPES[key](value.strip())
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -120,6 +120,19 @@ def write_key_values(path, entries: dict) -> None:
         f"{key}={int(value) if isinstance(value, bool) else value}\n"
         for key, value in entries.items()
     ))
+
+
+def read_text(path) -> str:
+    """``path`` as UTF-8 text, with ``\r\n`` and a lone ``\r`` read as ``\n``.
+
+    Bytes that are not UTF-8 are a ``DataError`` naming the file and the
+    offset, not the ``UnicodeDecodeError`` (a ``ValueError``) of ``open``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
 def write_text_atomic(path, *chunks) -> None:

@@ -1,11 +1,9 @@
 """Interaction-log ingestion, leave-one-out splits, and popularity partitions.
 
-The on-disk log format is UTF-8 text, one event per line,
-``user<TAB>item<TAB>timestamp`` with an integer timestamp; lines starting
-with ``#`` are comments and blank lines are skipped.  Raw ids are opaque
-strings; after filtering they are densely re-indexed from 0 in order of
-first appearance, and the raw<->dense maps are kept on the dataset (and can
-be persisted as two-column TSV).
+The log is UTF-8 text, one ``user<TAB>item<TAB>timestamp`` event per line
+(docs/interaction-log.md).  Raw ids are opaque strings; after filtering
+they are densely re-indexed from 0 in order of first appearance, and the
+raw<->dense maps are kept on the dataset (and can be persisted as TSV).
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import write_text_atomic
+from .config import read_text, write_text_atomic
 from .errors import DataError, ParseError
 
 
@@ -92,27 +90,73 @@ class GroupLabels:
     item_threshold: int
 
 
-def _parse_log(path) -> list[tuple[str, str, int]]:
-    events = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(
-                    f"expected user<TAB>item<TAB>timestamp, got {len(parts)} fields", lineno
-                )
-            user, item, ts = parts
-            if not user or not item:
-                raise ParseError("empty user or item id", lineno)
-            try:
-                ts_val = int(ts)
-            except ValueError:
-                raise ParseError(f"non-integer timestamp {ts!r}", lineno) from None
-            events.append((user, item, ts_val))
-    return events
+def _raise_first_bad_line(lines: list[str], path) -> None:
+    """Raise the ``ParseError`` of the first malformed line of ``lines``, if any."""
+    for lineno, line in enumerate(lines, start=1):
+        if not line or line[0] == "#":
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(
+                path, lineno, f"expected user<TAB>item<TAB>timestamp, got {len(parts)} fields"
+            )
+        if not parts[0] or not parts[1]:
+            raise ParseError(path, lineno, "empty user or item id")
+        try:
+            ts = int(parts[2])
+        except ValueError:
+            raise ParseError(path, lineno, f"non-integer timestamp {parts[2]!r}") from None
+        if not -(2**63) <= ts < 2**63:
+            raise ParseError(path, lineno, f"timestamp {parts[2]!r} does not fit int64")
+
+
+def _codes(ids: list[str]) -> tuple[np.ndarray, list[str]]:
+    """Each id's number in order of first appearance, and the distinct ids in that order."""
+    index = {raw: n for n, raw in enumerate(dict.fromkeys(ids))}
+    return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids)), list(index)
+
+
+def _parse_log(path):
+    """User codes, user ids, item codes, item ids and int64 timestamps, in file order."""
+    lines = read_text(path).split("\n")
+    body = [line for line in lines if line and line[0] != "#"]
+    if not body:
+        raise DataError(f"no interactions left after filtering {path}")
+    # Every line end becomes a "\n" field, which no line can hold: each line
+    # has three fields iff those marks are exactly every fourth field.
+    fields = "\t\n\t".join(body).split("\t")
+    n = len(body)
+    try:
+        if len(fields) != 4 * n - 1 or fields[3::4].count("\n") != n - 1:
+            raise ValueError("a line without three fields")
+        users, items = fields[0::4], fields[1::4]
+        if "" in users or "" in items:
+            raise ValueError("an empty id")
+        stamps = np.fromiter(map(int, fields[2::4]), np.int64, n)
+    except (ValueError, OverflowError):
+        _raise_first_bad_line(lines, path)  # names the line a check above tripped on
+        raise
+    return (*_codes(users), *_codes(items), stamps)
+
+
+def _filter_to_fixpoint(user, item, min_user_len, min_item_freq) -> np.ndarray:
+    """File positions of the events kept once no user or item is below its minimum."""
+    keep = np.arange(len(user))
+    while True:
+        u, i = user[keep], item[keep]
+        ok = (np.bincount(u)[u] >= min_user_len) & (np.bincount(i)[i] >= min_item_freq)
+        if ok.all():
+            return keep
+        keep = keep[ok]
+
+
+def _dense(codes: np.ndarray, raw_ids: list[str]) -> tuple[np.ndarray, list[str]]:
+    """``codes`` renumbered from 0 by first appearance, and the raw ids of the new numbers."""
+    distinct, first = np.unique(codes, return_index=True)
+    kept = distinct[np.argsort(first)]
+    remap = np.empty(len(raw_ids), dtype=np.int64)
+    remap[kept] = np.arange(len(kept))
+    return remap[codes], [raw_ids[c] for c in kept.tolist()]
 
 
 def load_interactions(path, min_user_len: int = 3, min_item_freq: int = 3) -> InteractionDataset:
@@ -121,69 +165,23 @@ def load_interactions(path, min_user_len: int = 3, min_item_freq: int = 3) -> In
     Users with fewer than ``min_user_len`` events and items with fewer than
     ``min_item_freq`` events are dropped iteratively until the filter is
     stable; surviving ids are re-indexed from 0 in order of first
-    appearance in the file.
+    appearance in the file.  A malformed line is a ``ParseError`` for the
+    first such line.
     """
-    events = _parse_log(path)
-    events = _filter_to_fixpoint(events, min_user_len, min_item_freq)
-    if not events:
+    user, user_ids, item, item_ids, stamps = _parse_log(path)
+    keep = _filter_to_fixpoint(user, item, min_user_len, min_item_freq)
+    if not len(keep):
         raise DataError(f"no interactions left after filtering {path}")
-    return _build_dataset(events)
-
-
-def _filter_to_fixpoint(events, min_user_len, min_item_freq):
-    while True:
-        user_counts: dict[str, int] = {}
-        item_counts: dict[str, int] = {}
-        for user, item, _ in events:
-            user_counts[user] = user_counts.get(user, 0) + 1
-            item_counts[item] = item_counts.get(item, 0) + 1
-        kept = [
-            ev
-            for ev in events
-            if user_counts[ev[0]] >= min_user_len and item_counts[ev[1]] >= min_item_freq
-        ]
-        if len(kept) == len(events):
-            return kept
-        events = kept
-
-
-def _build_dataset(events) -> InteractionDataset:
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    for user, item, _ in events:
-        if user not in user_index:
-            user_index[user] = len(user_index)
-        if item not in item_index:
-            item_index[item] = len(item_index)
-
-    # Stable sort on timestamp keeps file order for equal timestamps.
-    per_user: dict[int, list[tuple[int, int, int]]] = {u: [] for u in user_index.values()}
-    for order, (user, item, ts) in enumerate(events):
-        per_user[user_index[user]].append((ts, order, item_index[item]))
-    sequences = {
-        u: [item for _, _, item in sorted(evs, key=lambda e: (e[0], e[1]))]
-        for u, evs in per_user.items()
-    }
-
-    n_users, n_items = len(user_index), len(item_index)
-    user_freq = np.zeros(n_users, dtype=np.int64)
-    item_freq = np.zeros(n_items, dtype=np.int64)
-    for u, seq in sequences.items():
-        user_freq[u] = len(seq)
-        for i in seq:
-            item_freq[i] += 1
-
-    user_raw = [""] * n_users
-    for raw, dense in user_index.items():
-        user_raw[dense] = raw
-    item_raw = [""] * n_items
-    for raw, dense in item_index.items():
-        item_raw[dense] = raw
-
+    user, user_raw = _dense(user[keep], user_ids)
+    item, item_raw = _dense(item[keep], item_ids)
+    # File position breaks timestamp ties, so equal timestamps keep file order.
+    order = np.lexsort((keep, stamps[keep], user))
+    user_freq, item_freq = np.bincount(user), np.bincount(item)
+    flat, ends = item[order].tolist(), np.cumsum(user_freq).tolist()
     return InteractionDataset(
-        user_count=n_users,
-        item_count=n_items,
-        sequences=sequences,
+        user_count=len(user_raw),
+        item_count=len(item_raw),
+        sequences={u: flat[a:b] for u, (a, b) in enumerate(zip([0, *ends], ends))},
         item_frequency=item_freq,
         user_frequency=user_freq,
         user_raw_ids=user_raw,

@@ -14,10 +14,10 @@ class DataError(GraspError):
 
 
 class ParseError(DataError):
-    """A text input failed to parse; carries the offending line number."""
+    """A text input failed to parse; names the file and carries the offending line number."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, path, line: int, message: str):
+        super().__init__(f"{path}:{line}: {message}")
         self.line = line
 
 

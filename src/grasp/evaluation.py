@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import write_text_atomic
+from .config import read_text, write_text_atomic
 from .dataset import GroupLabels, InteractionDataset, LeaveOneOutSplit, sample_negatives
 from .errors import DataError, NumericError, ProtocolError
 from .ops import length_buckets
@@ -181,28 +181,29 @@ def emit_report(reports, path) -> None:
 
 
 def parse_report_tsv(path) -> list[MetricReport]:
+    """The reports of an ``emit_report`` file; one not ending in a newline is refused as cut."""
     reports: list[MetricReport] = []
     meta: dict[str, tuple[int, int, bool]] = {}
     data: dict[str, dict[int, tuple[float, float]]] = {}
     order: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != _HEADER:
-            raise DataError(f"{path}: unexpected header {first!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line or (line.startswith("#") and not line.startswith("# meta\t")):
-                continue
-            try:
-                if line.startswith("# meta\t"):
-                    _, group, n_users, n_skipped, empty = line.split("\t")
-                    meta[group] = (int(n_users), int(n_skipped), bool(int(empty)))
-                    order.append(group)
-                else:
-                    group, k, ndcg, hr = line.split("\t")
-                    data.setdefault(group, {})[int(k)] = (float(ndcg), float(hr))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: malformed row {line!r} ({exc})") from None
+    first, *lines = read_text(path).split("\n")
+    if first != _HEADER:
+        raise DataError(f"{path}: unexpected header {first!r}")
+    if lines[-1:] != [""]:
+        raise DataError(f"{path}: truncated: the last line has no newline")
+    for lineno, line in enumerate(lines, start=2):
+        if not line or (line.startswith("#") and not line.startswith("# meta\t")):
+            continue
+        try:
+            if line.startswith("# meta\t"):
+                _, group, n_users, n_skipped, empty = line.split("\t")
+                meta[group] = (int(n_users), int(n_skipped), bool(int(empty)))
+                order.append(group)
+            else:
+                group, k, ndcg, hr = line.split("\t")
+                data.setdefault(group, {})[int(k)] = (float(ndcg), float(hr))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: malformed row {line!r} ({exc})") from None
     for group in order:
         n_users, n_skipped, empty = meta[group]
         cells = data.get(group, {})

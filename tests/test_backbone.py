@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grasp.backbone import (
     Gru4Rec,
@@ -374,6 +376,38 @@ class TestDeterminismAndCheckpoints:
             np.testing.assert_array_equal(
                 loaded.params[name], tensor.astype(np.float32).astype(np.float64)
             )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["gru4rec", "sasrec"]), st.integers(1, 3), st.integers(1, 3),
+           st.sampled_from([1, 2]), st.integers(1, 6), st.floats(0.0, 0.9),
+           st.integers(0, 2**32 - 1))
+    def test_checkpoint_round_trip_generated(self, tmp_path_factory, kind, half_h, n_layers,
+                                             n_heads, max_seq_len, dropout, seed):
+        cfg = RunConfig(backbone=kind, h=2 * half_h, n_layers=n_layers, n_heads=n_heads,
+                        max_seq_len=max_seq_len, dropout=dropout)
+        model = build_backbone(cfg, seed=seed)
+        path = tmp_path_factory.mktemp("gbkb") / "bk.gbkb"
+        save_backbone_checkpoint(model, path)
+        loaded = build_backbone(cfg, seed=seed + 1)
+        load_backbone_checkpoint(loaded, path)
+        for name, tensor in model.params.items():
+            np.testing.assert_array_equal(
+                loaded.params[name], tensor.astype(np.float32).astype(np.float64)
+            )
+        data = path.read_bytes()
+        save_backbone_checkpoint(loaded, path)
+        assert path.read_bytes() == data
+
+    @pytest.mark.parametrize("kind", ["gru4rec", "sasrec"])
+    def test_truncation_at_every_offset(self, kind, tmp_path):
+        model = build_backbone(RunConfig(backbone=kind, h=2, max_seq_len=3, n_layers=1), seed=5)
+        path = tmp_path / "bk.gbkb"
+        save_backbone_checkpoint(model, path)
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(FormatError, match="truncated"):
+                load_backbone_checkpoint(model, path)
 
     @pytest.mark.parametrize("kind", ["gru4rec", "sasrec"])
     def test_version_1_file_loads(self, kind, tmp_path):

@@ -418,3 +418,49 @@ class TestLocking:
         assert run("train", "--data", data_dir, "--out", out, "--seeds", "42",
                    *TRAIN_FLAGS) == 3
         assert (out / ".grasp.lock").read_text() == content
+
+
+class TestUndecodableInputs:
+    """Bytes that are not UTF-8 are a data problem (exit 3) naming the file."""
+
+    def _assert_refused(self, capsys, path, *argv):
+        assert run(*argv) == 3
+        assert f"error: {path}: not valid UTF-8" in capsys.readouterr().err
+
+    def test_interaction_log(self, data_dir, tmp_path, capsys):
+        broken = tmp_path / "data"
+        shutil.copytree(data_dir, broken)
+        log = broken / "interactions.tsv"
+        log.write_bytes(log.read_bytes() + b"u\xff\t1\t1\n")
+        self._assert_refused(capsys, log, "train", "--data", broken, "--out", tmp_path / "o",
+                             *TRAIN_FLAGS)
+
+    def test_config_file(self, data_dir, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_bytes(b"# caf\xe9\nh=16\n")
+        self._assert_refused(capsys, cfg_file, "train", "--data", data_dir,
+                             "--out", tmp_path / "o", "--config", cfg_file)
+
+    def test_checkpoint_model_txt(self, data_dir, short_window, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(short_window / "seed42", ckpt)
+        model_txt = ckpt / "model.txt"
+        model_txt.write_bytes(model_txt.read_bytes() + b"\x80\n")
+        self._assert_refused(capsys, model_txt, "eval", "--data", data_dir,
+                             "--checkpoint", ckpt, "--out", tmp_path / "e")
+
+    def test_metrics_tsv(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics.tsv"
+        metrics.write_bytes(b"group\tk\tndcg\thr\n\xc3\n")
+        self._assert_refused(capsys, metrics, "report", "--metrics", metrics)
+
+
+def test_log_parse_error_names_the_file_and_line(data_dir, tmp_path, capsys):
+    broken = tmp_path / "data"
+    shutil.copytree(data_dir, broken)
+    log = broken / "interactions.tsv"
+    lines = log.read_text().splitlines()
+    lines[4] = "u1\ti1\tyesterday"
+    log.write_text("\n".join(lines) + "\n")
+    assert run("train", "--data", broken, "--out", tmp_path / "o", *TRAIN_FLAGS) == 3
+    assert f"error: {log}:5: non-integer timestamp 'yesterday'" in capsys.readouterr().err

@@ -1,8 +1,12 @@
 import os
+import re
 
 import pytest
 
-from grasp.config import RunConfig, parse_config_file, write_key_values, write_text_atomic
+from grasp.config import (
+    RunConfig, parse_config_file, read_text, write_key_values, write_text_atomic,
+)
+from grasp.errors import DataError
 from grasp.evaluation import emit_report, report_from_ranks
 from grasp.hae import init_params, save_hae_checkpoint
 
@@ -44,6 +48,30 @@ def test_key_value_file_round_trips(tmp_path):
     write_key_values(path, cfg.echo())
     assert "no_similar=1\n" in path.read_text()
     assert RunConfig(**parse_config_file(path)) == cfg
+
+
+class TestReadText:
+    def test_newlines_translated_like_text_mode(self, tmp_path):
+        # Only LF, CRLF and a lone CR end lines; form feed and U+2028 do not.
+        raw = "a\r\nb\rc\n\x0cd\u2028e\r\r\n".encode("utf-8")
+        path = tmp_path / "t.txt"
+        path.write_bytes(raw)
+        assert read_text(path) == "a\nb\nc\n\x0cd\u2028e\n\n"
+        with open(path, encoding="utf-8") as fh:
+            assert read_text(path) == fh.read()
+
+    def test_undecodable_bytes_are_data_error_with_offset(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"h=16\nlr=0.1\xff\n")
+        want = f"{path}: not valid UTF-8 (invalid start byte at byte 11)"
+        with pytest.raises(DataError, match=re.escape(want)):
+            parse_config_file(path)
+
+    def test_config_line_numbers_count_lone_cr(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"h=16\rlr=0.1\r\nbogus\n")
+        with pytest.raises(DataError, match=f"{path}:3: expected key=value"):
+            parse_config_file(path)
 
 
 class TestAtomicTextWrites:

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +15,7 @@ from grasp.dataset import (
     write_id_map,
 )
 from grasp.errors import DataError, ParseError
+from helpers import assert_same_dataset, reference_load_interactions
 
 
 def write_log(path, lines):
@@ -66,6 +70,7 @@ class TestLoadInteractions:
         with pytest.raises(ParseError) as exc:
             load_interactions(log, 1, 1)
         assert exc.value.line == 2
+        assert str(exc.value) == f"{log}:2: expected user<TAB>item<TAB>timestamp, got 1 fields"
 
     def test_bad_timestamp_reports_number(self, tmp_path):
         log = write_log(tmp_path / "log.tsv", ["u1\ta\tnot_a_ts"])
@@ -131,6 +136,128 @@ class TestLoadInteractions:
             for i in ds.sequences[u]:
                 decoded.append((ds.user_raw_ids[u], ds.item_raw_ids[i]))
         assert sorted(decoded) == sorted(raw_events)
+
+
+# Ids that are easy to mishandle: non-ASCII, inner spaces, characters that
+# str.splitlines() (but not a text-mode read) treats as line breaks, and a
+# "#" that starts a comment only at the start of a line.
+IDS = ["u1", "u2", "i", "caf\u00e9", "\u65e5\u672c", "a b", " lead", "x\x0cy", "p\u2028q",
+       "#hash", "7"]
+
+
+@st.composite
+def timestamps(draw):
+    """Timestamp text in the forms int() accepts, within int64, many of them equal."""
+    value = draw(st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1)))
+    digits = str(abs(value))
+    form = draw(st.sampled_from(["plain", "plus", "spaces", "underscores", "fullwidth"]))
+    if form == "underscores" and len(digits) > 1:
+        digits = digits[0] + "_" + digits[1:]
+    elif form == "fullwidth":
+        digits = "".join(chr(0xFF10 + int(d)) for d in digits)
+    sign = "-" if value < 0 else ("+" if form == "plus" else "")
+    pad = " " if form == "spaces" else ""
+    return f"{pad}{sign}{digits}{pad}"
+
+
+# Mostly three common ids, so that filters of up to 4 often leave something.
+ID = st.one_of(st.sampled_from(IDS[:3]), st.sampled_from(IDS[:3]), st.sampled_from(IDS))
+EVENT = st.tuples(ID, ID, timestamps()).map("\t".join)
+NOISE = st.sampled_from(["", "# a comment", "#\tx\ty\tz"])
+BAD = st.sampled_from([
+    "one field", "two\tfields", "four\tfields\t1\tx", " ",  # field counts
+    "\ta\t1", "u1\t\t1", "\t\t", "u1\t", "\t\t\t",  # empty ids, some with bad counts
+    "u1\ta\tx", "u1\ta\t1.5", "u1\ta\t", "u1\ta\t1e3",  # timestamps
+])
+
+
+def join_lines(draw, lines):
+    """``lines`` ended by a mix of LF, CRLF and lone CR; the last maybe unended."""
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[: -len(ends[-1])] if lines and draw(st.booleans()) else text
+
+
+@st.composite
+def valid_logs(draw):
+    lines = draw(st.lists(st.one_of(EVENT, EVENT, EVENT, NOISE), min_size=10, max_size=100))
+    return join_lines(draw, lines)
+
+
+@st.composite
+def malformed_logs(draw):
+    lines = draw(st.lists(st.one_of(EVENT, NOISE, BAD), max_size=30))
+    lines.insert(draw(st.integers(0, len(lines))), draw(BAD))
+    return join_lines(draw, lines)
+
+
+def load_both(path, min_user_len, min_item_freq):
+    """(dataset or exception) of the reader under test and of the loop oracle."""
+    out = []
+    for reader in (load_interactions, reference_load_interactions):
+        try:
+            out.append(reader(path, min_user_len, min_item_freq))
+        except DataError as exc:
+            out.append(exc)
+    return out
+
+
+class TestReaderMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(valid_logs(), st.integers(1, 4), st.integers(1, 4))
+    @example("", 1, 1)
+    @example("# only a comment\r\n\r", 1, 1)
+    @example("u\ta\t2\nu\tb\t1\nu\tc\t1\r\nv\ta\t+1\rv\tc\t1_0", 1, 1)
+    def test_valid_logs(self, tmp_path_factory, text, min_user_len, min_item_freq):
+        path = tmp_path_factory.mktemp("log") / "log.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        got, want = load_both(path, min_user_len, min_item_freq)
+        if isinstance(want, DataError):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert_same_dataset(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(malformed_logs(), st.integers(1, 4), st.integers(1, 4))
+    def test_malformed_logs_fail_at_the_same_first_line(self, tmp_path_factory, text,
+                                                         min_user_len, min_item_freq):
+        path = tmp_path_factory.mktemp("log") / "log.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        got, want = load_both(path, min_user_len, min_item_freq)
+        assert type(got) is type(want) is ParseError
+        assert got.line == want.line
+        assert str(got) == str(want)
+
+    @pytest.mark.parametrize("stamp", [str(2**63), str(-(2**63) - 1), "9" * 40])
+    def test_timestamp_outside_int64_is_parse_error(self, tmp_path, stamp):
+        # The oracle keeps python ints, so it accepts these; the reader refuses them.
+        log = write_log(tmp_path / "log.tsv", ["u1\ta\t1", "# c", f"u1\tb\t{stamp}"])
+        assert reference_load_interactions(log, 1, 1).interaction_count == 2
+        with pytest.raises(ParseError, match="does not fit int64") as exc:
+            load_interactions(log, 1, 1)
+        assert exc.value.line == 3
+
+    def test_int64_bounds_are_accepted(self, tmp_path):
+        log = write_log(tmp_path / "log.tsv", [f"u\ta\t{2**63 - 1}", f"u\tb\t{-(2**63)}"])
+        assert load_interactions(log, 1, 1).sequences == {0: [1, 0]}
+
+    def test_undecodable_log_names_the_file(self, tmp_path):
+        log = tmp_path / "log.tsv"
+        log.write_bytes(b"u1\ta\t1\nu\xff\tb\t2\n")
+        want = f"{log}: not valid UTF-8 (invalid start byte at byte 8)"
+        with pytest.raises(DataError, match=re.escape(want)):
+            load_interactions(log, 1, 1)
+
+    @pytest.mark.parametrize("seed", [1, 1001])
+    @pytest.mark.parametrize("workload", ["trend-sasrec", "long-gru4rec"])
+    def test_benchmark_logs(self, tmp_path, monkeypatch, workload, seed):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import WORKLOADS, make_inputs
+
+        make_inputs(WORKLOADS[workload], seed, str(tmp_path))
+        log = tmp_path / "interactions.tsv"
+        assert_same_dataset(load_interactions(log), reference_load_interactions(log))
 
 
 class TestSplit:

@@ -60,6 +60,30 @@ class TestMatrixIO:
         with pytest.raises(FormatError, match="non-finite"):
             es.load_embedding_matrix(path)
 
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float32, st.tuples(st.integers(1, 6), st.integers(1, 5)),
+                  elements=st.floats(width=32, allow_nan=False, allow_infinity=False)))
+    def test_binary_round_trip_generated(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("gemb") / "m.gemb"
+        es.save_embedding_matrix(es.matrix_from_array(values), path)
+        loaded = es.load_embedding_matrix(path)
+        assert loaded.values.dtype == np.float64
+        np.testing.assert_array_equal(loaded.values, values.astype(np.float64))
+        data = path.read_bytes()
+        es.save_embedding_matrix(loaded, path)
+        assert path.read_bytes() == data
+
+    def test_truncation_at_every_offset(self, tmp_path):
+        # Cuts inside the magic fall through to the TSV reader, which refuses them too.
+        path = tmp_path / "m.gemb"
+        es.save_embedding_matrix(es.matrix_from_array(np.arange(6.0).reshape(2, 3)), path)
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            want = "truncated" if cut >= 4 else "no embedding rows|line 1"
+            with pytest.raises(FormatError, match=want):
+                es.load_embedding_matrix(path)
+
     def test_values_are_read_only(self):
         m = es.matrix_from_array(np.ones((2, 2)))
         with pytest.raises(ValueError):

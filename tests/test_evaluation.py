@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grasp.dataset import partition_head_tail, split_leave_one_out
-from grasp.errors import NumericError, ProtocolError
+from grasp.errors import DataError, FormatError, NumericError, ProtocolError
 from grasp.evaluation import (
     KS,
+    MetricReport,
     UserRecord,
     emit_report,
     evaluate,
@@ -276,6 +279,24 @@ class TestGroupReport:
                 assert weighted == pytest.approx(report.ndcg[k], abs=1e-12)
 
 
+@st.composite
+def _reports(draw):
+    group = draw(st.text("abcdefghij_", min_size=1, max_size=12))
+    ranks = draw(st.lists(st.integers(1, 101), max_size=40))
+    report = report_from_ranks(ranks, group=group, n_skipped=draw(st.integers(0, 10**6)))
+    if draw(st.booleans()):  # arbitrary finite metric values, not only rank means
+        unit = st.floats(0.0, 1.0)
+        report = MetricReport(
+            ndcg={k: draw(unit) for k in KS}, hr={k: draw(unit) for k in KS},
+            n_users_evaluated=report.n_users_evaluated, n_skipped=report.n_skipped,
+            group=group, empty=report.empty,
+        )
+    return report
+
+
+REPORTS = _reports()
+
+
 class TestReportFiles:
     def _sample_reports(self):
         rng = np.random.default_rng(10)
@@ -302,6 +323,42 @@ class TestReportFiles:
         emit_report(self._sample_reports()[:1], path)
         data_rows = [l for l in path.read_text().splitlines()[1:] if l and not l.startswith("#")]
         assert len(data_rows) == 5
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(REPORTS, max_size=6, unique_by=lambda r: r.group))
+    def test_round_trip_generated(self, tmp_path_factory, reports):
+        path = tmp_path_factory.mktemp("tsv") / "metrics.tsv"
+        emit_report(reports, path)
+        assert parse_report_tsv(path) == reports
+
+    def test_truncation_at_every_offset(self, tmp_path):
+        # A cut that ends on a whole group, which the format cannot tell from
+        # a shorter report, reads as the groups before it; any other cut is
+        # refused as a DataError.
+        reports = self._sample_reports()
+        path = tmp_path / "metrics.tsv"
+        emit_report(reports, path)
+        data = path.read_bytes()
+        group_ends = {}
+        for n in range(len(reports) + 1):
+            emit_report(reports[:n], path)
+            group_ends[len(path.read_bytes())] = reports[:n]
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            if cut in group_ends:
+                assert parse_report_tsv(path) == group_ends[cut]
+                continue
+            with pytest.raises(DataError) as exc:
+                parse_report_tsv(path)
+            assert type(exc.value) in (DataError, FormatError)
+        assert len(group_ends) == len(reports) + 1
+
+    def test_undecodable_file_names_it(self, tmp_path):
+        path = tmp_path / "metrics.tsv"
+        emit_report(self._sample_reports(), path)
+        path.write_bytes(path.read_bytes().replace(b"overall", b"over\xe9ll", 1))
+        with pytest.raises(DataError, match=f"{path}: not valid UTF-8"):
+            parse_report_tsv(path)
 
     def test_table_renders_all_groups(self):
         table = format_report_table(self._sample_reports())

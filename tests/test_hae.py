@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grasp import embedstore as es
 from grasp import hae
@@ -548,6 +550,35 @@ def test_checkpoint_round_trip(tmp_path):
         np.testing.assert_array_equal(
             loaded.tensors()[name], tensor.astype(np.float32).astype(np.float64)
         )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_checkpoint_round_trip_generated(tmp_path_factory, d_sem, h_hidden, h, seed):
+    cfg = RunConfig(h=h, h_hidden=h_hidden)
+    p = init_params(cfg, d_sem, seed=seed)
+    path = tmp_path_factory.mktemp("ghae") / "fusion.ghae"
+    save_hae_checkpoint(p, path)
+    loaded = init_params(cfg, d_sem, seed=seed + 1)
+    load_hae_checkpoint(loaded, path)
+    for name, tensor in p.tensors().items():
+        np.testing.assert_array_equal(
+            loaded.tensors()[name], tensor.astype(np.float32).astype(np.float64)
+        )
+    data = path.read_bytes()
+    save_hae_checkpoint(loaded, path)
+    assert path.read_bytes() == data
+
+
+def test_checkpoint_truncation_at_every_offset(tmp_path):
+    p = init_params(RunConfig(h=3, h_hidden=4), 2, seed=6)
+    path = tmp_path / "fusion.ghae"
+    save_hae_checkpoint(p, path)
+    data = path.read_bytes()
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(FormatError, match="truncated"):
+            load_hae_checkpoint(p, path)
 
 
 def test_init_is_seeded_and_bounded():
