@@ -1,13 +1,27 @@
-"""Little-endian binary file helpers shared by the on-disk formats."""
+"""Little-endian binary file helpers shared by the on-disk formats.
+
+Each format declares its layout once, as packed NumPy structured dtypes: a
+header record that starts with ``magic S4`` and ``version <u2``, and a body
+of records.  ``save`` writes and ``Reader`` reads through that one
+declaration, so a field cannot be written one way and read another.  Reads
+check every length before they touch the data and refuse non-finite floats,
+so a loader can check a whole file before it assigns anything.
+"""
 
 from __future__ import annotations
-
-import struct
 
 import numpy as np
 
 from .config import write_text_atomic
 from .errors import FormatError
+
+
+def save(path, header_dtype: np.dtype, values, *bodies: np.ndarray) -> None:
+    """Write the header record ``values`` (every field, in order), then each body, atomically.
+
+    Each body is a C-contiguous array, written as its bytes.
+    """
+    write_text_atomic(path, np.array(tuple(values), dtype=header_dtype).tobytes(), *bodies)
 
 
 class Reader:
@@ -28,49 +42,51 @@ class Reader:
         self.pos += n
         return start
 
-    def _take(self, n: int) -> bytes:
-        start = self._advance(n)
-        return self.data[start : start + n]
-
-    def magic(self, expected: bytes) -> None:
-        offset = self.pos
-        got = self._take(len(expected))
-        if got != expected:
+    def header(self, dtype: np.dtype, magic: bytes, versions) -> dict:
+        """The header record's fields as Python values, once its magic and version check out."""
+        start = self.pos
+        got = self.data[start : start + len(magic)]
+        if len(got) == len(magic) and got != magic:
             raise FormatError(
-                f"{self.path}: bad magic at byte {offset}: "
-                f"expected {expected!r}, got {got!r}"
+                f"{self.path}: bad magic at byte {start}: expected {magic!r}, got {got!r}"
             )
-
-    def u8(self) -> int:
-        return self._take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self._take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
-
-    def f32(self) -> float:
-        return struct.unpack("<f", self._take(4))[0]
-
-    def f32_array(self, count: int) -> np.ndarray:
-        offset = self.pos
-        raw = self._take(4 * count)
-        arr = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-        if not np.isfinite(arr).all():
-            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
+        record = self.records(dtype, 1)[0]
+        fields = {name: record[name].item() for name in dtype.names}
+        if fields["version"] not in versions:
             raise FormatError(
-                f"{self.path}: non-finite value at byte {offset + 4 * bad}"
+                f"{self.path}: unsupported version {fields['version']} "
+                f"at byte {start + dtype.fields['version'][1]}"
             )
-        return arr
+        return fields
 
-    def records(self, dtype: np.dtype, count: int) -> np.ndarray:
-        """``count`` packed records of a structured dtype, as a read-only view."""
+    def records(self, dtype, count: int) -> np.ndarray:
+        """``count`` packed records of a structured dtype, as a read-only view.
+
+        ``dtype`` is anything ``np.dtype`` takes; a field shape too large for
+        NumPy is a record no file holds, so it reads as truncated.  The first
+        non-finite float of any field is refused at its byte.
+        """
+        try:
+            dtype = np.dtype(dtype)
+        except ValueError:
+            raise FormatError(
+                f"{self.path}: truncated at byte {self.pos} (record too large)"
+            ) from None
         start = self._advance(dtype.itemsize * count)
-        return np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
+        records = np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
+        bad_offsets = []
+        for name, (field, offset, *_) in dtype.fields.items():
+            if field.base.kind != "f":
+                continue
+            bad = ~np.isfinite(records[name])
+            if bad.any():
+                i = int(bad.argmax())  # flat index in file order: record, then element
+                per_record = bad[0].size
+                bad_offsets.append(start + i // per_record * dtype.itemsize + offset
+                                   + i % per_record * field.base.itemsize)
+        if bad_offsets:
+            raise FormatError(f"{self.path}: non-finite value at byte {min(bad_offsets)}")
+        return records
 
     def expect_field(self, name: str, got, want) -> None:
         """A header field read from the file must equal what the model needs."""
@@ -82,40 +98,6 @@ class Reader:
             raise FormatError(
                 f"{self.path}: {len(self.data) - self.pos} trailing bytes at byte {self.pos}"
             )
-
-
-class Writer:
-    """File parts in order; arrays are kept by reference until ``save`` writes them."""
-
-    def __init__(self):
-        self.parts: list = []
-
-    def magic(self, m: bytes):
-        self.parts.append(m)
-
-    def u8(self, v: int):
-        self.parts.append(struct.pack("<B", v))
-
-    def u16(self, v: int):
-        self.parts.append(struct.pack("<H", v))
-
-    def u32(self, v: int):
-        self.parts.append(struct.pack("<I", v))
-
-    def u64(self, v: int):
-        self.parts.append(struct.pack("<Q", v))
-
-    def f32(self, v: float):
-        self.parts.append(struct.pack("<f", v))
-
-    def f32_array(self, arr: np.ndarray):
-        self.parts.append(np.ascontiguousarray(arr, dtype="<f4"))
-
-    def records(self, arr: np.ndarray):
-        self.parts.append(np.ascontiguousarray(arr))
-
-    def save(self, path) -> None:
-        write_text_atomic(path, *self.parts)
 
 
 def read_file(path) -> Reader:

@@ -11,12 +11,13 @@ everything but remain queryable.
 
 On-disk formats:
 
-* ``GEMB`` matrix file: magic ``GEMB`` | version u16 LE = 1 | dtype u8 = 1
-  (32-bit IEEE-754) | reserved u8 = 0 | rows u64 | dim u64 | payload
-  rows x dim float32 LE row-major.  TSV alternative:
-  ``dense_id<TAB>space-separated decimals``.
-* ``GNBC`` neighbor cache: magic ``GNBC`` | version u16 | k u32 | rows u64
-  | dim u64 | per row: k neighbor ids u64 then dim pooled-mean float32.
+* ``GEMB`` matrix file (``GEMB_HEADER``, then one ``_gemb_row`` per row):
+  magic ``GEMB`` | version u16 LE = 1 | dtype u8 = 1 (32-bit IEEE-754) |
+  reserved u8 = 0 | rows u64 | dim u64 | payload rows x dim float32 LE
+  row-major.  TSV alternative: ``dense_id<TAB>space-separated decimals``.
+* ``GNBC`` neighbor cache (``GNBC_HEADER``, then one ``_gnbc_record`` per
+  row): magic ``GNBC`` | version u16 | k u32 | rows u64 | dim u64 | per
+  row: k neighbor ids u64 then dim pooled-mean float32.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .binio import Reader, Writer, read_file
+from . import binio
 from .config import write_text_atomic
 from .dataset import InteractionDataset
 from .errors import FormatError
@@ -35,7 +36,10 @@ GNBC_MAGIC = b"GNBC"
 FORMAT_VERSION = 1
 DTYPE_F32 = 1
 
-NORM_TOL = 1e-6
+GEMB_HEADER = np.dtype([("magic", "S4"), ("version", "<u2"), ("dtype", "u1"),
+                        ("reserved", "u1"), ("rows", "<u8"), ("dim", "<u8")])
+GNBC_HEADER = np.dtype([("magic", "S4"), ("version", "<u2"), ("k", "<u4"),
+                        ("rows", "<u8"), ("dim", "<u8")])
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -48,14 +52,12 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class EmbeddingMatrix:
     """Immutable row-major matrix of semantic embeddings.
 
-    ``normalized`` marks matrices whose nonzero rows have unit L2 norm;
-    ``zero_row_count`` reports rows that could not be normalized.
+    ``zero_row_count`` reports rows that ``normalize_rows`` could not normalize.
     """
 
     rows: int
     dim: int
     values: np.ndarray
-    normalized: bool = False
     zero_row_count: int = 0
 
     def __post_init__(self):
@@ -65,11 +67,6 @@ class EmbeddingMatrix:
             )
         if self.rows and not np.isfinite(self.values).all():
             raise ValueError("embedding matrix contains non-finite values")
-        if self.normalized and self.rows:
-            norms = np.linalg.norm(self.values, axis=1)
-            nonzero = norms > 0
-            if nonzero.any() and np.abs(norms[nonzero] - 1.0).max() > NORM_TOL:
-                raise ValueError("matrix flagged normalized but row norms deviate from 1")
         object.__setattr__(self, "values", _frozen(self.values))
 
 
@@ -85,32 +82,7 @@ def normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
     norms = np.linalg.norm(m.values, axis=1, keepdims=True)
     zero = norms[:, 0] == 0.0
     safe = np.where(norms == 0.0, 1.0, norms)
-    return replace(
-        m,
-        values=m.values / safe,
-        normalized=True,
-        zero_row_count=int(zero.sum()),
-    )
-
-
-def topk_neighbors(m: EmbeddingMatrix, row: int, k: int) -> list[tuple[int, float]]:
-    """The k most similar rows to ``row`` (self excluded), best first.
-
-    Requires a normalized matrix so that the dot product is cosine
-    similarity.  The order is (-sim, index) over the similarities as one
-    matrix-vector product computes them, so ties are broken by ascending
-    row index.  Distinct vectors whose cosines are equal mathematically
-    may still differ in the last bit and then order by rounding.
-    """
-    if not m.normalized:
-        raise ValueError("topk_neighbors requires a normalized matrix")
-    if not (0 <= row < m.rows):
-        raise ValueError(f"row {row} out of range for {m.rows} rows")
-    if not (1 <= k <= m.rows - 1):
-        raise ValueError(f"k={k} out of range: need 1 <= k <= rows-1 = {m.rows - 1}")
-    sims = (m.values @ m.values[row])[None, :]
-    order = _select_topk(sims, np.array([row]), k)[0]
-    return [(int(i), float(sims[0, i])) for i in order]
+    return replace(m, values=m.values / safe, zero_row_count=int(zero.sum()))
 
 
 def _select_topk(sims: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
@@ -170,7 +142,7 @@ def build_neighbor_cache(m: EmbeddingMatrix, k: int, block: int = 64) -> Neighbo
     """
     if not (1 <= k <= m.rows - 1):
         raise ValueError(f"k={k} out of range: need 1 <= k <= rows-1 = {m.rows - 1}")
-    unit = m.values if m.normalized else normalize_rows(m).values
+    unit = normalize_rows(m).values
     ids = np.empty((m.rows, k), dtype=np.int64)
     pooled = np.empty((m.rows, m.dim), dtype=np.float64)
     # One buffer for every block: a fresh block-sized array per GEMM is a
@@ -189,34 +161,27 @@ def build_neighbor_cache(m: EmbeddingMatrix, k: int, block: int = 64) -> Neighbo
 # Matrix / cache persistence
 
 
+def _gemb_row(dim: int) -> list:
+    return [("values", "<f4", (dim,))]
+
+
 def save_embedding_matrix(m: EmbeddingMatrix, path) -> None:
-    w = Writer()
-    w.magic(GEMB_MAGIC)
-    w.u16(FORMAT_VERSION)
-    w.u8(DTYPE_F32)
-    w.u8(0)
-    w.u64(m.rows)
-    w.u64(m.dim)
-    w.f32_array(m.values)
-    w.save(path)
+    body = np.empty(m.rows, _gemb_row(m.dim))
+    body["values"] = m.values
+    binio.save(path, GEMB_HEADER, (GEMB_MAGIC, FORMAT_VERSION, DTYPE_F32, 0, m.rows, m.dim), body)
 
 
-def _load_binary_matrix(r: Reader) -> EmbeddingMatrix:
-    r.magic(GEMB_MAGIC)
-    version = r.u16()
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{r.path}: unsupported version {version} at byte 4")
-    dtype = r.u8()
-    if dtype != DTYPE_F32:
-        raise FormatError(f"{r.path}: unsupported dtype code {dtype} at byte 6")
-    r.u8()
-    rows = r.u64()
-    dim = r.u64()
+def _load_binary_matrix(r: binio.Reader) -> EmbeddingMatrix:
+    head = r.header(GEMB_HEADER, GEMB_MAGIC, (FORMAT_VERSION,))
+    if head["dtype"] != DTYPE_F32:
+        raise FormatError(f"{r.path}: unsupported dtype code {head['dtype']} "
+                          f"at byte {GEMB_HEADER.fields['dtype'][1]}")
+    rows, dim = head["rows"], head["dim"]
     if dim == 0:
         raise FormatError(f"{r.path}: dim must be positive")
-    values = r.f32_array(rows * dim).reshape(rows, dim)
+    values = r.records(_gemb_row(dim), rows)["values"]
     r.expect_eof()
-    return EmbeddingMatrix(rows=rows, dim=dim, values=values)
+    return EmbeddingMatrix(rows=rows, dim=dim, values=values.astype(np.float64))
 
 
 def _load_tsv_matrix(path) -> EmbeddingMatrix:
@@ -262,55 +227,36 @@ def load_embedding_matrix(path) -> EmbeddingMatrix:
     with open(path, "rb") as fh:
         head = fh.read(4)
     if head == GEMB_MAGIC:
-        return _load_binary_matrix(read_file(path))
+        return _load_binary_matrix(binio.read_file(path))
     return _load_tsv_matrix(path)
 
 
-def _gnbc_record(k: int, dim: int) -> np.dtype:
-    return np.dtype([("ids", "<u8", (k,)), ("mean", "<f4", (dim,))])
+def _gnbc_record(k: int, dim: int) -> list:
+    return [("ids", "<u8", (k,)), ("mean", "<f4", (dim,))]
 
 
 def save_neighbor_cache(cache: NeighborCache, path) -> None:
-    w = Writer()
-    w.magic(GNBC_MAGIC)
-    w.u16(FORMAT_VERSION)
-    w.u32(cache.k)
-    w.u64(cache.rows)
-    w.u64(cache.dim)
     records = np.empty(cache.rows, dtype=_gnbc_record(cache.k, cache.dim))
     records["ids"] = cache.neighbor_ids
     records["mean"] = cache.pooled_means
-    w.records(records)
-    w.save(path)
+    binio.save(path, GNBC_HEADER,
+               (GNBC_MAGIC, FORMAT_VERSION, cache.k, cache.rows, cache.dim), records)
 
 
 def load_neighbor_cache(path) -> NeighborCache:
-    r = read_file(path)
-    r.magic(GNBC_MAGIC)
-    version = r.u16()
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version} at byte 4")
-    k = r.u32()
-    rows = r.u64()
-    dim = r.u64()
+    r = binio.read_file(path)
+    head = r.header(GNBC_HEADER, GNBC_MAGIC, (FORMAT_VERSION,))
+    k, rows, dim = head["k"], head["rows"], head["dim"]
     if k == 0 or dim == 0:
         raise FormatError(f"{path}: k and dim must be positive")
-    record = _gnbc_record(k, dim)
-    start = r.pos
-    records = r.records(record, rows)
+    records = r.records(_gnbc_record(k, dim), rows)
     r.expect_eof()
-    means = records["mean"]
-    bad = np.argwhere(~np.isfinite(means))
-    if len(bad):
-        row, col = bad[0]
-        offset = start + row * record.itemsize + record.fields["mean"][1] + 4 * col
-        raise FormatError(f"{path}: non-finite value at byte {offset}")
     ids = records["ids"].astype(np.int64)
     if rows and (ids.min() < 0 or ids.max() >= rows):
         raise FormatError(f"{path}: neighbor id out of range")
     if (ids == np.arange(rows)[:, None]).any():
         raise FormatError(f"{path}: a row lists itself among its neighbors")
-    return NeighborCache(k=k, neighbor_ids=ids, pooled_means=means.astype(np.float64))
+    return NeighborCache(k=k, neighbor_ids=ids, pooled_means=records["mean"].astype(np.float64))
 
 
 # ---------------------------------------------------------------------------

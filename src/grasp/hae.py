@@ -36,8 +36,9 @@ sigmoid with a masked softmax over sequence positions (standalone items,
 such as candidates, get gate 1); the softmax variant is the one
 configuration whose rows are not independent across positions.
 
-Checkpoint format ``GHAE``: magic | version u16 | d_sem u32 | h_hidden u32
-| h u32 | tensors w1, b1, w2, b2 as float32 LE.
+Checkpoint format ``GHAE`` (``GHAE_HEADER``, then one ``_tensor_record``):
+magic | version u16 | d_sem u32 | h_hidden u32 | h u32 | tensors w1, b1,
+w2, b2 as float32 LE.
 """
 
 from __future__ import annotations
@@ -46,14 +47,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binio import Writer, read_file
+from . import binio
 from .config import RunConfig
 from .embedstore import EmbeddingMatrix, NeighborCache
-from .errors import FormatError
 from .ops import sigmoid, uniform_init
 
 GHAE_MAGIC = b"GHAE"
 GHAE_VERSION = 1
+GHAE_HEADER = np.dtype([("magic", "S4"), ("version", "<u2"), ("d_sem", "<u4"),
+                        ("h_hidden", "<u4"), ("h", "<u4")])
 
 
 @dataclass
@@ -266,26 +268,25 @@ def _dims(p: HaeParams) -> dict[str, int]:
     return {"d_sem": p.w1.shape[0] // 4, "h_hidden": p.w1.shape[1], "h": p.w2.shape[1]}
 
 
+def _tensor_record(p: HaeParams) -> list:
+    return [(name, "<f4", tensor.shape) for name, tensor in p.tensors().items()]
+
+
 def save_hae_checkpoint(p: HaeParams, path) -> None:
-    w = Writer()
-    w.magic(GHAE_MAGIC)
-    w.u16(GHAE_VERSION)
-    for value in _dims(p).values():
-        w.u32(value)
-    for tensor in p.tensors().values():
-        w.f32_array(tensor)
-    w.save(path)
+    binio.save(path, GHAE_HEADER, (GHAE_MAGIC, GHAE_VERSION, *_dims(p).values()),
+               np.array(tuple(p.tensors().values()), dtype=_tensor_record(p)))
 
 
 def load_hae_checkpoint(p: HaeParams, path) -> None:
-    """Overwrite ``p`` from a GHAE file whose header matches its shapes."""
-    r = read_file(path)
-    r.magic(GHAE_MAGIC)
-    version = r.u16()
-    if version != GHAE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+    """Overwrite ``p`` from a GHAE file whose header matches its shapes.
+
+    The whole file is read and checked first, so on ``FormatError`` ``p`` is unchanged.
+    """
+    r = binio.read_file(path)
+    head = r.header(GHAE_HEADER, GHAE_MAGIC, (GHAE_VERSION,))
     for name, want in _dims(p).items():
-        r.expect_field(name, r.u32(), want)
-    for tensor in p.tensors().values():
-        tensor[...] = r.f32_array(tensor.size).reshape(tensor.shape)
+        r.expect_field(name, head[name], want)
+    record = r.records(_tensor_record(p), 1)[0]
     r.expect_eof()
+    for name, tensor in p.tensors().items():
+        tensor[...] = record[name]

@@ -79,15 +79,14 @@ def test_criterion_01_retrieval_oracle_equivalence():
         rows = int(rng.integers(5, 201))
         dim = int(rng.integers(2, 33))
         values = rng.standard_normal((rows, dim))
-        m = es.normalize_rows(es.matrix_from_array(values))
         k = int(rng.integers(1, min(rows, 20)))
+        cache = es.build_neighbor_cache(es.matrix_from_array(values), k)
         check_rows = range(rows) if rows <= 40 else rng.choice(rows, size=40, replace=False)
         for row in check_rows:
-            got = es.topk_neighbors(m, int(row), k)
-            expected = brute_force_topk(values, int(row), k)
-            assert [i for i, _ in got] == [i for i, _ in expected]
+            expected = [i for i, _ in brute_force_topk(values, int(row), k)]
+            assert cache.neighbor_ids[row].tolist() == expected
             np.testing.assert_allclose(
-                [s for _, s in got], [s for _, s in expected], atol=1e-6
+                cache.pooled_means[row], values[expected].mean(axis=0), rtol=0, atol=1e-12
             )
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"retrieval oracle sweep took {elapsed:.1f}s"

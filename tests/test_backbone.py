@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,6 @@ from grasp.backbone import (
     save_backbone_checkpoint,
 )
 from grasp.backbone.common import dropout_mask
-from grasp.binio import Writer
 from grasp.config import RunConfig
 from grasp.errors import FormatError
 from grasp.model import IdEncoder, RecModel
@@ -348,6 +350,35 @@ class TestScore:
         assert candidate_score(o, i) == candidate_score(i, o)
 
 
+GBKB_HEADER = 27  # magic 4 | version 2 | kind 1 | h, max_seq_len, n_layers, n_heads | dropout 4
+
+
+def pack_gbkb(model, version=2, key_bias=None) -> bytes:
+    """A GBKB file packed field by field with ``struct``, independent of numpy I/O.
+
+    ``key_bias`` (h values) follows each ``wk{layer}``, as in a version 1 SASRec file.
+    """
+    cfg = model.cfg
+    kind = {"gru4rec": 1, "sasrec": 2}[cfg.backbone]
+    out = [b"GBKB", struct.pack("<HBIIIIf", version, kind, cfg.h, cfg.max_seq_len,
+                                model.n_layers, cfg.n_heads, cfg.dropout)]
+    for name, tensor in model.params.items():
+        out.append(struct.pack(f"<{tensor.size}f", *tensor.ravel().tolist()))
+        if key_bias is not None and name.startswith("wk"):
+            out.append(struct.pack(f"<{len(key_bias)}f", *key_bias))
+    return b"".join(out)
+
+
+def snapshot(model) -> dict:
+    return {name: tensor.copy() for name, tensor in model.params.items()}
+
+
+def assert_unchanged(model, before: dict) -> None:
+    assert list(model.params) == list(before)
+    for name, tensor in model.params.items():
+        np.testing.assert_array_equal(tensor, before[name], err_msg=name)
+
+
 class TestDeterminismAndCheckpoints:
     @pytest.mark.parametrize("kind", ["gru4rec", "sasrec"])
     def test_seeded_init_is_reproducible(self, kind):
@@ -399,35 +430,65 @@ class TestDeterminismAndCheckpoints:
         assert path.read_bytes() == data
 
     @pytest.mark.parametrize("kind", ["gru4rec", "sasrec"])
-    def test_truncation_at_every_offset(self, kind, tmp_path):
-        model = build_backbone(RunConfig(backbone=kind, h=2, max_seq_len=3, n_layers=1), seed=5)
+    def test_save_matches_struct_packing(self, kind, tmp_path):
+        model = build_backbone(RunConfig(backbone=kind, h=4, max_seq_len=5, n_layers=2,
+                                         n_heads=2, dropout=0.3), seed=5)
         path = tmp_path / "bk.gbkb"
         save_backbone_checkpoint(model, path)
+        assert path.read_bytes() == pack_gbkb(model)
+
+    @pytest.mark.parametrize("kind", ["gru4rec", "sasrec"])
+    def test_truncation_at_every_offset(self, kind, tmp_path):
+        cfg = RunConfig(backbone=kind, h=2, max_seq_len=3, n_layers=1)
+        path = tmp_path / "bk.gbkb"
+        save_backbone_checkpoint(build_backbone(cfg, seed=5), path)
         data = path.read_bytes()
+        target = build_backbone(cfg, seed=6)
+        before = snapshot(target)
         for cut in range(len(data)):
             path.write_bytes(data[:cut])
             with pytest.raises(FormatError, match="truncated"):
-                load_backbone_checkpoint(model, path)
+                load_backbone_checkpoint(target, path)
+            assert_unchanged(target, before)
+        path.write_bytes(data + b"\0")
+        with pytest.raises(FormatError, match=f"1 trailing bytes at byte {len(data)}"):
+            load_backbone_checkpoint(target, path)
+        assert_unchanged(target, before)
+
+    @pytest.mark.parametrize("kind", ["gru4rec", "sasrec"])
+    def test_non_finite_tensor_is_refused_at_its_byte(self, kind, tmp_path):
+        cfg = RunConfig(backbone=kind, h=2, max_seq_len=3, n_layers=2)
+        model = build_backbone(cfg, seed=5)
+        data = pack_gbkb(model)
+        target = build_backbone(cfg, seed=6)
+        before = snapshot(target)
+        path = tmp_path / "bk.gbkb"
+        offset, bads = GBKB_HEADER, []
+        for name, tensor in model.params.items():
+            bad = offset + 4 * (tensor.size // 2)
+            path.write_bytes(data[:bad] + struct.pack("<f", math.nan) + data[bad + 4 :])
+            with pytest.raises(FormatError, match=f"non-finite value at byte {bad}$"):
+                load_backbone_checkpoint(target, path)
+            assert_unchanged(target, before)
+            bads.append(bad)
+            offset += 4 * tensor.size
+        assert offset == len(data)
+        # with a NaN in every tensor, the first in file order is the one reported
+        spoiled = bytearray(data)
+        for bad in bads:
+            spoiled[bad : bad + 4] = struct.pack("<f", math.nan)
+        path.write_bytes(bytes(spoiled))
+        with pytest.raises(FormatError, match=f"non-finite value at byte {bads[0]}$"):
+            load_backbone_checkpoint(target, path)
 
     @pytest.mark.parametrize("kind", ["gru4rec", "sasrec"])
     def test_version_1_file_loads(self, kind, tmp_path):
         # A version 1 SASRec file holds a key bias after each wk{layer}: read and dropped.
         cfg = RunConfig(backbone=kind, h=4, max_seq_len=12, n_layers=2)
         model = build_backbone(cfg, seed=5)
-        rng = np.random.default_rng(0)
-        w = Writer()
-        w.magic(b"GBKB")
-        w.u16(1)
-        w.u8({"gru4rec": 1, "sasrec": 2}[kind])
-        for value in (cfg.h, cfg.max_seq_len, model.n_layers, cfg.n_heads):
-            w.u32(value)
-        w.f32(cfg.dropout)
-        for name, tensor in model.params.items():
-            w.f32_array(tensor)
-            if kind == "sasrec" and name.startswith("wk"):
-                w.f32_array(rng.standard_normal(cfg.h))
+        key_bias = np.random.default_rng(0).standard_normal(cfg.h).tolist()
         path = tmp_path / "v1.gbkb"
-        w.save(path)
+        path.write_bytes(pack_gbkb(model, 1, key_bias if kind == "sasrec" else None))
         loaded = build_backbone(cfg, seed=6)
         load_backbone_checkpoint(loaded, path)
         assert not any(name.startswith("bk") for name in loaded.params)
@@ -435,7 +496,6 @@ class TestDeterminismAndCheckpoints:
             np.testing.assert_array_equal(
                 loaded.params[name], tensor.astype(np.float32).astype(np.float64)
             )
-        w.parts[1] = (3).to_bytes(2, "little")
-        w.save(path)
+        path.write_bytes(pack_gbkb(model, 3))
         with pytest.raises(FormatError, match="unsupported version 3"):
             load_backbone_checkpoint(loaded, path)

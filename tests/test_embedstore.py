@@ -11,6 +11,14 @@ from grasp.errors import FormatError
 from helpers import brute_force_topk
 
 
+def pack_gemb(values: np.ndarray) -> bytes:
+    """A GEMB file packed field by field with ``struct``, independent of numpy I/O."""
+    rows, dim = values.shape
+    out = [b"GEMB", struct.pack("<HBBQQ", 1, 1, 0, rows, dim)]
+    out += [struct.pack(f"<{dim}f", *row.tolist()) for row in values]
+    return b"".join(out)
+
+
 class TestMatrixIO:
     def test_binary_round_trip(self, tmp_path):
         m = es.matrix_from_array(np.arange(6, dtype=np.float64).reshape(2, 3))
@@ -19,7 +27,6 @@ class TestMatrixIO:
         loaded = es.load_embedding_matrix(path)
         assert loaded.rows == 2 and loaded.dim == 3
         np.testing.assert_array_equal(loaded.values, m.values)
-        assert not loaded.normalized
 
     def test_tsv_identity(self, tmp_path):
         path = tmp_path / "m.tsv"
@@ -57,7 +64,20 @@ class TestMatrixIO:
         data = bytearray(path.read_bytes())
         data[-4:] = np.array([np.nan], dtype="<f4").tobytes()
         path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match="non-finite"):
+        with pytest.raises(FormatError, match=f"non-finite value at byte {len(data) - 4}$"):
+            es.load_embedding_matrix(path)
+
+    def test_save_matches_struct_packing(self, tmp_path):
+        values = np.random.default_rng(3).standard_normal((3, 5))
+        path = tmp_path / "m.gemb"
+        es.save_embedding_matrix(es.matrix_from_array(values), path)
+        assert path.read_bytes() == pack_gemb(values)
+
+    @pytest.mark.parametrize("rows,dim", [(1, 2**31), (2**62, 2**40)])
+    def test_huge_shape_is_format_error(self, tmp_path, rows, dim):
+        path = tmp_path / "m.gemb"
+        path.write_bytes(b"GEMB" + struct.pack("<HBBQQ", 1, 1, 0, rows, dim))
+        with pytest.raises(FormatError, match="truncated at byte 24"):
             es.load_embedding_matrix(path)
 
     @settings(max_examples=100, deadline=None)
@@ -95,7 +115,6 @@ class TestNormalize:
         m = es.matrix_from_array(np.array([[3.0, 4.0]]))
         n = es.normalize_rows(m)
         np.testing.assert_allclose(n.values, [[0.6, 0.8]], atol=1e-12)
-        assert n.normalized
 
     def test_unit_row_unchanged(self):
         m = es.matrix_from_array(np.array([[1.0, 0.0]]))
@@ -108,15 +127,18 @@ class TestNormalize:
         np.testing.assert_array_equal(n.values[0], [0.0, 0.0])
 
 
+def neighbor_ids(values, k: int) -> np.ndarray:
+    return es.build_neighbor_cache(es.matrix_from_array(values), k).neighbor_ids
+
+
 class TestTopK:
+    """Each row's neighbors in the built cache, against hand-worked cases and the oracle."""
+
     def test_duplicate_beats_orthogonal(self):
-        m = es.normalize_rows(es.matrix_from_array(np.array([[1.0, 0], [1.0, 0], [0, 1.0]])))
-        assert es.topk_neighbors(m, 0, 1) == [(1, 1.0)]
+        assert neighbor_ids([[1.0, 0], [1.0, 0], [0, 1.0]], 1)[0].tolist() == [1]
 
     def test_only_candidate(self):
-        m = es.normalize_rows(es.matrix_from_array(np.array([[1.0, 0], [0, 1.0]])))
-        (idx, sim), = es.topk_neighbors(m, 0, 1)
-        assert idx == 1 and abs(sim) < 1e-12
+        assert neighbor_ids([[1.0, 0], [0, 1.0]], 1)[0].tolist() == [1]
 
     def test_tie_broken_by_ascending_index(self):
         rows = np.array([
@@ -125,20 +147,13 @@ class TestTopK:
             [0.3, 0.9],
             [1.0, 0.0],  # and at index 5
         ])
-        m = es.normalize_rows(es.matrix_from_array(rows))
-        top2 = es.topk_neighbors(m, 0, 2)
-        assert [idx for idx, _ in top2] == [3, 5]
-        assert all(abs(sim - 1.0) < 1e-12 for _, sim in top2)
+        assert neighbor_ids(rows, 2)[0].tolist() == [3, 5]
 
     def test_k_out_of_range(self):
-        m = es.normalize_rows(es.matrix_from_array(np.eye(3)))
-        with pytest.raises(ValueError):
-            es.topk_neighbors(m, 0, 3)
-
-    def test_requires_normalized(self):
-        m = es.matrix_from_array(np.eye(3) * 2.0)
-        with pytest.raises(ValueError):
-            es.topk_neighbors(m, 0, 1)
+        m = es.matrix_from_array(np.eye(3))
+        for k in (0, 3):
+            with pytest.raises(ValueError):
+                es.build_neighbor_cache(m, k)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(123)
@@ -146,42 +161,35 @@ class TestTopK:
             rows = int(rng.integers(5, 40))
             dim = int(rng.integers(2, 16))
             values = rng.standard_normal((rows, dim))
-            m = es.normalize_rows(es.matrix_from_array(values))
             k = int(rng.integers(1, rows))
+            cache = es.build_neighbor_cache(es.matrix_from_array(values), k)
             for row in range(0, rows, 3):
-                got = es.topk_neighbors(m, row, k)
-                expected = brute_force_topk(values, row, k)
-                assert [i for i, _ in got] == [i for i, _ in expected]
+                expected = [i for i, _ in brute_force_topk(values, row, k)]
+                assert cache.neighbor_ids[row].tolist() == expected
                 np.testing.assert_allclose(
-                    [s for _, s in got], [s for _, s in expected], atol=1e-6
+                    cache.pooled_means[row], values[expected].mean(axis=0), rtol=0, atol=1e-12
                 )
 
     def test_self_exclusion_property(self):
         rng = np.random.default_rng(9)
-        values = rng.standard_normal((30, 6))
-        m = es.normalize_rows(es.matrix_from_array(values))
+        ids = neighbor_ids(rng.standard_normal((30, 6)), 10)
         for row in range(30):
-            assert row not in [i for i, _ in es.topk_neighbors(m, row, 10)]
+            assert row not in ids[row]
 
     def test_permutation_equivariance(self):
         # neighbors of the permuted query map back through the permutation
         # (random data is tie-free, so order is preserved too)
         rng = np.random.default_rng(17)
         values = rng.standard_normal((12, 5))
-        m = es.normalize_rows(es.matrix_from_array(values))
         perm = rng.permutation(12)
-        mp = es.normalize_rows(es.matrix_from_array(values[perm]))
+        base, permuted = neighbor_ids(values, 4), neighbor_ids(values[perm], 4)
         inverse = np.argsort(perm)
         for row in range(12):
-            base = [i for i, _ in es.topk_neighbors(m, row, 4)]
-            permuted = [perm[i] for i, _ in es.topk_neighbors(mp, inverse[row], 4)]
-            assert permuted == base
+            assert perm[permuted[inverse[row]]].tolist() == base[row].tolist()
 
     def test_zero_row_query_gets_smallest_indices(self):
         values = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        m = es.normalize_rows(es.matrix_from_array(values))
-        got = [i for i, _ in es.topk_neighbors(m, 0, 2)]
-        assert got == [1, 2]
+        assert neighbor_ids(values, 2)[0].tolist() == [1, 2]
 
 
 class TestNeighborCache:
@@ -243,7 +251,7 @@ class TestNeighborCache:
     def test_cache_bad_magic(self, tmp_path):
         path = tmp_path / "bad.gnbc"
         path.write_bytes(b"NOPE" + b"\x00" * 30)
-        with pytest.raises(FormatError, match="magic"):
+        with pytest.raises(FormatError, match="bad magic at byte 0: expected b'GNBC', got b'NOPE'"):
             es.load_neighbor_cache(path)
 
     def test_k_bounds(self):
@@ -285,18 +293,6 @@ class TestSelectionProperties:
             ids = es.build_neighbor_cache(m, k).neighbor_ids
             assert ids.tolist() == [lexsort_topk(sims[row], row, k) for row in range(rows)]
 
-    @settings(max_examples=100, deadline=None)
-    @given(tie_heavy)
-    @example(np.zeros((4, 2)))
-    def test_topk_neighbors_equals_per_row_lexsort(self, values):
-        m = es.normalize_rows(es.matrix_from_array(values))
-        for row in range(m.rows):
-            sims = m.values @ m.values[row]
-            for k in range(1, m.rows):
-                got = es.topk_neighbors(m, row, k)
-                assert [i for i, _ in got] == lexsort_topk(sims, row, k)
-                assert [s for _, s in got] == sims[[i for i, _ in got]].tolist()
-
 
 GNBC_HEADER = 26  # magic 4 | version 2 | k 4 | rows 8 | dim 8
 
@@ -335,6 +331,12 @@ class TestGnbcFile:
 
     def test_huge_row_count_is_format_error(self, cache, tmp_path):
         data = pack_gnbc(cache.neighbor_ids, cache.pooled_means, rows=2**40)
+        with pytest.raises(FormatError, match="truncated at byte 26"):
+            self._load(tmp_path, data)
+
+    @pytest.mark.parametrize("k,dim", [(2**31, 3), (2, 2**31), (2, 2**40)])
+    def test_huge_record_is_format_error(self, cache, tmp_path, k, dim):
+        data = b"GNBC" + struct.pack("<HIQQ", 1, k, 6, dim)
         with pytest.raises(FormatError, match="truncated at byte 26"):
             self._load(tmp_path, data)
 
@@ -378,12 +380,11 @@ class TestSynthCorpus:
 
     def test_zero_noise_in_cluster_retrieval(self):
         _, _, items = es.synth_corpus(10, 16, 4, dim=6, noise=0.0, seed=2)
-        m = es.normalize_rows(items)
+        cache = es.build_neighbor_cache(items, 3)  # cluster size 4 -> k=3
         for row in range(16):
             cluster = row % 4
-            for idx, sim in es.topk_neighbors(m, row, 3):  # cluster size 4 -> k=3
-                assert idx % 4 == cluster
-                assert abs(sim - 1.0) < 1e-12
+            assert (cache.neighbor_ids[row] % 4 == cluster).all()
+            np.testing.assert_array_equal(cache.pooled_means[row], items.values[row])
 
     def test_seed_determinism(self):
         a = es.synth_corpus(30, 20, 4, dim=8, noise=0.2, seed=9)

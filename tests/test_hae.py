@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -570,15 +571,75 @@ def test_checkpoint_round_trip_generated(tmp_path_factory, d_sem, h_hidden, h, s
     assert path.read_bytes() == data
 
 
-def test_checkpoint_truncation_at_every_offset(tmp_path):
-    p = init_params(RunConfig(h=3, h_hidden=4), 2, seed=6)
+GHAE_HEADER = 18  # magic 4 | version 2 | d_sem, h_hidden, h 4 each
+
+
+def pack_ghae(p: HaeParams) -> bytes:
+    """A GHAE file packed field by field with ``struct``, independent of numpy I/O."""
+    out = [b"GHAE", struct.pack("<HIII", 1, p.w1.shape[0] // 4, p.w1.shape[1], p.w2.shape[1])]
+    for tensor in (p.w1, p.b1, p.w2, p.b2):
+        out.append(struct.pack(f"<{tensor.size}f", *tensor.ravel().tolist()))
+    return b"".join(out)
+
+
+def snapshot(p: HaeParams) -> dict:
+    return {name: tensor.copy() for name, tensor in p.tensors().items()}
+
+
+def assert_unchanged(p: HaeParams, before: dict) -> None:
+    for name, tensor in p.tensors().items():
+        np.testing.assert_array_equal(tensor, before[name], err_msg=name)
+
+
+def test_checkpoint_save_matches_struct_packing(tmp_path):
+    p = init_params(RunConfig(h=3, h_hidden=5), 2, seed=6)
     path = tmp_path / "fusion.ghae"
     save_hae_checkpoint(p, path)
+    assert path.read_bytes() == pack_ghae(p)
+
+
+def test_checkpoint_truncation_at_every_offset(tmp_path):
+    cfg = RunConfig(h=3, h_hidden=4)
+    path = tmp_path / "fusion.ghae"
+    save_hae_checkpoint(init_params(cfg, 2, seed=6), path)
     data = path.read_bytes()
+    target = init_params(cfg, 2, seed=7)
+    before = snapshot(target)
     for cut in range(len(data)):
         path.write_bytes(data[:cut])
         with pytest.raises(FormatError, match="truncated"):
-            load_hae_checkpoint(p, path)
+            load_hae_checkpoint(target, path)
+        assert_unchanged(target, before)
+    path.write_bytes(data + b"\0")
+    with pytest.raises(FormatError, match=f"1 trailing bytes at byte {len(data)}"):
+        load_hae_checkpoint(target, path)
+    assert_unchanged(target, before)
+
+
+def test_checkpoint_non_finite_tensor_is_refused_at_its_byte(tmp_path):
+    cfg = RunConfig(h=3, h_hidden=4)
+    p = init_params(cfg, 2, seed=6)
+    data = pack_ghae(p)
+    target = init_params(cfg, 2, seed=7)
+    before = snapshot(target)
+    path = tmp_path / "fusion.ghae"
+    offset, bads = GHAE_HEADER, []
+    for name, tensor in p.tensors().items():
+        bad = offset + 4 * (tensor.size // 2)
+        path.write_bytes(data[:bad] + struct.pack("<f", math.nan) + data[bad + 4 :])
+        with pytest.raises(FormatError, match=f"non-finite value at byte {bad}$"):
+            load_hae_checkpoint(target, path)
+        assert_unchanged(target, before)
+        bads.append(bad)
+        offset += 4 * tensor.size
+    assert offset == len(data)
+    # with a NaN in every tensor, the first in file order is the one reported
+    spoiled = bytearray(data)
+    for bad in bads:
+        spoiled[bad : bad + 4] = struct.pack("<f", math.nan)
+    path.write_bytes(bytes(spoiled))
+    with pytest.raises(FormatError, match=f"non-finite value at byte {bads[0]}$"):
+        load_hae_checkpoint(target, path)
 
 
 def test_init_is_seeded_and_bounded():
