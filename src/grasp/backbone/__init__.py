@@ -6,13 +6,14 @@ positions ``<= t``.  Batched forward/backward cores operate on left-padded
 ``(B, L, h)`` grids with a boolean mask; padding never leaks into real
 positions.
 
-Each backbone has one ``forward(x, mask, *, training=False, rng=None,
-last_only=False)``.  It returns ``(outputs (B, L, h), cache)`` for
-``backward``.  With ``last_only`` it returns ``(outputs (B, h), None)``: the
-last position's outputs only, from work that keeps no cache and skips what
-only earlier positions' outputs need.  GRU4Rec's last-only outputs equal
-``forward(...)[0][:, -1]`` bit for bit; SASRec's agree to rounding (its
-single-query attention takes another BLAS kernel).
+Each backbone has one ``forward(x, mask, *, rng=None, last_only=False)``.
+It returns ``(outputs (B, L, h), cache)`` for ``backward``.  Dropout runs
+exactly when an ``rng`` is passed, as training does; without one the
+pass is deterministic.  With ``last_only`` it returns ``(outputs (B, h),
+None)``: the last position's outputs only, from work that keeps no cache
+and skips what only earlier positions' outputs need.  GRU4Rec's
+last-only outputs equal ``forward(...)[0][:, -1]`` bit for bit; SASRec's
+agree to rounding (its single-query attention takes another BLAS kernel).
 """
 
 from ..config import RunConfig

@@ -40,8 +40,7 @@ class Gru4Rec:
             self.params[f"w_h{layer}"] = uniform_init(rng, (h, 3 * h), h)
             self.params[f"b{layer}"] = np.zeros(3 * h)
 
-    def forward(self, x: np.ndarray, mask: np.ndarray, *, training: bool = False, rng=None,
-                last_only: bool = False):
+    def forward(self, x: np.ndarray, mask: np.ndarray, *, rng=None, last_only: bool = False):
         """Batched recurrence over a left-padded (B, L, h) grid.
 
         Returns (outputs, cache); outputs at padded positions are zero.
@@ -52,7 +51,7 @@ class Gru4Rec:
             raise ValueError(f"input dim {h} != configured h {self.cfg.h}")
         if L == 0:
             raise ValueError("empty sequence: GRU needs at least one position")
-        p = self.cfg.dropout if training else 0.0
+        p = self.cfg.dropout if rng is not None else 0.0
         caches = []
         layer_in = x.transpose(1, 0, 2)
         for layer in range(self.n_layers):

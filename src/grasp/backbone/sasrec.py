@@ -4,8 +4,8 @@ Pre-layer-norm blocks: ``x += MHA(LN(x))`` with a causal + padding mask,
 then ``x += FFN(LN(x))``, with a final layer norm on top.  Learned
 positional embeddings are indexed relative to each sequence's first real
 position, so outputs at real positions are invariant to the amount of
-left padding.  Dropout (training only) sits after the input embedding and
-on each sublayer output before its residual add.
+left padding.  Dropout (only with an ``rng``) sits after the input
+embedding and on each sublayer output before its residual add.
 """
 
 from __future__ import annotations
@@ -80,8 +80,7 @@ class SasRec:
         B, nh, L, hd = x.shape
         return x.transpose(0, 2, 1, 3).reshape(B, L, nh * hd)
 
-    def forward(self, x: np.ndarray, mask: np.ndarray, *, training: bool = False, rng=None,
-                last_only: bool = False):
+    def forward(self, x: np.ndarray, mask: np.ndarray, *, rng=None, last_only: bool = False):
         """Blocks over a left-padded (B, L, h) grid; returns (outputs, cache).
 
         With ``last_only`` returns (the (B, h) last-position outputs, None):
@@ -95,7 +94,7 @@ class SasRec:
             raise ValueError(f"input dim {h} != configured h {cfg.h}")
         if L > cfg.max_seq_len:
             raise ValueError(f"sequence length {L} exceeds max_seq_len {cfg.max_seq_len}")
-        p = cfg.dropout if training else 0.0
+        p = cfg.dropout if rng is not None else 0.0
         fmask = mask.astype(np.float64)[:, :, None]
 
         lengths = mask.sum(axis=1)

@@ -207,14 +207,15 @@ def cmd_train(args) -> int:
 
     cfg = RunConfig(**_given_settings(args))
     seeds = _parse_int_list(args.seeds)
+    seed_dirs = [os.path.join(args.out, f"seed{seed}") for seed in seeds]
+    for seed_dir in seed_dirs:  # every output is checked before the first fit
+        _refuse_existing(os.path.join(seed_dir, "summary.json"), args.force)
     with _output_lock(args.out):
         data = load_data_dir(args.data, cfg, need_stores=cfg.encoder == "semantic")
         write_id_map(os.path.join(args.out, "user_ids.tsv"), data.ds.user_raw_ids)
         write_id_map(os.path.join(args.out, "item_ids.tsv"), data.ds.item_raw_ids)
         summaries = []
-        for seed in seeds:
-            seed_dir = os.path.join(args.out, f"seed{seed}")
-            _refuse_existing(os.path.join(seed_dir, "summary.json"), args.force)
+        for seed, seed_dir in zip(seeds, seed_dirs):
             summary = train_one_seed(data, cfg, seed, seed_dir)
             summaries.append(summary)
             print(
@@ -291,13 +292,16 @@ def cmd_sweep(args) -> int:
         grid += [("h", v) for v in sorted(_parse_int_list(args.sweep_h))]
     if not grid:
         raise ValueError("empty sweep grid: pass --sweep-k and/or --sweep-h")
-    # Every point is validated before the first one trains.
-    points = [(param, value, dataclasses.replace(cfg, **{param: value})) for param, value in grid]
+    # Every point's config and output are checked before the first one trains.
+    points = [(param, value, dataclasses.replace(cfg, **{param: value}),
+               os.path.join(args.out, "runs", f"{param}_{value}")) for param, value in grid]
+    for *_, run_dir in points:
+        _refuse_existing(os.path.join(run_dir, "summary.json"), args.force)
 
     rows = []
     with _output_lock(args.out):
         base = load_data_dir(args.data, cfg, need_stores=cfg.encoder == "semantic")
-        for param, value, point_cfg in points:
+        for param, value, point_cfg, run_dir in points:
             data = base
             if param == "k_neighbors" and cfg.encoder == "semantic":
                 data = copy.copy(base)
@@ -307,8 +311,6 @@ def cmd_sweep(args) -> int:
                 data.item_store = SemanticStore(
                     base.item_store.matrix, build_neighbor_cache(base.item_store.matrix, value)
                 )
-            run_dir = os.path.join(args.out, "runs", f"{param}_{value}")
-            _refuse_existing(os.path.join(run_dir, "summary.json"), args.force)
             train_one_seed(data, point_cfg, args.seed, run_dir)
             model, _ = load_model_dir(run_dir, data)
             reports, _ = eval_model(data, model, point_cfg, seed=args.seed,
@@ -352,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("build-db", help="build neighbor caches from embedding files")
     sp.add_argument("--users", required=True, help="user GEMB file")
     sp.add_argument("--items", required=True, help="item GEMB file")
-    sp.add_argument("--k", type=int, default=10)
+    sp.add_argument("--k", type=int, default=RunConfig.k_neighbors, help="default: k_neighbors")
     sp.add_argument("--out-dir", required=True)
     sp.add_argument("--force", action="store_true")
     sp.set_defaults(func=cmd_build_db)

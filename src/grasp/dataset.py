@@ -159,7 +159,7 @@ def _dense(codes: np.ndarray, raw_ids: list[str]) -> tuple[np.ndarray, list[str]
     return remap[codes], [raw_ids[c] for c in kept.tolist()]
 
 
-def load_interactions(path, min_user_len: int = 3, min_item_freq: int = 3) -> InteractionDataset:
+def load_interactions(path, min_user_len: int, min_item_freq: int) -> InteractionDataset:
     """Load a log file and build a densely indexed dataset.
 
     Users with fewer than ``min_user_len`` events and items with fewer than
@@ -218,7 +218,7 @@ def _head_flags(freq: np.ndarray, ratio: float) -> tuple[np.ndarray, int]:
     return freq >= threshold, threshold
 
 
-def partition_head_tail(ds: InteractionDataset, ratio: float = 0.2) -> GroupLabels:
+def partition_head_tail(ds: InteractionDataset, ratio: float) -> GroupLabels:
     """Pareto partition: the frequency-ranked top ``ratio`` of users/items is head."""
     if not (0.0 < ratio < 1.0):
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")

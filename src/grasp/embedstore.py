@@ -22,14 +22,14 @@ On-disk formats:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import binio
-from .config import write_text_atomic
+from .config import decode_text, write_text_atomic
 from .dataset import InteractionDataset
-from .errors import FormatError
+from .errors import DataError, FormatError
 
 GEMB_MAGIC = b"GEMB"
 GNBC_MAGIC = b"GNBC"
@@ -50,15 +50,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """Immutable row-major matrix of semantic embeddings.
-
-    ``zero_row_count`` reports rows that ``normalize_rows`` could not normalize.
-    """
+    """Immutable row-major matrix of semantic embeddings."""
 
     rows: int
     dim: int
     values: np.ndarray
-    zero_row_count: int = 0
 
     def __post_init__(self):
         if self.values.shape != (self.rows, self.dim):
@@ -77,12 +73,10 @@ def matrix_from_array(values: np.ndarray) -> EmbeddingMatrix:
     return EmbeddingMatrix(rows=values.shape[0], dim=values.shape[1], values=values)
 
 
-def normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Scale each nonzero row to unit L2 norm; zero rows stay zero (counted)."""
+def normalize_rows(m: EmbeddingMatrix) -> np.ndarray:
+    """``m``'s rows scaled to unit L2 norm; zero rows stay zero."""
     norms = np.linalg.norm(m.values, axis=1, keepdims=True)
-    zero = norms[:, 0] == 0.0
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return replace(m, values=m.values / safe, zero_row_count=int(zero.sum()))
+    return m.values / np.where(norms == 0.0, 1.0, norms)
 
 
 def _select_topk(sims: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
@@ -128,29 +122,33 @@ class NeighborCache:
         return self.pooled_means.shape[1]
 
 
-def build_neighbor_cache(m: EmbeddingMatrix, k: int, block: int = 64) -> NeighborCache:
+# Query rows per similarity GEMM: a small block keeps the selection's and
+# the pooling's temporaries small.
+BLOCK_ROWS = 64
+
+
+def build_neighbor_cache(m: EmbeddingMatrix, k: int) -> NeighborCache:
     """Top-k neighbor ids plus the mean of each row's k neighbors.
 
-    Similarity is computed on a normalized copy, one GEMM per ``block``
-    rows, and each row's neighbors are in exact (-sim, index) order over
-    those similarities.  Rows that are mathematically tied but distinct
-    may round differently, and the rounding can depend on ``block``, so
-    their order is not fixed across block sizes.  Pooled means average the
-    rows of ``m`` as given, so callers pooling raw embeddings simply pass
-    the raw matrix.  A small block keeps the selection's and the pooling's
-    temporaries small.
+    Similarity is computed on a normalized copy, one GEMM per
+    ``BLOCK_ROWS`` rows, and each row's neighbors are in exact (-sim,
+    index) order over those similarities.  Rows that are mathematically
+    tied but distinct may round differently, and the rounding can depend on
+    the block size, so their order is not fixed across block sizes.  Pooled
+    means average the rows of ``m`` as given, so callers pooling raw
+    embeddings simply pass the raw matrix.
     """
     if not (1 <= k <= m.rows - 1):
         raise ValueError(f"k={k} out of range: need 1 <= k <= rows-1 = {m.rows - 1}")
-    unit = normalize_rows(m).values
+    unit = normalize_rows(m)
     ids = np.empty((m.rows, k), dtype=np.int64)
     pooled = np.empty((m.rows, m.dim), dtype=np.float64)
     # One buffer for every block: a fresh block-sized array per GEMM is a
     # new mmap whose pages fault in each time, which cost about a third of
     # an 8k build.
-    sims = np.empty((min(block, m.rows), m.rows))
-    for start in range(0, m.rows, block):
-        stop = min(start + block, m.rows)
+    sims = np.empty((min(BLOCK_ROWS, m.rows), m.rows))
+    for start in range(0, m.rows, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, m.rows)
         np.matmul(unit[start:stop], unit.T, out=sims[: stop - start])
         ids[start:stop] = _select_topk(sims[: stop - start], np.arange(start, stop), k)
         pooled[start:stop] = m.values[ids[start:stop]].mean(axis=1)
@@ -184,51 +182,45 @@ def _load_binary_matrix(r: binio.Reader) -> EmbeddingMatrix:
     return EmbeddingMatrix(rows=rows, dim=dim, values=values.astype(np.float64))
 
 
-def _load_tsv_matrix(path) -> EmbeddingMatrix:
+def _load_tsv_matrix(r: binio.Reader) -> EmbeddingMatrix:
+    try:
+        text = decode_text(r.data, r.path)
+    except DataError as exc:
+        raise FormatError(str(exc)) from None
     rows: list[np.ndarray] = []
     width = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise FormatError(
-            f"{path}: not a GEMB file (bad magic) and not a UTF-8 TSV ({exc})"
-        ) from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise FormatError(f"{path}: line {lineno}: expected dense_id<TAB>values")
+            raise FormatError(f"{r.path}:{lineno}: expected dense_id<TAB>values")
         try:
             dense_id = int(parts[0])
         except ValueError:
-            raise FormatError(f"{path}: line {lineno}: non-integer dense id") from None
+            raise FormatError(f"{r.path}:{lineno}: non-integer dense id") from None
         if dense_id != len(rows):
-            raise FormatError(f"{path}: line {lineno}: dense ids must be contiguous from 0")
+            raise FormatError(f"{r.path}:{lineno}: dense ids must be contiguous from 0")
         try:
             vec = np.array([float(v) for v in parts[1].split()], dtype=np.float64)
         except ValueError:
-            raise FormatError(f"{path}: line {lineno}: non-numeric value") from None
+            raise FormatError(f"{r.path}:{lineno}: non-numeric value") from None
         if width is None:
             width = len(vec)
         elif len(vec) != width:
-            raise FormatError(f"{path}: line {lineno}: row width {len(vec)} != {width}")
+            raise FormatError(f"{r.path}:{lineno}: row width {len(vec)} != {width}")
         if not np.isfinite(vec).all():
-            raise FormatError(f"{path}: line {lineno}: non-finite value")
+            raise FormatError(f"{r.path}:{lineno}: non-finite value")
         rows.append(vec)
     if not rows:
-        raise FormatError(f"{path}: no embedding rows found")
+        raise FormatError(f"{r.path}: no embedding rows found")
     return matrix_from_array(np.stack(rows))
 
 
 def load_embedding_matrix(path) -> EmbeddingMatrix:
-    """Load a GEMB binary file or the TSV alternative (sniffed by magic)."""
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == GEMB_MAGIC:
-        return _load_binary_matrix(binio.read_file(path))
-    return _load_tsv_matrix(path)
+    """Load a GEMB binary file or the TSV alternative (sniffed by magic), reading it once."""
+    r = binio.read_file(path)
+    return _load_binary_matrix(r) if r.data.startswith(GEMB_MAGIC) else _load_tsv_matrix(r)
 
 
 def _gnbc_record(k: int, dim: int) -> list:
@@ -264,12 +256,7 @@ def load_neighbor_cache(path) -> NeighborCache:
 
 
 def synth_corpus(
-    n_users: int = 500,
-    m_items: int = 200,
-    n_clusters: int = 8,
-    dim: int = 32,
-    noise: float = 0.1,
-    seed: int = 42,
+    n_users: int, m_items: int, n_clusters: int, dim: int, noise: float, seed: int
 ) -> tuple[InteractionDataset, EmbeddingMatrix, EmbeddingMatrix]:
     """Generate a desk-scale corpus with known cluster structure.
 

@@ -108,9 +108,12 @@ def eval_candidates(split: LeaveOneOutSplit, ds: InteractionDataset, which: str,
     return np.stack([c for c, _ in rows]), np.array([t for _, t in rows], dtype=np.int64)
 
 
-def evaluate(model, split: LeaveOneOutSplit, ds: InteractionDataset, which: str,
-             eval_negatives: int = 100, seed: int = 42, max_seq_len: int = 100,
-             batch_size: int = 256, candidates=None):
+# Most users scored per ``evaluate`` batch.
+EVAL_BATCH_ROWS = 256
+
+
+def evaluate(model, split: LeaveOneOutSplit, ds: InteractionDataset, which: str, *,
+             eval_negatives: int, seed: int, max_seq_len: int, candidates=None):
     """Rank each user's held-out target among sampled negatives.
 
     ``which`` selects the validation protocol (input = train prefix,
@@ -118,7 +121,7 @@ def evaluate(model, split: LeaveOneOutSplit, ds: InteractionDataset, which: str,
     validation item, target = test item).  ``candidates`` is a reused
     ``eval_candidates`` result for the same arguments; it is drawn here
     when omitted.  Users are scored in ``length_buckets`` of at most
-    ``batch_size`` rows; a user's rank does not depend on the bucket.
+    ``EVAL_BATCH_ROWS`` rows; a user's rank does not depend on the bucket.
     Returns (MetricReport, [UserRecord]) in ascending user id order.
     Non-finite scores raise ``NumericError`` naming the first such user.
     """
@@ -134,7 +137,7 @@ def evaluate(model, split: LeaveOneOutSplit, ds: InteractionDataset, which: str,
     seqs = [_protocol(split.entries[u], which)[0] for u in split.users]
     ranks = [0] * len(users)
     finite = np.ones(len(users), dtype=bool)
-    for rows in length_buckets([min(len(s), max_seq_len) for s in seqs], batch_size):
+    for rows in length_buckets([min(len(s), max_seq_len) for s in seqs], EVAL_BATCH_ROWS):
         o_final = model.final_representations(users[rows], [seqs[i] for i in rows], max_seq_len)
         scores = model.candidate_scores(users[rows], cand_rows[rows], o_final)
         finite[rows] = np.isfinite(scores).all(axis=1)

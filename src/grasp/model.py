@@ -79,15 +79,11 @@ class SemanticEncoder:
 
     @staticmethod
     def _check_rows(rows, limit, label):
-        if rows is None:
-            return None
-        rows = np.asarray(rows, dtype=np.int64)
+        """``rows`` as an int64 id -> matrix row map; None maps each id to its own row."""
+        rows = np.arange(limit) if rows is None else np.asarray(rows, dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= limit):
             raise DataError(f"{label} id map points outside the embedding matrix ({limit} rows)")
         return rows
-
-    def _map(self, ids, rows):
-        return ids if rows is None else rows[ids]
 
     @property
     def params(self) -> dict[str, np.ndarray]:
@@ -103,8 +99,8 @@ class SemanticEncoder:
         """
         user_ids = np.asarray(user_ids, dtype=np.int64)
         item_ids = np.asarray(item_ids, dtype=np.int64)
-        urows = self._map(user_ids, self.user_rows)
-        irows = self._map(item_ids, self.item_rows)
+        urows = self.user_rows[user_ids]
+        irows = self.item_rows[item_ids]
         distinct, index = np.unique(irows, return_inverse=True)
         shape = (len(user_ids),) + (1,) * (item_ids.ndim - 1) + (self.d_sem,)
         user_store, item_store = self.user_store, self.item_store
@@ -171,7 +167,7 @@ class RecModel:
         return {self.encoder.group_name: self.encoder.params, "backbone": self.backbone.params}
 
     # -- training ------------------------------------------------------
-    def loss_and_grads(self, batch, *, training=True, rng=None):
+    def loss_and_grads(self, batch, *, rng=None):
         """Mean BCE over real (position, candidate) pairs plus gradients.
 
         ``batch`` carries users (B,), inputs (B, L), mask (B, L), targets
@@ -180,8 +176,8 @@ class RecModel:
         class (``length_buckets``), each class trimmed to its own longest
         row; padded positions contribute nothing, so the classes' sums
         equal the padded batch's up to rounding, and a batch of one class
-        is computed as a whole.  Dropout masks are drawn per class.
-        Returns (loss, grads, n_pairs).
+        is computed as a whole.  With an ``rng`` the backbone applies
+        dropout, its masks drawn per class.  Returns (loss, grads, n_pairs).
         """
         mask = batch.mask
         n_pairs = float(mask.sum()) * (1 + batch.negatives.shape[-1])
@@ -193,8 +189,7 @@ class RecModel:
             L = lengths[rows].max()
             part_loss, part_grads = self._pair_loss_and_grads(
                 batch.users[rows], batch.inputs[rows, -L:], mask[rows, -L:],
-                batch.targets[rows, -L:], batch.negatives[rows, -L:],
-                n_pairs, training, rng,
+                batch.targets[rows, -L:], batch.negatives[rows, -L:], n_pairs, rng,
             )
             loss += part_loss
             grads = part_grads if grads is None else {
@@ -202,11 +197,10 @@ class RecModel:
                 for group, tensors in grads.items()}
         return loss, grads, n_pairs
 
-    def _pair_loss_and_grads(self, users, inputs, mask, targets, negatives, n_pairs,
-                             training, rng):
+    def _pair_loss_and_grads(self, users, inputs, mask, targets, negatives, n_pairs, rng):
         """BCE summed over this grid's real pairs, divided by ``n_pairs``, plus gradients."""
         enc_in, cache_in = self.encoder.encode_items(users, inputs, positions_mask=mask)
-        o, bb_cache = self.backbone.forward(enc_in, mask, training=training, rng=rng)
+        o, bb_cache = self.backbone.forward(enc_in, mask, rng=rng)
         cand_ids = np.concatenate([targets[..., None], negatives], axis=-1)
         logits, cache_cand = self.encoder.encode_items(users, cand_ids, readout=o)
 

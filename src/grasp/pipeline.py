@@ -172,13 +172,10 @@ def train_one_seed(data: PipelineData, cfg: RunConfig, seed: int, out_dir) -> di
     """Fit one seed, write checkpoint + epoch log, return the summary dict."""
     os.makedirs(out_dir, exist_ok=True)
     model = build_model(data, cfg, seed)
-    log_rows: list[tuple[int, float, float]] = []
-    model, state = fit(
-        model, data.split, data.ds, cfg, seed,
-        log=lambda e, l, v: log_rows.append((e, l, v)),
-    )
+    model, state = fit(model, data.split, data.ds, cfg, seed)
     write_text_atomic(os.path.join(out_dir, "train_log.tsv"), "".join(
-        f"{epoch}\t{loss!r}\t{val!r}\n" for epoch, loss, val in log_rows
+        f"{epoch}\t{loss!r}\t{val!r}\n"
+        for epoch, (loss, val) in enumerate(zip(state.loss_history, state.val_history), start=1)
     ))
     save_model_dir(model, out_dir, cfg)
     summary = {

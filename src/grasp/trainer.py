@@ -73,17 +73,16 @@ class TrainBatch:
     negatives: np.ndarray
 
 
-def make_training_batch(split, ds, cfg: RunConfig, rng, users=None) -> TrainBatch:
-    """Shift-by-one batch: inputs are prefix[:-1], targets prefix[1:].
+def make_training_batch(split, ds, cfg: RunConfig, rng, users) -> TrainBatch:
+    """Shift-by-one batch over ``users``: inputs are prefix[:-1], targets prefix[1:].
 
-    Each row keeps its most recent ``cfg.max_seq_len`` positions.  Per real
-    position, ``negatives_per_positive`` uniform draws from the user's
-    non-history items; padded positions carry mask 0.
+    Users whose prefix is shorter than 2 are skipped.  Each row keeps its
+    most recent ``cfg.max_seq_len`` positions.  Per real position,
+    ``negatives_per_positive`` uniform draws from the user's non-history
+    items; padded positions carry mask 0.
     """
     if len(split) == 0:
         raise ProtocolError("empty split")
-    if users is None:
-        users = split.users[: cfg.batch_size]
     users = [u for u in users if len(split.entries[u].train_prefix) >= 2]
     if not users:
         raise ProtocolError("no user in the batch has a trainable prefix (length >= 2)")
@@ -110,8 +109,8 @@ def train_epoch(model: RecModel, split, ds, cfg: RunConfig, state: TrainState,
     total, count = 0.0, 0.0
     for bi, start in enumerate(range(0, len(order), cfg.batch_size)):
         chunk = [trainable[i] for i in order[start : start + cfg.batch_size]]
-        batch = make_training_batch(split, ds, cfg, rng, users=chunk)
-        loss, grads, n_pairs = model.loss_and_grads(batch, training=True, rng=dropout_rng)
+        batch = make_training_batch(split, ds, cfg, rng, chunk)
+        loss, grads, n_pairs = model.loss_and_grads(batch, rng=dropout_rng)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite loss at epoch {state.epoch + 1}, batch {bi}")
         adam.step(grads)
@@ -122,14 +121,13 @@ def train_epoch(model: RecModel, split, ds, cfg: RunConfig, state: TrainState,
     return state
 
 
-def fit(model: RecModel, split, ds, cfg: RunConfig, seed: int,
-        log=None) -> tuple[RecModel, TrainState]:
+def fit(model: RecModel, split, ds, cfg: RunConfig, seed: int) -> tuple[RecModel, TrainState]:
     """Train until validation NDCG@10 stalls for ``patience`` epochs.
 
     ``seed`` drives the shuffle, dropout and validation candidates.
     Returns the model restored to its best (checkpoint-precision)
-    parameters plus the training state.  ``log`` receives one
-    ``(epoch, mean_loss, val_ndcg10)`` tuple per epoch.
+    parameters plus the training state, whose ``loss_history`` and
+    ``val_history`` hold one mean loss and one validation NDCG@10 per epoch.
     """
     if len(split) == 0:
         raise ProtocolError("empty validation set: leave-one-out split has no users")
@@ -156,8 +154,6 @@ def fit(model: RecModel, split, ds, cfg: RunConfig, seed: int,
         val = report.ndcg[10]
         state.n_validations += 1
         state.val_history.append(val)
-        if log is not None:
-            log(state.epoch, state.loss_history[-1], val)
 
         if val > state.best_val_ndcg10:
             state.best_val_ndcg10 = val

@@ -147,6 +147,23 @@ def left_padded_grid(rng, B, L, h):
     return rng.standard_normal((B, L, h)) * mask[..., None], mask
 
 
+class TestRngContract:
+    """Dropout runs exactly when an ``rng`` is passed."""
+
+    @pytest.mark.parametrize("make_model", [
+        lambda: gru(h=8, n_layers=2, dropout=0.3),
+        lambda: sas(h=8, dropout=0.3),
+    ], ids=["gru4rec", "sasrec"])
+    def test_dropout_follows_the_rng(self, make_model):
+        model = make_model()
+        x, mask = left_padded_grid(np.random.default_rng(5), 4, 6, 8)
+        plain = [model.forward(x, mask)[0] for _ in range(2)]
+        drawn = [model.forward(x, mask, rng=np.random.default_rng(0))[0] for _ in range(2)]
+        assert np.array_equal(plain[0], plain[1])
+        assert np.array_equal(drawn[0], drawn[1])
+        assert not np.array_equal(drawn[0], plain[0])
+
+
 class TestGruRecurrence:
     """The time-major recurrence against the batch-major reference, bit for bit."""
 
@@ -165,7 +182,7 @@ class TestGruRecurrence:
         ref_out, ref_caches = batch_major_gru_forward(model, x, mask, drops)
         ref_dx, ref_grads = batch_major_gru_backward(model, ref_caches, mask, drops, d_out)
 
-        out, cache = model.forward(x, mask, training=True, rng=np.random.default_rng(7))
+        out, cache = model.forward(x, mask, rng=np.random.default_rng(7))
         d_x, grads = model.backward(cache, d_out)
         assert np.array_equal(out, ref_out)
         assert np.array_equal(d_x, ref_dx)
@@ -280,7 +297,7 @@ class TestGradients:
         upstream = rng.standard_normal((B, L, h)) * mask[..., None]
 
         def forward():
-            return model.forward(x, mask, training=True, rng=np.random.default_rng(0))
+            return model.forward(x, mask, rng=np.random.default_rng(0))
 
         def scalar():
             return float((forward()[0] * upstream).sum())
@@ -301,7 +318,7 @@ class TestGradients:
         rng = np.random.default_rng(24)
         x = rng.standard_normal((2, 4, 4))
         mask = np.ones((2, 4), dtype=bool)
-        out, cache = model.forward(x, mask, training=True, rng=np.random.default_rng(0))
+        out, cache = model.forward(x, mask, rng=np.random.default_rng(0))
         d_x, grads = model.backward(cache, np.ones_like(out))
         assert np.isfinite(d_x).all()
         assert all(np.isfinite(g).all() for g in grads.values())

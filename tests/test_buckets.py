@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grasp import evaluation
 from grasp.config import RunConfig
 from grasp.dataset import split_leave_one_out
 from grasp.evaluation import _eval_candidates, eval_candidates, evaluate, rank_of_target
@@ -112,11 +113,11 @@ def test_bucketed_loss_equals_padded_batch(small_corpus, small_stores, backbone,
     batch = make_training_batch(split, ds, cfg, np.random.default_rng(0), users=split.users[:32])
     assert len(length_buckets(batch.mask.sum(axis=1), 32)) > 1
 
-    loss, grads, n_pairs = model.loss_and_grads(batch, training=False)
+    loss, grads, n_pairs = model.loss_and_grads(batch)
     # The dense core on the whole padded grid is the reference.
     dense_loss, dense = model._pair_loss_and_grads(
         batch.users, batch.inputs, batch.mask, batch.targets, batch.negatives,
-        n_pairs, False, None,
+        n_pairs, None,
     )
     assert n_pairs == batch.mask.sum() * 3
     assert loss == pytest.approx(dense_loss, rel=1e-12, abs=0)
@@ -140,7 +141,7 @@ def test_each_grid_is_trimmed_to_its_length_class(small_corpus, small_stores):
         return forward(x, mask, **kwargs)
 
     model.backbone.forward = recording_forward
-    model.loss_and_grads(batch, training=False)
+    model.loss_and_grads(batch)
     assert sum(int(m.sum()) for m in grids) == int(batch.mask.sum())
     for mask in grids:
         lengths = mask.sum(axis=1)
@@ -154,10 +155,10 @@ def test_single_class_batch_equals_dense_core_exactly(small_corpus, small_stores
     users = [u for u in split.users if len(split.entries[u].train_prefix) - 1 in (3, 4)]
     batch = make_training_batch(split, ds, RunConfig(), np.random.default_rng(1), users=users)
     assert len(length_buckets(batch.mask.sum(axis=1), len(users))) == 1
-    loss, grads, n_pairs = model.loss_and_grads(batch, training=False)
+    loss, grads, n_pairs = model.loss_and_grads(batch)
     dense_loss, dense = model._pair_loss_and_grads(
         batch.users, batch.inputs, batch.mask, batch.targets, batch.negatives,
-        n_pairs, False, None,
+        n_pairs, None,
     )
     assert loss == dense_loss
     for group, tensors in dense.items():
@@ -167,16 +168,15 @@ def test_single_class_batch_equals_dense_core_exactly(small_corpus, small_stores
 
 @pytest.mark.parametrize("backbone, encoder, softmax_variant", MODELS[::2] + [MODELS[1]])
 @pytest.mark.parametrize("which", ["valid", "test"])
-def test_evaluate_records_independent_of_batch_size(small_corpus, small_stores, backbone,
-                                                    encoder, softmax_variant, which):
+def test_evaluate_records_independent_of_batch_size(monkeypatch, small_corpus, small_stores,
+                                                    backbone, encoder, softmax_variant, which):
     ds, _, _ = small_corpus
     split = split_leave_one_out(ds)
     model = _model(small_stores, ds.item_count, backbone, encoder, softmax_variant)
-    results = [
-        evaluate(model, split, ds, which, eval_negatives=20, seed=5, max_seq_len=50,
-                 batch_size=bs)
-        for bs in (1, 7, 256)
-    ]
+    results = []
+    for bs in (1, 7, 256):
+        monkeypatch.setattr(evaluation, "EVAL_BATCH_ROWS", bs)
+        results.append(evaluate(model, split, ds, which, eval_negatives=20, seed=5, max_seq_len=50))
     (report, records) = results[0]
     assert [r.user for r in records] == split.users
     for rec in records:  # each user scored on their own

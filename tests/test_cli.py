@@ -386,6 +386,28 @@ class TestIdempotency:
             assert (out / "seed42" / name).read_bytes() == payload
 
 
+class TestOutputsCheckedBeforeFit:
+    """An existing output is refused before the first fit writes anything."""
+
+    def test_train_existing_seed_summary(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / "seed2").mkdir(parents=True)
+        (out / "seed2" / "summary.json").write_text("{}\n")
+        assert run("train", "--data", data_dir, "--out", out, "--seeds", "1,2",
+                   *TRAIN_FLAGS) == 3
+        assert "seed2/summary.json already exists" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["seed2"]
+
+    def test_sweep_existing_point_summary(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        (out / "runs" / "k_neighbors_3").mkdir(parents=True)
+        (out / "runs" / "k_neighbors_3" / "summary.json").write_text("{}\n")
+        assert run("sweep", "--data", data_dir, "--out", out, "--sweep-k", "2,3",
+                   "--seed", 42, *TRAIN_FLAGS) == 3
+        assert "k_neighbors_3/summary.json already exists" in capsys.readouterr().err
+        assert sorted(os.listdir(out / "runs")) == ["k_neighbors_3"]
+
+
 class TestLocking:
     def test_lock_refuses_second_run(self, data_dir, tmp_path):
         # the lock names a live process: this one
@@ -448,6 +470,12 @@ class TestUndecodableInputs:
         model_txt.write_bytes(model_txt.read_bytes() + b"\x80\n")
         self._assert_refused(capsys, model_txt, "eval", "--data", data_dir,
                              "--checkpoint", ckpt, "--out", tmp_path / "e")
+
+    def test_embedding_matrix(self, tmp_path, capsys):
+        users = tmp_path / "users.tsv"  # neither GEMB nor UTF-8
+        users.write_bytes(b"0\t1.0 0.0\n1\t0.0 \xff1.0\n")
+        self._assert_refused(capsys, users, "build-db", "--users", users, "--items", users,
+                             "--out-dir", tmp_path / "db")
 
     def test_metrics_tsv(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.tsv"

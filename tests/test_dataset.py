@@ -257,7 +257,7 @@ class TestReaderMatchesOracle:
 
         make_inputs(WORKLOADS[workload], seed, str(tmp_path))
         log = tmp_path / "interactions.tsv"
-        assert_same_dataset(load_interactions(log), reference_load_interactions(log))
+        assert_same_dataset(load_interactions(log, 3, 3), reference_load_interactions(log))
 
 
 class TestSplit:

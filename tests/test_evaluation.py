@@ -135,7 +135,8 @@ def big_corpus():
 class TestEvaluateProtocol:
     def test_equal_scores_land_uniform_ranks(self, big_corpus):
         ds, split = big_corpus
-        report, _ = evaluate(_EqualScorer(), split, ds, "test", eval_negatives=100, seed=3)
+        report, _ = evaluate(_EqualScorer(), split, ds, "test", eval_negatives=100, seed=3,
+                             max_seq_len=100)
         n = report.n_users_evaluated
         assert n >= 2000
         for k in KS:
@@ -147,7 +148,7 @@ class TestEvaluateProtocol:
         ds, split = big_corpus
         targets = {u: e.test_target for u, e in split.entries.items()}
         report, records = evaluate(_PerfectScorer(targets), split, ds, "test",
-                                   eval_negatives=50, seed=4)
+                                   eval_negatives=50, seed=4, max_seq_len=100)
         for k in KS:
             assert report.ndcg[k] == 1.0
             assert report.hr[k] == 1.0
@@ -155,14 +156,14 @@ class TestEvaluateProtocol:
 
     def test_same_seed_identical(self, big_corpus):
         ds, split = big_corpus
-        a, _ = evaluate(_EqualScorer(), split, ds, "test", eval_negatives=30, seed=5)
-        b, _ = evaluate(_EqualScorer(), split, ds, "test", eval_negatives=30, seed=5)
+        a, _ = evaluate(_EqualScorer(), split, ds, "test", eval_negatives=30, seed=5, max_seq_len=100)
+        b, _ = evaluate(_EqualScorer(), split, ds, "test", eval_negatives=30, seed=5, max_seq_len=100)
         assert a == b
 
     def test_different_seed_differs(self, big_corpus):
         ds, split = big_corpus
-        a, _ = evaluate(_EqualScorer(), split, ds, "test", eval_negatives=30, seed=5)
-        b, _ = evaluate(_EqualScorer(), split, ds, "test", eval_negatives=30, seed=6)
+        a, _ = evaluate(_EqualScorer(), split, ds, "test", eval_negatives=30, seed=5, max_seq_len=100)
+        b, _ = evaluate(_EqualScorer(), split, ds, "test", eval_negatives=30, seed=6, max_seq_len=100)
         assert a != b
 
     def test_negatives_exclude_only_history(self, big_corpus):
@@ -183,12 +184,14 @@ class TestEvaluateProtocol:
         from grasp.dataset import LeaveOneOutSplit
 
         with pytest.raises(ProtocolError):
-            evaluate(_EqualScorer(), LeaveOneOutSplit(entries={}, n_excluded=3), ds, "test")
+            evaluate(_EqualScorer(), LeaveOneOutSplit(entries={}, n_excluded=3), ds, "test",
+                     eval_negatives=100, seed=42, max_seq_len=100)
 
     def test_bad_which(self, big_corpus):
         ds, split = big_corpus
         with pytest.raises(ValueError):
-            evaluate(_EqualScorer(), split, ds, "train")
+            evaluate(_EqualScorer(), split, ds, "train", eval_negatives=100, seed=42,
+                     max_seq_len=100)
 
     def test_valid_and_test_use_different_inputs(self, small_corpus, small_stores):
         from grasp.config import RunConfig
@@ -200,8 +203,8 @@ class TestEvaluateProtocol:
             small_stores[0], small_stores[1],
             RunConfig(backbone="gru4rec", h=8, max_seq_len=50), seed=0,
         )
-        va, _ = evaluate(model, split, ds, "valid", eval_negatives=20, seed=8)
-        te, _ = evaluate(model, split, ds, "test", eval_negatives=20, seed=8)
+        va, _ = evaluate(model, split, ds, "valid", eval_negatives=20, seed=8, max_seq_len=100)
+        te, _ = evaluate(model, split, ds, "test", eval_negatives=20, seed=8, max_seq_len=100)
         assert va != te
 
     def test_nan_scores_raise_numeric_error(self, big_corpus):
@@ -209,9 +212,10 @@ class TestEvaluateProtocol:
         ds, split = big_corpus
         bad = split.users[::500][1:]
         with pytest.raises(NumericError, match=f"user {bad[0]}$"):
-            evaluate(_NanScorer(bad), split, ds, "test", eval_negatives=20, seed=3)
+            evaluate(_NanScorer(bad), split, ds, "test", eval_negatives=20, seed=3, max_seq_len=100)
         with pytest.raises(NumericError):
-            evaluate(_NanScorer(split.users), split, ds, "valid", eval_negatives=20, seed=3)
+            evaluate(_NanScorer(split.users), split, ds, "valid", eval_negatives=20, seed=3,
+                     max_seq_len=100)
 
     @pytest.mark.parametrize("backbone", ["sasrec", "gru4rec"])
     def test_nan_model_raises_numeric_error(self, small_corpus, small_stores, backbone):
@@ -227,7 +231,7 @@ class TestEvaluateProtocol:
         for tensor in model.backbone.params.values():
             tensor[...] = np.nan
         with pytest.raises(NumericError, match=f"user {split.users[0]}$"):
-            evaluate(model, split, ds, "test", eval_negatives=20, seed=8)
+            evaluate(model, split, ds, "test", eval_negatives=20, seed=8, max_seq_len=100)
 
     def test_random_baseline_constant(self):
         # the analytic uniform-rank NDCG@10 constant used by the trend gates
@@ -266,7 +270,7 @@ class TestGroupReport:
     def test_partition_identity(self, big_corpus):
         ds, split = big_corpus
         report, records = evaluate(_EqualScorer(), split, ds, "test",
-                                   eval_negatives=40, seed=9)
+                                   eval_negatives=40, seed=9, max_seq_len=100)
         groups = partition_head_tail(ds, 0.2)
         by_group = group_report(records, groups)
         for pair in (("head_user", "tail_user"), ("head_item", "tail_item")):

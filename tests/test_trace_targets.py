@@ -15,6 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from tracer import Tracer, targets  # noqa: E402
 
+from grasp import evaluation  # noqa: E402
 from grasp.config import RunConfig  # noqa: E402
 from grasp.dataset import split_leave_one_out  # noqa: E402
 from grasp.evaluation import evaluate  # noqa: E402
@@ -25,7 +26,7 @@ def test_every_target_resolves():
     Tracer(targets())
 
 
-def test_counts_match_a_semantic_evaluate(small_corpus, small_stores):
+def test_counts_match_a_semantic_evaluate(monkeypatch, small_corpus, small_stores):
     ds, _, _ = small_corpus
     split = split_leave_one_out(ds)
     model = build_semantic_model(*small_stores, RunConfig(h=8, max_seq_len=20), seed=3)
@@ -37,11 +38,12 @@ def test_counts_match_a_semantic_evaluate(small_corpus, small_stores):
         return encode_items(users, items, *args, **kwargs)
 
     model.encoder.encode_items = recording_encode
+    monkeypatch.setattr(evaluation, "EVAL_BATCH_ROWS", 16)
     tracer = Tracer(targets())
     tracer.install()
     try:
         report, records = evaluate(model, split, ds, "test", eval_negatives=20, seed=4,
-                                   max_seq_len=20, batch_size=16)
+                                   max_seq_len=20)
     finally:
         tracer.uninstall()
     assert sum(encoded) > len(split) * 21
@@ -49,7 +51,7 @@ def test_counts_match_a_semantic_evaluate(small_corpus, small_stores):
     assert tracer.counts["evaluation.users"] == len(records) == report.n_users_evaluated
 
 
-def test_cells_match_an_id_gru4rec_evaluate(small_corpus):
+def test_cells_match_an_id_gru4rec_evaluate(monkeypatch, small_corpus):
     """The last-position inference path still enters the traced
     ``Gru4Rec.forward(x, mask, ...)`` once per length bucket."""
     ds, _, _ = small_corpus
@@ -66,11 +68,11 @@ def test_cells_match_an_id_gru4rec_evaluate(small_corpus):
         return final_representations(users, seqs, max_seq_len)
 
     model.final_representations = recording_final
+    monkeypatch.setattr(evaluation, "EVAL_BATCH_ROWS", 16)
     tracer = Tracer(targets())
     tracer.install()
     try:
-        evaluate(model, split, ds, "test", eval_negatives=20, seed=4,
-                 max_seq_len=max_seq_len, batch_size=16)
+        evaluate(model, split, ds, "test", eval_negatives=20, seed=4, max_seq_len=max_seq_len)
     finally:
         tracer.uninstall()
     assert len(grids) > 1

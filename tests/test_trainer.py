@@ -37,7 +37,7 @@ class IdentityBackbone:
 
     params: dict = {}
 
-    def forward(self, x, mask, *, training=False, rng=None):
+    def forward(self, x, mask, *, rng=None):
         return x, None
 
     def backward(self, cache, d_out):
@@ -63,7 +63,7 @@ def position_loss(probs, real=True) -> float:
         mask=np.full((1, 1), real), targets=np.ones((1, 1), dtype=np.int64),
         negatives=np.arange(2, n + 1, dtype=np.int64).reshape(1, 1, n - 1),
     )
-    loss, _, _ = RecModel(encoder, IdentityBackbone()).loss_and_grads(batch, training=False)
+    loss, _, _ = RecModel(encoder, IdentityBackbone()).loss_and_grads(batch)
     return loss
 
 
@@ -112,7 +112,7 @@ class TestTrainingBatch:
         ds = make_ds({0: [10, 11, 12, 13, 14]}, item_count=20)
         split = split_leave_one_out(ds)  # prefix [10, 11, 12]
         cfg = RunConfig(batch_size=4, negatives_per_positive=2)
-        batch = make_training_batch(split, ds, cfg, np.random.default_rng(0))
+        batch = make_training_batch(split, ds, cfg, np.random.default_rng(0), split.users)
         assert batch.inputs.tolist() == [[10, 11]]
         assert batch.targets.tolist() == [[11, 12]]
         assert batch.mask.all()
@@ -121,7 +121,8 @@ class TestTrainingBatch:
     def test_negatives_avoid_history(self, small_corpus, small_split):
         ds, _, _ = small_corpus
         cfg = RunConfig(batch_size=16, negatives_per_positive=3)
-        batch = make_training_batch(split_leave_one_out(ds), ds, cfg, np.random.default_rng(1))
+        split = split_leave_one_out(ds)
+        batch = make_training_batch(split, ds, cfg, np.random.default_rng(1), split.users[:16])
         for b, user in enumerate(batch.users):
             history = set(ds.sequences[int(user)])
             drawn = batch.negatives[b][batch.mask[b]]
@@ -131,8 +132,8 @@ class TestTrainingBatch:
         ds, _, _ = small_corpus
         split = split_leave_one_out(ds)
         cfg = RunConfig(batch_size=8)
-        a = make_training_batch(split, ds, cfg, np.random.default_rng(7))
-        b = make_training_batch(split, ds, cfg, np.random.default_rng(7))
+        a = make_training_batch(split, ds, cfg, np.random.default_rng(7), split.users[:8])
+        b = make_training_batch(split, ds, cfg, np.random.default_rng(7), split.users[:8])
         np.testing.assert_array_equal(a.negatives, b.negatives)
         np.testing.assert_array_equal(a.inputs, b.inputs)
 
@@ -141,7 +142,7 @@ class TestTrainingBatch:
         ds = make_ds({0: seq}, item_count=40)
         split = split_leave_one_out(ds)
         cfg = RunConfig(batch_size=1, max_seq_len=5)
-        batch = make_training_batch(split, ds, cfg, np.random.default_rng(0))
+        batch = make_training_batch(split, ds, cfg, np.random.default_rng(0), split.users)
         assert batch.inputs.shape[1] == 5
         assert batch.inputs.tolist() == [[22, 23, 24, 25, 26]]
         assert batch.targets.tolist() == [[23, 24, 25, 26, 27]]
@@ -150,7 +151,7 @@ class TestTrainingBatch:
         ds, _, _ = small_corpus
         split = split_leave_one_out(ds)
         batch = make_training_batch(split, ds, RunConfig(batch_size=16, max_seq_len=6),
-                                    np.random.default_rng(3))
+                                    np.random.default_rng(3), split.users[:16])
         assert len(set(batch.mask.sum(axis=1).tolist())) > 1
         L = batch.inputs.shape[1]
         for b, user in enumerate(batch.users):
@@ -207,6 +208,41 @@ class TestTrainEpoch:
                         np.random.default_rng(0), np.random.default_rng(1))
 
 
+def same_loss_and_grads(a, b) -> bool:
+    (loss_a, grads_a, _), (loss_b, grads_b, _) = a, b
+    return loss_a == loss_b and all(
+        np.array_equal(g, grads_b[group][name])
+        for group, tensors in grads_a.items() for name, g in tensors.items()
+    )
+
+
+class TestRngContract:
+    """``loss_and_grads`` applies dropout exactly when an ``rng`` is passed."""
+
+    @pytest.mark.parametrize("backbone", ["gru4rec", "sasrec"])
+    def test_dropout_follows_the_rng(self, small_corpus, small_stores, backbone):
+        ds, _, _ = small_corpus
+        split = split_leave_one_out(ds)
+        model = small_model(small_stores, backbone=backbone, dropout=0.3)
+        batch = make_training_batch(split, ds, RunConfig(batch_size=8), np.random.default_rng(0),
+                                    split.users[:8])
+        plain = [model.loss_and_grads(batch) for _ in range(2)]
+        drawn = [model.loss_and_grads(batch, rng=np.random.default_rng(0)) for _ in range(2)]
+        assert same_loss_and_grads(*plain)
+        assert same_loss_and_grads(*drawn)
+        assert not same_loss_and_grads(plain[0], drawn[0])
+
+    def test_default_config_model_without_rng(self, small_corpus, small_stores):
+        ds, _, _ = small_corpus
+        split = split_leave_one_out(ds)
+        cfg = RunConfig()
+        model = build_semantic_model(*small_stores, cfg, seed=0)
+        batch = make_training_batch(split, ds, cfg, np.random.default_rng(0), split.users[:8])
+        loss, grads, n_pairs = model.loss_and_grads(batch)
+        assert np.isfinite(loss) and n_pairs > 0
+        assert set(grads) == {"hae", "backbone"}
+
+
 class TestFullLossGradient:
     def test_matches_finite_differences_semantic(self, small_corpus, small_stores):
         # end-to-end wiring check: BCE through backbone + both encoder uses
@@ -218,10 +254,10 @@ class TestFullLossGradient:
                                     users=split.users[:3])
 
         def scalar():
-            loss, _, _ = model.loss_and_grads(batch, training=False)
+            loss, _, _ = model.loss_and_grads(batch)
             return loss
 
-        _, grads, _ = model.loss_and_grads(batch, training=False)
+        _, grads, _ = model.loss_and_grads(batch)
         for group, tensors in model.parameter_groups().items():
             for name, tensor in tensors.items():
                 fd = finite_diff(scalar, tensor, step=1e-6)
@@ -239,10 +275,10 @@ class TestFullLossGradient:
                                     users=split.users[:2])
 
         def scalar():
-            loss, _, _ = model.loss_and_grads(batch, training=False)
+            loss, _, _ = model.loss_and_grads(batch)
             return loss
 
-        _, grads, _ = model.loss_and_grads(batch, training=False)
+        _, grads, _ = model.loss_and_grads(batch)
         for group, tensors in model.parameter_groups().items():
             for name, tensor in tensors.items():
                 fd = finite_diff(scalar, tensor, step=1e-6)
