@@ -184,20 +184,51 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _neighbor_report(m, cache, build_s: float) -> dict:
+    """Zero rows and mean neighbor cosines of one built cache."""
+    import numpy as np
+
+    from .embedstore import normalize_rows
+
+    unit = normalize_rows(m)
+    cos = np.stack([(unit * unit[cache.neighbor_ids[:, j]]).sum(axis=1)
+                    for j in range(cache.k)], axis=1)
+    return {
+        "rows": m.rows,
+        "zero_rows": int((~m.values.any(axis=1)).sum()),
+        "mean_top1_cosine": float(cos[:, 0].mean()),
+        "mean_topk_cosine": float(cos.mean()),
+        "build_s": build_s,
+    }
+
+
 def cmd_build_db(args) -> int:
+    import time
+
     from .embedstore import build_neighbor_cache, load_embedding_matrix, save_neighbor_cache
     from .pipeline import ITEM_CACHE_NAME, USER_CACHE_NAME
 
-    user_out = os.path.join(args.out_dir, USER_CACHE_NAME)
-    item_out = os.path.join(args.out_dir, ITEM_CACHE_NAME)
-    _refuse_existing(user_out, args.force)
-    _refuse_existing(item_out, args.force)
+    outputs = {"users": (args.users, os.path.join(args.out_dir, USER_CACHE_NAME)),
+               "items": (args.items, os.path.join(args.out_dir, ITEM_CACHE_NAME))}
+    report_out = os.path.join(args.out_dir, "build_report.json")
+    for path in [out for _, out in outputs.values()] + [report_out]:
+        _refuse_existing(path, args.force)
+    report = {"k": args.k}
     with _output_lock(args.out_dir):
-        users = load_embedding_matrix(args.users)
-        items = load_embedding_matrix(args.items)
-        save_neighbor_cache(build_neighbor_cache(users, args.k), user_out)
-        save_neighbor_cache(build_neighbor_cache(items, args.k), item_out)
-    print(f"build-db: k={args.k} caches for {users.rows} users / {items.rows} items -> {args.out_dir}")
+        matrices = {name: load_embedding_matrix(src) for name, (src, _) in outputs.items()}
+        caches = {}
+        for name, m in matrices.items():  # both builds succeed before anything is written
+            start = time.perf_counter()
+            caches[name] = build_neighbor_cache(m, args.k)
+            report[name] = _neighbor_report(m, caches[name], time.perf_counter() - start)
+        for name, cache in caches.items():
+            save_neighbor_cache(cache, outputs[name][1])
+        write_text_atomic(report_out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    for name, (_, out) in outputs.items():
+        r = report[name]
+        print(f"build-db: {name}: {r['rows']} rows ({r['zero_rows']} zero), k={args.k}, "
+              f"mean cosine top-1 {r['mean_top1_cosine']:.4f} top-k {r['mean_topk_cosine']:.4f}, "
+              f"built in {r['build_s']:.2f} s -> {out}")
     return 0
 
 
@@ -208,8 +239,9 @@ def cmd_train(args) -> int:
     cfg = RunConfig(**_given_settings(args))
     seeds = _parse_int_list(args.seeds)
     seed_dirs = [os.path.join(args.out, f"seed{seed}") for seed in seeds]
-    for seed_dir in seed_dirs:  # every output is checked before the first fit
-        _refuse_existing(os.path.join(seed_dir, "summary.json"), args.force)
+    # Every output is checked before the first fit.
+    for path in [os.path.join(d, "summary.json") for d in [args.out, *seed_dirs]]:
+        _refuse_existing(path, args.force)
     with _output_lock(args.out):
         data = load_data_dir(args.data, cfg, need_stores=cfg.encoder == "semantic")
         write_id_map(os.path.join(args.out, "user_ids.tsv"), data.ds.user_raw_ids)

@@ -91,6 +91,46 @@ class TestBuildDb:
                    "--items", data_dir / "item_emb.gemb",
                    "--k", 500, "--out-dir", tmp_path / "db2") == 2
 
+    def test_report_matches_the_caches(self, data_dir):
+        from grasp.embedstore import load_embedding_matrix, load_neighbor_cache, normalize_rows
+
+        report = json.loads((data_dir / "build_report.json").read_text())
+        assert report["k"] == 5
+        for name, emb, cache_name, rows in (("users", "user_emb.gemb", "users.gnbc", 80),
+                                             ("items", "item_emb.gemb", "items.gnbc", 50)):
+            unit = normalize_rows(load_embedding_matrix(data_dir / emb))
+            ids = load_neighbor_cache(data_dir / cache_name).neighbor_ids
+            cos = np.einsum("rd,rkd->rk", unit, unit[ids])
+            entry = report[name]
+            assert entry["rows"] == rows and entry["zero_rows"] == 0
+            assert entry["mean_top1_cosine"] == pytest.approx(cos[:, 0].mean(), abs=1e-12)
+            assert entry["mean_topk_cosine"] == pytest.approx(cos.mean(), abs=1e-12)
+            assert entry["build_s"] >= 0.0
+
+    def test_report_counts_zero_rows(self, tmp_path, capsys):
+        from grasp.embedstore import matrix_from_array, save_embedding_matrix
+
+        values = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 2.0]])
+        save_embedding_matrix(matrix_from_array(values), tmp_path / "m.gemb")
+        assert run("build-db", "--users", tmp_path / "m.gemb", "--items", tmp_path / "m.gemb",
+                   "--k", 2, "--out-dir", tmp_path / "db") == 0
+        report = json.loads((tmp_path / "db" / "build_report.json").read_text())
+        assert report["users"]["zero_rows"] == report["items"]["zero_rows"] == 2
+        assert "users: 5 rows (2 zero)" in capsys.readouterr().out
+
+    def test_existing_report_refused_before_any_cache(self, data_dir, tmp_path, capsys):
+        db = tmp_path / "db"
+        db.mkdir()
+        (db / "build_report.json").write_text("{}\n")
+        assert run("build-db", "--users", data_dir / "user_emb.gemb",
+                   "--items", data_dir / "item_emb.gemb", "--k", 5, "--out-dir", db) == 3
+        assert "build_report.json already exists" in capsys.readouterr().err
+        assert os.listdir(db) == ["build_report.json"]
+        assert run("build-db", "--users", data_dir / "user_emb.gemb",
+                   "--items", data_dir / "item_emb.gemb", "--k", 5, "--out-dir", db,
+                   "--force") == 0
+        assert json.loads((db / "build_report.json").read_text())["k"] == 5
+
 
 @pytest.fixture(scope="module")
 def trained(data_dir, tmp_path_factory):
@@ -397,6 +437,17 @@ class TestOutputsCheckedBeforeFit:
                    *TRAIN_FLAGS) == 3
         assert "seed2/summary.json already exists" in capsys.readouterr().err
         assert sorted(os.listdir(out)) == ["seed2"]
+
+    def test_train_existing_run_summary(self, data_dir, trained, tmp_path, capsys):
+        # A second run into the same --out with other seeds would replace
+        # the combined summary of the first.
+        out = tmp_path / "run"
+        shutil.copytree(trained, out)
+        before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        assert run("train", "--data", data_dir, "--out", out, "--seeds", "2",
+                   *TRAIN_FLAGS) == 3
+        assert "run/summary.json already exists" in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
 
     def test_sweep_existing_point_summary(self, data_dir, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -294,6 +294,47 @@ class TestSelectionProperties:
             ids = es.build_neighbor_cache(m, k).neighbor_ids
             assert ids.tolist() == [lexsort_topk(sims[row], row, k) for row in range(rows)]
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda groups: st.tuples(
+        st.just(groups),
+        st.tuples(st.integers(2 * groups, 24), st.integers(1, 5)).flatmap(
+            lambda shape: arrays(np.float64, shape, elements=st.sampled_from([-1.0, 0.0, 1.0]))
+        ),
+    )))
+    @example((3, np.zeros((7, 2))))
+    @example((4, np.array([[1.0, 0.0]] * 9 + [[0.0, 1.0]] * 2)))
+    def test_grouped_prefilter_equals_per_row_lexsort(self, case):
+        # A few groups reach the prefilter (n >= 2 * GROUPS, k < GROUPS) on
+        # small matrices, with n % GROUPS tail columns and k up to GROUPS - 1;
+        # larger k takes the one-column-per-group path.
+        groups, values = case
+        m = es.matrix_from_array(values)
+        unit = es.normalize_rows(m)
+        sims = unit @ unit.T
+        rows = len(values)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(es, "GROUPS", groups)
+            for k in range(1, rows):
+                ids = es.build_neighbor_cache(m, k).neighbor_ids
+                assert ids.tolist() == [lexsort_topk(sims[row], row, k) for row in range(rows)]
+
+    def test_grouped_prefilter_matches_brute_force_oracle(self):
+        # Enough rows for the default GROUPS to prefilter, a tail of 37
+        # columns, exact duplicates and zero rows.
+        rng = np.random.default_rng(2024)
+        rows = 2 * es.GROUPS + 37
+        values = rng.standard_normal((rows, 8))
+        values[rng.choice(rows, 60, replace=False)] = values[rng.choice(rows, 60)]
+        values[[5, 300, rows - 1]] = 0.0
+        k = 10
+        cache = es.build_neighbor_cache(es.matrix_from_array(values), k)
+        _, inverse, counts = np.unique(values, axis=0, return_inverse=True, return_counts=True)
+        checked = np.union1d(np.flatnonzero(counts[inverse.reshape(-1)] > 1),
+                             np.arange(0, rows, 9))
+        for row in checked:
+            expected = [i for i, _ in brute_force_topk(values, row, k)]
+            assert cache.neighbor_ids[row].tolist() == expected
+
 
 GNBC_HEADER = 26  # magic 4 | version 2 | k 4 | rows 8 | dim 8
 
