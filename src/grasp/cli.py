@@ -18,7 +18,8 @@ import sys
 
 # config imports no numpy, so it may load before _cap_threads runs.
 from .config import (
-    CHOICES, FIELD_TYPES, RunConfig, parse_config_file, write_key_values, write_text_atomic,
+    CHOICES, FIELD_TYPES, RunConfig, parse_config_file, write_json, write_key_values,
+    write_text_atomic,
 )
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -223,7 +224,7 @@ def cmd_build_db(args) -> int:
             report[name] = _neighbor_report(m, caches[name], time.perf_counter() - start)
         for name, cache in caches.items():
             save_neighbor_cache(cache, outputs[name][1])
-        write_text_atomic(report_out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+        write_json(report_out, report)
     for name, (_, out) in outputs.items():
         r = report[name]
         print(f"build-db: {name}: {r['rows']} rows ({r['zero_rows']} zero), k={args.k}, "
@@ -260,8 +261,7 @@ def cmd_train(args) -> int:
             "mean_best_val_ndcg10": sum(s["best_val_ndcg10"] for s in summaries) / len(summaries),
             "per_seed": summaries,
         }
-        write_text_atomic(os.path.join(args.out, "summary.json"),
-                          json.dumps(combined, indent=2, sort_keys=True) + "\n")
+        write_json(os.path.join(args.out, "summary.json"), combined)
     print(f"train: mean best val NDCG@10 {combined['mean_best_val_ndcg10']:.4f}")
     return 0
 
@@ -303,8 +303,7 @@ def cmd_eval(args) -> int:
             "groups": {r.group: {"ndcg": r.ndcg, "hr": r.hr, "n_users": r.n_users_evaluated}
                        for r in reports},
         }
-        write_text_atomic(os.path.join(args.out, "eval_summary.json"),
-                          json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        write_json(os.path.join(args.out, "eval_summary.json"), summary)
     print(table, end="")
     return 0
 
@@ -333,7 +332,8 @@ def cmd_sweep(args) -> int:
     rows = []
     with _output_lock(args.out):
         base = load_data_dir(args.data, cfg, need_stores=cfg.encoder == "semantic")
-        for param, value, point_cfg, run_dir in points:
+        point_data = []  # every point's caches are built before the first fit
+        for param, value, *_ in points:
             data = base
             if param == "k_neighbors" and cfg.encoder == "semantic":
                 data = copy.copy(base)
@@ -343,6 +343,8 @@ def cmd_sweep(args) -> int:
                 data.item_store = SemanticStore(
                     base.item_store.matrix, build_neighbor_cache(base.item_store.matrix, value)
                 )
+            point_data.append(data)
+        for (param, value, point_cfg, run_dir), data in zip(points, point_data):
             train_one_seed(data, point_cfg, args.seed, run_dir)
             model, _ = load_model_dir(run_dir, data)
             reports, _ = eval_model(data, model, point_cfg, seed=args.seed,

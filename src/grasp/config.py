@@ -14,6 +14,7 @@ numpy.
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 from dataclasses import dataclass, asdict, fields
 
@@ -121,6 +122,11 @@ def write_key_values(path, entries: dict) -> None:
         f"{key}={int(value) if isinstance(value, bool) else value}\n"
         for key, value in entries.items()
     ))
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as two-space indented JSON with sorted keys and a final newline."""
+    write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def decode_text(data: bytes, path) -> str:

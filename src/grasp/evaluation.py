@@ -21,7 +21,11 @@ from .ops import length_buckets
 
 KS = (1, 3, 5, 10, 20)
 
+# One evaluated user: the held-out target item and its 1-based rank.
+RECORD = np.dtype([("user", "<i8"), ("target_item", "<i8"), ("rank", "<i8")])
 
+
+# Called once per user: perfbench's tracer wraps it to count evaluated users.
 def rank_of_target(scores, target_index: int) -> int:
     """1-based rank: strictly better candidates, then earlier-index ties."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -31,18 +35,6 @@ def rank_of_target(scores, target_index: int) -> int:
     greater = int((scores > target).sum())
     tied_before = int(((scores == target) & (np.arange(len(scores)) < target_index)).sum())
     return 1 + greater + tied_before
-
-
-def ndcg_at_k(rank: int, k: int) -> float:
-    if rank < 1 or k < 1:
-        raise ValueError("rank and k must be >= 1")
-    return 1.0 / np.log2(rank + 1.0) if rank <= k else 0.0
-
-
-def hr_at_k(rank: int, k: int) -> float:
-    if rank < 1 or k < 1:
-        raise ValueError("rank and k must be >= 1")
-    return 1.0 if rank <= k else 0.0
 
 
 @dataclass(frozen=True)
@@ -57,22 +49,20 @@ class MetricReport:
     empty: bool = False
 
 
-@dataclass(frozen=True)
-class UserRecord:
-    user: int
-    target_item: int
-    rank: int
-
-
 def report_from_ranks(ranks, group: str = "overall", n_skipped: int = 0) -> MetricReport:
-    ranks = list(ranks)
-    if not ranks:
+    """NDCG@k / HR@k means over an int array of 1-based ranks."""
+    ranks = np.asarray(ranks, dtype=np.int64)
+    if not len(ranks):
         return MetricReport(
             ndcg={k: 0.0 for k in KS}, hr={k: 0.0 for k in KS},
             n_users_evaluated=0, n_skipped=n_skipped, group=group, empty=True,
         )
-    ndcg = {k: float(np.mean([ndcg_at_k(r, k) for r in ranks])) for k in KS}
-    hr = {k: float(np.mean([hr_at_k(r, k) for r in ranks])) for k in KS}
+    if ranks.min() < 1:
+        raise ValueError("ranks must be >= 1")
+    gain = 1.0 / np.log2(ranks + 1.0)
+    # One 1-D mean per k: a (U, len(KS)) mean over axis 0 sums in another order.
+    ndcg = {k: float(np.mean(np.where(ranks <= k, gain, 0.0))) for k in KS}
+    hr = {k: float(np.mean(ranks <= k)) for k in KS}
     return MetricReport(ndcg=ndcg, hr=hr, n_users_evaluated=len(ranks),
                         n_skipped=n_skipped, group=group)
 
@@ -122,7 +112,8 @@ def evaluate(model, split: LeaveOneOutSplit, ds: InteractionDataset, which: str,
     ``eval_candidates`` result for the same arguments; it is drawn here
     when omitted.  Users are scored in ``length_buckets`` of at most
     ``EVAL_BATCH_ROWS`` rows; a user's rank does not depend on the bucket.
-    Returns (MetricReport, [UserRecord]) in ascending user id order.
+    Returns the overall ``MetricReport`` and a ``RECORD`` array with one
+    row per user, in ascending user id order.
     Non-finite scores raise ``NumericError`` naming the first such user.
     """
     if which not in ("valid", "test"):
@@ -135,32 +126,31 @@ def evaluate(model, split: LeaveOneOutSplit, ds: InteractionDataset, which: str,
 
     users = np.asarray(split.users, dtype=np.int64)
     seqs = [_protocol(split.entries[u], which)[0] for u in split.users]
-    ranks = [0] * len(users)
+    records = np.zeros(len(users), dtype=RECORD)
+    records["user"] = users
+    records["target_item"] = cand_rows[np.arange(len(users)), target_pos]
     finite = np.ones(len(users), dtype=bool)
     for rows in length_buckets([min(len(s), max_seq_len) for s in seqs], EVAL_BATCH_ROWS):
         o_final = model.final_representations(users[rows], [seqs[i] for i in rows], max_seq_len)
         scores = model.candidate_scores(users[rows], cand_rows[rows], o_final)
         finite[rows] = np.isfinite(scores).all(axis=1)
         for i, row_scores in zip(rows, scores):
-            ranks[i] = rank_of_target(row_scores, target_pos[i])
+            records["rank"][i] = rank_of_target(row_scores, target_pos[i])
     if not finite.all():
         bad = int(users[np.argmin(finite)])
         raise NumericError(f"non-finite {which} scores, first for user {bad}")
-    records = [
-        UserRecord(user=int(u), target_item=int(cand_rows[i, target_pos[i]]), rank=ranks[i])
-        for i, u in enumerate(users)
-    ]
-    report = report_from_ranks(ranks, group="overall", n_skipped=split.n_excluded)
+    report = report_from_ranks(records["rank"], group="overall", n_skipped=split.n_excluded)
     return report, records
 
 
 def group_report(records, groups: GroupLabels) -> dict[str, MetricReport]:
-    """Head/tail splits by the user's flag and by the test target's flag."""
-    buckets = {"head_user": [], "tail_user": [], "head_item": [], "tail_item": []}
-    for rec in records:
-        buckets["head_user" if groups.user_is_head[rec.user] else "tail_user"].append(rec.rank)
-        buckets["head_item" if groups.item_is_head[rec.target_item] else "tail_item"].append(rec.rank)
-    return {name: report_from_ranks(ranks, group=name) for name, ranks in buckets.items()}
+    """Reports keyed, in order, head_user, tail_user, head_item, tail_item."""
+    user_head = groups.user_is_head[records["user"]]
+    item_head = groups.item_is_head[records["target_item"]]
+    masks = {"head_user": user_head, "tail_user": ~user_head,
+             "head_item": item_head, "tail_item": ~item_head}
+    return {name: report_from_ranks(records["rank"][mask], group=name)
+            for name, mask in masks.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,13 @@ at load time stay aligned with the full semantic databases.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .backbone import load_backbone_checkpoint, save_backbone_checkpoint
-from .config import RunConfig, parse_config_file, write_key_values, write_text_atomic
+from .config import RunConfig, parse_config_file, write_json, write_key_values, write_text_atomic
 from .dataset import InteractionDataset, LeaveOneOutSplit, load_interactions, partition_head_tail, split_leave_one_out
 from .embedstore import (
     load_embedding_matrix,
@@ -187,21 +186,18 @@ def train_one_seed(data: PipelineData, cfg: RunConfig, seed: int, out_dir) -> di
         "stopped_early": state.stopped_early,
         "wall_clock_seconds": state.wall_seconds,
     }
-    write_text_atomic(os.path.join(out_dir, "summary.json"),
-                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
 
 
 def eval_model(data: PipelineData, model: RecModel, cfg: RunConfig, seed: int,
                which: str = "test", with_groups: bool = True):
-    """Overall report plus (optionally) the four head/tail group reports."""
+    """Overall report plus (optionally) the four head/tail group reports, and the records."""
     report, records = evaluate(
         model, data.split, data.ds, which=which,
         eval_negatives=cfg.eval_negatives, seed=seed, max_seq_len=cfg.max_seq_len,
     )
     reports = [report]
     if with_groups:
-        groups = partition_head_tail(data.ds, cfg.head_ratio)
-        by_group = group_report(records, groups)
-        reports += [by_group[name] for name in ("head_user", "tail_user", "head_item", "tail_item")]
+        reports += group_report(records, partition_head_tail(data.ds, cfg.head_ratio)).values()
     return reports, records

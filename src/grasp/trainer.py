@@ -29,8 +29,6 @@ class TrainState:
     epoch: int = 0
     best_epoch: int = 0
     best_val_ndcg10: float = -np.inf
-    epochs_since_best: int = 0
-    n_validations: int = 0
     loss_history: list[float] = field(default_factory=list)
     val_history: list[float] = field(default_factory=list)
     wall_seconds: float = 0.0
@@ -152,19 +150,15 @@ def fit(model: RecModel, split, ds, cfg: RunConfig, seed: int) -> tuple[RecModel
         )
         model.load_snapshot(exact)
         val = report.ndcg[10]
-        state.n_validations += 1
         state.val_history.append(val)
 
         if val > state.best_val_ndcg10:
             state.best_val_ndcg10 = val
             state.best_epoch = state.epoch
-            state.epochs_since_best = 0
             best_snapshot = quantized
-        else:
-            state.epochs_since_best += 1
-            if state.epochs_since_best >= cfg.patience:
-                state.stopped_early = True
-                break
+        elif state.epoch - state.best_epoch >= cfg.patience:
+            state.stopped_early = True
+            break
 
     if best_snapshot is None:
         raise NumericError("no epoch produced a best validation snapshot")

@@ -14,7 +14,7 @@ from grasp import embedstore as es
 from grasp.backbone import build_backbone
 from grasp.config import RunConfig
 from grasp.dataset import partition_head_tail, split_leave_one_out
-from grasp.evaluation import KS, evaluate, group_report, hr_at_k, ndcg_at_k
+from grasp.evaluation import KS, evaluate, group_report, report_from_ranks
 from grasp.hae import SemanticStore, init_params, fuse_forward, fuse_backward, _branch_concat
 from grasp.model import SemanticEncoder, build_id_model, build_semantic_model, semantic_checksum
 from grasp.trainer import fit
@@ -95,11 +95,12 @@ def test_criterion_01_retrieval_oracle_equivalence():
 
 def test_criterion_02_metric_oracle():
     for rank in range(1, 201):
+        report = report_from_ranks(np.array([rank]))
         for k in KS:
-            assert ndcg_at_k(rank, k) == brute_force_ndcg(rank, k)
-            assert hr_at_k(rank, k) == brute_force_hr(rank, k)
-    assert ndcg_at_k(3, 10) == pytest.approx(0.5, abs=0)
-    assert ndcg_at_k(1, 20) == 1.0
+            assert report.ndcg[k] == pytest.approx(brute_force_ndcg(rank, k), abs=0)
+            assert report.hr[k] == pytest.approx(brute_force_hr(rank, k), abs=0)
+    assert report_from_ranks(np.array([3])).ndcg[10] == pytest.approx(0.5, abs=0)
+    assert report_from_ranks(np.array([1])).ndcg[20] == 1.0
     report_line(2, "NDCG/HR match brute-force DCG for ranks 1..200, all k")
 
 
@@ -260,7 +261,7 @@ def test_criterion_09_early_stopping(small_corpus, small_stores):
                     lr=0.0, patience=5, max_epochs=100, eval_negatives=20)
     model = build_semantic_model(small_stores[0], small_stores[1], cfg, seed=9)
     _, state = fit(model, split, ds, cfg, 42)
-    assert state.n_validations == 6
+    assert len(state.val_history) == 6
     report_line(9, "lr=0, patience=5 stops after exactly 6 validation evaluations")
 
 

@@ -178,17 +178,18 @@ def test_evaluate_records_independent_of_batch_size(monkeypatch, small_corpus, s
         monkeypatch.setattr(evaluation, "EVAL_BATCH_ROWS", bs)
         results.append(evaluate(model, split, ds, which, eval_negatives=20, seed=5, max_seq_len=50))
     (report, records) = results[0]
-    assert [r.user for r in records] == split.users
-    for rec in records:  # each user scored on their own
-        entry = split.entries[rec.user]
+    assert np.array_equal(records["user"], split.users)
+    for user, target_item, rank in records.tolist():  # each user scored on their own
+        entry = split.entries[user]
         seq = entry.train_prefix if which == "valid" else entry.train_prefix + [entry.valid_target]
         target = entry.valid_target if which == "valid" else entry.test_target
-        cands, tpos = _eval_candidates(ds, rec.user, target, 20, 5)
-        o_final = model.final_representations(np.array([rec.user]), [seq], 50)
-        scores = model.candidate_scores(np.array([rec.user]), cands[None], o_final)
-        assert rec.rank == rank_of_target(scores[0], tpos)
+        assert target_item == target
+        cands, tpos = _eval_candidates(ds, user, target, 20, 5)
+        o_final = model.final_representations(np.array([user]), [seq], 50)
+        scores = model.candidate_scores(np.array([user]), cands[None], o_final)
+        assert rank == rank_of_target(scores[0], tpos)
     for other_report, other_records in results[1:]:
-        assert other_records == records
+        assert np.array_equal(other_records, records)
         assert other_report == report
 
 

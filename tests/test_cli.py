@@ -381,6 +381,14 @@ class TestSweepAndReport:
                    "--n-heads", 4, *TRAIN_FLAGS[2:]) == 2
         assert not (out / "runs" / "h_4").exists()
 
+    def test_out_of_range_k_fails_before_any_run(self, data_dir, tmp_path, capsys):
+        # 50 item rows: k=60 has no cache, so not even the k=2 point may train
+        out = tmp_path / "bad_k_sweep"
+        assert run("sweep", "--data", data_dir, "--out", out, "--sweep-k", "2,60",
+                   "--seed", 42, *TRAIN_FLAGS) == 2
+        assert "k=60 out of range" in capsys.readouterr().err
+        assert not (out / "runs").exists()
+
     def test_empty_grid_usage_error(self, data_dir, tmp_path):
         assert run("sweep", "--data", data_dir, "--out", tmp_path / "s2") == 2
 

@@ -7,14 +7,12 @@ from grasp.dataset import partition_head_tail, split_leave_one_out
 from grasp.errors import DataError, FormatError, NumericError, ProtocolError
 from grasp.evaluation import (
     KS,
+    RECORD,
     MetricReport,
-    UserRecord,
     emit_report,
     evaluate,
     format_report_table,
     group_report,
-    hr_at_k,
-    ndcg_at_k,
     parse_report_tsv,
     rank_of_target,
     report_from_ranks,
@@ -42,32 +40,39 @@ class TestRank:
 class TestMetricOracles:
     def test_full_oracle_sweep(self):
         for rank in range(1, 201):
+            report = report_from_ranks(np.array([rank]))
             for k in KS:
-                assert ndcg_at_k(rank, k) == pytest.approx(brute_force_ndcg(rank, k), abs=0)
-                assert hr_at_k(rank, k) == brute_force_hr(rank, k)
+                assert report.ndcg[k] == pytest.approx(brute_force_ndcg(rank, k), abs=0)
+                assert report.hr[k] == brute_force_hr(rank, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 1000), min_size=1, max_size=600))
+    def test_array_means_equal_oracle_means(self, ranks):
+        # bit for bit: the array path sums in the order the per-rank oracle mean does
+        report = report_from_ranks(np.array(ranks))
+        for k in KS:
+            assert report.ndcg[k] == float(np.mean([brute_force_ndcg(r, k) for r in ranks]))
+            assert report.hr[k] == float(np.mean([brute_force_hr(r, k) for r in ranks]))
 
     def test_spot_checks(self):
-        assert ndcg_at_k(1, 10) == 1.0
-        assert ndcg_at_k(3, 10) == pytest.approx(0.5, abs=0)
-        assert ndcg_at_k(11, 10) == 0.0
-        assert hr_at_k(5, 5) == 1.0
-        assert hr_at_k(6, 5) == 0.0
+        assert report_from_ranks([1]).ndcg[10] == 1.0
+        assert report_from_ranks([3]).ndcg[10] == pytest.approx(0.5, abs=0)
+        assert report_from_ranks([11]).ndcg[10] == 0.0
+        assert report_from_ranks([5]).hr[5] == 1.0
+        assert report_from_ranks([6]).hr[5] == 0.0
 
     def test_hr_average(self):
-        ranks = [1, 2, 12]
-        assert np.mean([hr_at_k(r, 10) for r in ranks]) == pytest.approx(2 / 3)
+        assert report_from_ranks(np.array([1, 2, 12])).hr[10] == pytest.approx(2 / 3)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            ndcg_at_k(0, 5)
-        with pytest.raises(ValueError):
-            hr_at_k(1, 0)
+            report_from_ranks(np.array([3, 0, 5]))
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             ranks = rng.integers(1, 40, size=15)
-            rep = report_from_ranks(ranks.tolist())
+            rep = report_from_ranks(ranks)
             ndcgs = [rep.ndcg[k] for k in KS]
             hrs = [rep.hr[k] for k in KS]
             assert ndcgs == sorted(ndcgs)
@@ -75,7 +80,7 @@ class TestMetricOracles:
 
     def test_ndcg1_equals_hr1(self):
         rng = np.random.default_rng(1)
-        rep = report_from_ranks(rng.integers(1, 30, size=25).tolist())
+        rep = report_from_ranks(rng.integers(1, 30, size=25))
         assert rep.ndcg[1] == rep.hr[1]
 
     def test_score_order_invariance(self):
@@ -152,7 +157,8 @@ class TestEvaluateProtocol:
         for k in KS:
             assert report.ndcg[k] == 1.0
             assert report.hr[k] == 1.0
-        assert all(rec.rank == 1 for rec in records)
+        assert records.dtype == RECORD
+        assert (records["rank"] == 1).all()
 
     def test_same_seed_identical(self, big_corpus):
         ds, split = big_corpus
@@ -240,8 +246,7 @@ class TestEvaluateProtocol:
 
 class TestGroupReport:
     def test_two_user_head_tail(self):
-        records = [UserRecord(user=0, target_item=0, rank=1),
-                   UserRecord(user=1, target_item=1, rank=11)]
+        records = np.array([(0, 0, 1), (1, 1, 11)], dtype=RECORD)
         from grasp.dataset import GroupLabels
 
         groups = GroupLabels(
@@ -250,13 +255,15 @@ class TestGroupReport:
             user_threshold=5, item_threshold=5,
         )
         reports = group_report(records, groups)
+        assert list(reports) == ["head_user", "tail_user", "head_item", "tail_item"]
+        assert [r.group for r in reports.values()] == list(reports)
         assert reports["head_user"].ndcg[10] == 1.0
         assert reports["tail_user"].ndcg[10] == 0.0
         assert reports["head_item"].ndcg[10] == 1.0
         assert reports["tail_item"].ndcg[10] == 0.0
 
     def test_empty_group_flagged(self):
-        records = [UserRecord(user=0, target_item=0, rank=1)]
+        records = np.array([(0, 0, 1)], dtype=RECORD)
         from grasp.dataset import GroupLabels
 
         groups = GroupLabels(

@@ -294,7 +294,7 @@ class TestFit:
         cfg = RunConfig(lr=0.0, patience=1, max_epochs=50, eval_negatives=20, max_seq_len=50)
         _, state = fit(model, split, ds, cfg, 42)
         assert state.epoch == 2
-        assert state.n_validations == 2
+        assert len(state.val_history) == 2
         assert state.stopped_early
 
     def test_early_stop_validation_count(self, small_corpus, small_stores):
@@ -303,7 +303,7 @@ class TestFit:
         model = small_model(small_stores, seed=8)
         cfg = RunConfig(lr=0.0, patience=5, max_epochs=100, eval_negatives=20, max_seq_len=50)
         _, state = fit(model, split, ds, cfg, 42)
-        assert state.n_validations == 6
+        assert len(state.val_history) == 6
 
     def test_best_checkpoint_is_argmax(self, small_corpus, small_stores):
         ds, _, _ = small_corpus
