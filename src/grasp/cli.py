@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 usage error, 3 data/format or I/O error, 4
 numeric failure.  ``GRASP_THREADS`` caps BLAS worker threads (applied
-before numpy loads).  Output directories are guarded by a lock file and
-refuse to overwrite previous results without ``--force``; a lock whose
-recorded pid names no running process is replaced with a warning.
+before numpy loads).  Each output directory is guarded by a kernel file
+lock (``flock``) on ``.grasp.lock``, so a second run into a busy
+directory exits 3, and a run refuses to overwrite previous results
+without ``--force``.
 """
 
 from __future__ import annotations
@@ -12,15 +13,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import fcntl
 import json
 import os
 import sys
 
-# config imports no numpy, so it may load before _cap_threads runs.
+# config and errors import no numpy, so they may load before _cap_threads runs.
 from .config import (
     CHOICES, FIELD_TYPES, RunConfig, parse_config_file, write_json, write_key_values,
     write_text_atomic,
 )
+from .errors import DataError, NumericError, ProtocolError
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -32,38 +35,14 @@ def _cap_threads() -> None:
             os.environ.setdefault(var, cap)
 
 
-def _take_stale_lock(lock, flags):
-    """Replace a lock whose pid names no running process; the new fd, or None if held.
-
-    An unreadable, empty or non-numeric lock, or a live (or unsignallable)
-    process, counts as held.
-    """
-    try:
-        with open(lock, encoding="ascii") as fh:
-            pid = int(fh.read().strip())
-        if pid <= 0:
-            return None
-        os.kill(pid, 0)
-        return None
-    except ProcessLookupError:
-        pass
-    except (OSError, ValueError, OverflowError):
-        return None
-    with contextlib.suppress(FileNotFoundError):
-        os.unlink(lock)
-    try:
-        fd = os.open(lock, flags)
-    except FileExistsError:
-        return None
-    print(f"warning: replaced stale lock {lock} of exited process {pid}", file=sys.stderr)
-    return fd
-
-
 @contextlib.contextmanager
-def _output_lock(out_dir):
-    """Hold ``out_dir/.grasp.lock``; a failed run removes the empty directories it created."""
-    from .errors import DataError
+def _output_lock(out_dir, outputs, force: bool):
+    """Hold an flock on ``out_dir/.grasp.lock``, then refuse existing ``outputs`` unless ``force``.
 
+    The kernel drops the lock when its process ends, so a killed run's
+    leftover file blocks nobody.  A failed run removes the empty
+    directories it created.
+    """
     created = []  # deepest first
     path = os.path.abspath(out_dir)
     while not os.path.isdir(path):
@@ -71,36 +50,31 @@ def _output_lock(out_dir):
         path = os.path.dirname(path)
     os.makedirs(out_dir, exist_ok=True)
     lock = os.path.join(out_dir, ".grasp.lock")
-    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
+    fd = os.open(lock, os.O_CREAT | os.O_WRONLY)
     try:
-        fd = os.open(lock, flags)
-    except FileExistsError:
-        fd = _take_stale_lock(lock, flags)
-        if fd is None:
-            raise DataError(
-                f"output directory {out_dir} is locked ({lock}); "
-                "another run may be active, or remove the stale lock"
-            ) from None
-    try:
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
-        yield
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            # A holder that just finished may have unlinked the file we opened.
+            held = os.path.samestat(os.fstat(fd), os.stat(lock))
+        except (BlockingIOError, FileNotFoundError):
+            held = False
+        if not held:
+            raise DataError(f"output directory {out_dir} is locked by another run ({lock})")
+        try:
+            for output in outputs:
+                if os.path.exists(output) and not force:
+                    raise DataError(f"{output} already exists; pass --force to overwrite")
+            yield
+        finally:
+            os.unlink(lock)
     except BaseException:
-        os.unlink(lock)
         for path in created:
             if os.listdir(path):
                 break
             os.rmdir(path)
         raise
-    else:
-        os.unlink(lock)
-
-
-def _refuse_existing(path, force: bool) -> None:
-    from .errors import DataError
-
-    if os.path.exists(path) and not force:
-        raise DataError(f"{path} already exists; pass --force to overwrite")
+    finally:
+        os.close(fd)
 
 
 def _parse_int_list(raw: str) -> list[int]:
@@ -110,6 +84,8 @@ def _parse_int_list(raw: str) -> list[int]:
         raise ValueError(f"expected a comma-separated integer list, got {raw!r}") from None
     if not values:
         raise ValueError(f"empty list: {raw!r}")
+    if len(set(values)) != len(values):
+        raise ValueError(f"repeated value in list: {raw!r}")
     return values
 
 
@@ -162,8 +138,7 @@ def cmd_synth(args) -> int:
     from .embedstore import save_embedding_matrix, synth_corpus, write_interaction_log
     from .pipeline import ITEM_EMB_NAME, LOG_NAME, USER_EMB_NAME
 
-    _refuse_existing(os.path.join(args.out, "manifest.txt"), args.force)
-    with _output_lock(args.out):
+    with _output_lock(args.out, [os.path.join(args.out, "manifest.txt")], args.force):
         ds, users, items = synth_corpus(
             n_users=args.n_users, m_items=args.n_items, n_clusters=args.clusters,
             dim=args.d_sem, noise=args.noise, seed=args.seed,
@@ -212,10 +187,9 @@ def cmd_build_db(args) -> int:
     outputs = {"users": (args.users, os.path.join(args.out_dir, USER_CACHE_NAME)),
                "items": (args.items, os.path.join(args.out_dir, ITEM_CACHE_NAME))}
     report_out = os.path.join(args.out_dir, "build_report.json")
-    for path in [out for _, out in outputs.values()] + [report_out]:
-        _refuse_existing(path, args.force)
     report = {"k": args.k}
-    with _output_lock(args.out_dir):
+    with _output_lock(args.out_dir, [out for _, out in outputs.values()] + [report_out],
+                      args.force):
         matrices = {name: load_embedding_matrix(src) for name, (src, _) in outputs.items()}
         caches = {}
         for name, m in matrices.items():  # both builds succeed before anything is written
@@ -241,9 +215,8 @@ def cmd_train(args) -> int:
     seeds = _parse_int_list(args.seeds)
     seed_dirs = [os.path.join(args.out, f"seed{seed}") for seed in seeds]
     # Every output is checked before the first fit.
-    for path in [os.path.join(d, "summary.json") for d in [args.out, *seed_dirs]]:
-        _refuse_existing(path, args.force)
-    with _output_lock(args.out):
+    with _output_lock(args.out, [os.path.join(d, "summary.json") for d in [args.out, *seed_dirs]],
+                      args.force):
         data = load_data_dir(args.data, cfg, need_stores=cfg.encoder == "semantic")
         write_id_map(os.path.join(args.out, "user_ids.tsv"), data.ds.user_raw_ids)
         write_id_map(os.path.join(args.out, "item_ids.tsv"), data.ds.item_raw_ids)
@@ -274,8 +247,7 @@ def cmd_eval(args) -> int:
 
     cfg = _checkpoint_run_config(args)
     metrics_path = os.path.join(args.out, "metrics.tsv")
-    _refuse_existing(metrics_path, args.force)
-    with _output_lock(args.out):
+    with _output_lock(args.out, [metrics_path], args.force):
         data = load_data_dir(args.data, cfg, need_stores=cfg.encoder == "semantic")
         model, _ = load_model_dir(args.checkpoint, data)
         reports, _ = eval_model(
@@ -323,26 +295,23 @@ def cmd_sweep(args) -> int:
         grid += [("h", v) for v in sorted(_parse_int_list(args.sweep_h))]
     if not grid:
         raise ValueError("empty sweep grid: pass --sweep-k and/or --sweep-h")
+    if args.sweep_k and cfg.encoder == "id":
+        raise ValueError("--sweep-k needs --encoder semantic: the id encoder reads no neighbors")
     # Every point's config and output are checked before the first one trains.
     points = [(param, value, dataclasses.replace(cfg, **{param: value}),
                os.path.join(args.out, "runs", f"{param}_{value}")) for param, value in grid]
-    for *_, run_dir in points:
-        _refuse_existing(os.path.join(run_dir, "summary.json"), args.force)
-
     rows = []
-    with _output_lock(args.out):
+    with _output_lock(args.out, [os.path.join(run_dir, "summary.json") for *_, run_dir in points],
+                      args.force):
         base = load_data_dir(args.data, cfg, need_stores=cfg.encoder == "semantic")
         point_data = []  # every point's caches are built before the first fit
         for param, value, *_ in points:
             data = base
-            if param == "k_neighbors" and cfg.encoder == "semantic":
+            if param == "k_neighbors":  # the semantic encoder: checked above
                 data = copy.copy(base)
-                data.user_store = SemanticStore(
-                    base.user_store.matrix, build_neighbor_cache(base.user_store.matrix, value)
-                )
-                data.item_store = SemanticStore(
-                    base.item_store.matrix, build_neighbor_cache(base.item_store.matrix, value)
-                )
+                data.user_store, data.item_store = (
+                    SemanticStore(store.matrix, build_neighbor_cache(store.matrix, value))
+                    for store in (base.user_store, base.item_store))
             point_data.append(data)
         for (param, value, point_cfg, run_dir), data in zip(points, point_data):
             train_one_seed(data, point_cfg, args.seed, run_dir)
@@ -432,8 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _cap_threads()
-    from .errors import DataError, NumericError, ProtocolError
-
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -1,14 +1,18 @@
 import dataclasses
+import fcntl
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import grasp
 from grasp.cli import main
 from grasp.config import RunConfig
 
@@ -392,6 +396,24 @@ class TestSweepAndReport:
     def test_empty_grid_usage_error(self, data_dir, tmp_path):
         assert run("sweep", "--data", data_dir, "--out", tmp_path / "s2") == 2
 
+    @pytest.mark.parametrize("command, flag, values", [
+        ("train", "--seeds", "1,1"), ("sweep", "--sweep-k", "3,3"), ("sweep", "--sweep-h", "16,16"),
+    ], ids=["seeds", "sweep-k", "sweep-h"])
+    def test_repeated_list_value_is_usage_error(self, data_dir, tmp_path, capsys,
+                                                command, flag, values):
+        out = tmp_path / "repeated"
+        assert run(command, "--data", data_dir, "--out", out, flag, values, *TRAIN_FLAGS) == 2
+        assert f"repeated value in list: {values!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_id_encoder_k_sweep_is_usage_error(self, data_dir, tmp_path, capsys):
+        # the id encoder reads no neighbors, so every k point would be the same fit
+        out = tmp_path / "id_sweep"
+        assert run("sweep", "--data", data_dir, "--out", out, "--encoder", "id",
+                   "--sweep-k", "2,3", *TRAIN_FLAGS) == 2
+        assert "--sweep-k needs --encoder semantic" in capsys.readouterr().err
+        assert not (out / "runs").exists()
+
     def test_report_renders(self, data_dir, tmp_path, capsys):
         from grasp.evaluation import emit_report, report_from_ranks
 
@@ -467,38 +489,95 @@ class TestOutputsCheckedBeforeFit:
         assert sorted(os.listdir(out / "runs")) == ["k_neighbors_3"]
 
 
+def _dead_pid():
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped: its pid names no process now
+    return str(child.pid)
+
+
+# One contender: it says it is ready, waits for the "go" file, then tries the
+# guard; inside it, an O_EXCL marker shows whether another process holds it too.
+# Prints its outcome: held, overlap or the name of the error it met.
+_CONTENDER = """
+import os, sys, time
+from grasp.cli import _output_lock
+
+out = sys.argv[1]
+open(os.path.join(out, "ready" + sys.argv[2]), "w").close()
+while not os.path.exists(os.path.join(out, "go")):
+    time.sleep(0.0005)
+try:
+    with _output_lock(out, [], False):
+        try:
+            os.close(os.open(os.path.join(out, "inside"), os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            print("overlap")
+        else:
+            time.sleep(0.02)
+            os.unlink(os.path.join(out, "inside"))
+            print("held")
+except Exception as exc:
+    print(type(exc).__name__)
+"""
+
+
 class TestLocking:
-    def test_lock_refuses_second_run(self, data_dir, tmp_path):
-        # the lock names a live process: this one
+    def _synth(self, out):
+        return run("synth", "--out", out, "--n-users", 10, "--n-items", 8,
+                   "--clusters", 2, "--d-sem", 4)
+
+    def test_lock_refuses_second_run(self, data_dir, tmp_path, capsys):
         out = tmp_path / "locked"
         out.mkdir()
-        (out / ".grasp.lock").write_text(str(os.getpid()))
-        assert run("train", "--data", data_dir, "--out", out, "--seeds", "42",
-                   *TRAIN_FLAGS) == 3
-        assert (out / ".grasp.lock").read_text() == str(os.getpid())
+        with open(out / ".grasp.lock", "w") as holder:  # a second file description
+            fcntl.flock(holder, fcntl.LOCK_EX)
+            assert run("train", "--data", data_dir, "--out", out, "--seeds", "42",
+                       *TRAIN_FLAGS) == 3
+        assert "locked by another run" in capsys.readouterr().err
+        assert (out / ".grasp.lock").exists()
         assert not (out / "seed42").exists()
 
-    def test_lock_of_exited_process_is_taken_over(self, data_dir, tmp_path, capsys):
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()  # reaped: its pid names no process now
-        out = tmp_path / "stale"
+    @pytest.mark.parametrize("content", ["", "not a pid\n", "0", "-4000000", "1" * 40, None],
+                             ids=["empty", "garbage", "zero", "negative", "overflow", "exited-pid"])
+    def test_leftover_lock_does_not_block(self, tmp_path, capsys, content):
+        out = tmp_path / "leftover"
         out.mkdir()
-        (out / ".grasp.lock").write_text(str(child.pid))
-        assert run("train", "--data", data_dir, "--out", out, "--seeds", "42",
-                   *TRAIN_FLAGS) == 0
-        assert f"stale lock {out / '.grasp.lock'} of exited process {child.pid}" in (
-            capsys.readouterr().err)
-        assert (out / "seed42" / "summary.json").exists()
+        (out / ".grasp.lock").write_text(_dead_pid() if content is None else content)
+        assert self._synth(out) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "manifest.txt").exists()
         assert not (out / ".grasp.lock").exists()
 
-    @pytest.mark.parametrize("content", ["", "not a pid\n", "0", "-4000000", "1" * 40])
-    def test_unreadable_lock_is_refused(self, data_dir, tmp_path, content):
-        out = tmp_path / "garbage"
+    def test_lock_of_killed_holder_is_released(self, tmp_path):
+        out = tmp_path / "held"
         out.mkdir()
-        (out / ".grasp.lock").write_text(content)
-        assert run("train", "--data", data_dir, "--out", out, "--seeds", "42",
-                   *TRAIN_FLAGS) == 3
-        assert (out / ".grasp.lock").read_text() == content
+        hold = ("import fcntl, sys, time; f = open(sys.argv[1], 'w'); "
+                "fcntl.flock(f, fcntl.LOCK_EX); print('held', flush=True); time.sleep(60)")
+        with subprocess.Popen([sys.executable, "-c", hold, str(out / ".grasp.lock")],
+                              stdout=subprocess.PIPE, text=True) as holder:
+            assert holder.stdout.readline() == "held\n"
+            assert self._synth(out) == 3
+            holder.kill()
+        assert self._synth(out) == 0
+        assert not (out / ".grasp.lock").exists()
+
+    def test_concurrent_runs_over_a_leftover_lock_never_share_it(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(grasp.__file__).parent.parent)}
+        pid = _dead_pid()
+        for r in range(8):
+            out = tmp_path / f"round{r}"
+            out.mkdir()
+            (out / ".grasp.lock").write_text(pid)
+            procs = [subprocess.Popen([sys.executable, "-c", _CONTENDER, str(out), str(i)],
+                                      stdout=subprocess.PIPE, text=True, env=env)
+                     for i in range(6)]
+            deadline = time.monotonic() + 10
+            while len(list(out.glob("ready*"))) < len(procs) and time.monotonic() < deadline:
+                time.sleep(0.001)
+            (out / "go").touch()
+            outcomes = [proc.communicate(timeout=30)[0].strip() for proc in procs]
+            # A late contender may hold the guard after the first one left it, never with it.
+            assert set(outcomes) <= {"held", "DataError"} and "held" in outcomes, (r, outcomes)
 
 
 class TestUndecodableInputs:
