@@ -4,7 +4,9 @@ Both backbones map an ``L x h`` input matrix to per-position user
 representations ``o_t`` with strict causality: ``o_t`` depends only on
 positions ``<= t``.  Batched forward/backward cores operate on left-padded
 ``(B, L, h)`` grids with a boolean mask; padding never leaks into real
-positions.
+positions.  Inputs at padded positions may hold any finite values (the
+encoders give padded item 0 a real representation); outputs and
+``backward``'s input gradients there are zero.
 
 Each backbone has one ``forward(x, mask, *, rng=None, last_only=False)``.
 It returns ``(outputs (B, L, h), cache)`` for ``backward``.  Dropout runs

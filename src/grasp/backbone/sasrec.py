@@ -20,26 +20,9 @@ LN_EPS = 1e-8
 MASKED_SCORE = -1e30
 
 
-def _ln_forward(x, g, b):
-    mean = x.mean(axis=-1, keepdims=True)
-    xc = x - mean
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv)
-
-
-def _ln_backward(cache, g, dy):
-    xhat, inv = cache
-    dg = (dy * xhat).reshape(-1, dy.shape[-1]).sum(axis=0)
-    db = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
-    dxhat = dy * g
-    dx = inv * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
-    return dx, dg, db
+def _scale(t, m):
+    """``t`` times a dropout mask, or ``t`` itself without one."""
+    return t if m is None else t * m
 
 
 class SasRec:
@@ -80,8 +63,43 @@ class SasRec:
         B, nh, L, hd = x.shape
         return x.transpose(0, 2, 1, 3).reshape(B, L, nh * hd)
 
+    # -- layers: ``w``/``b`` and ``ln``+``layer`` name parameters -------
+    def _linear(self, x, w, b=None):
+        y = mm(x, self.params[w])
+        return y if b is None else y + self.params[b]
+
+    def _linear_grads(self, grads, x, dy, w, b):
+        """Accumulate ``_linear``'s weight and bias gradients; return d_x."""
+        flat_dy = dy.reshape(-1, dy.shape[-1])
+        grads[w] += x.reshape(-1, x.shape[-1]).T @ flat_dy
+        if b is not None:
+            grads[b] += flat_dy.sum(axis=0)
+        return mm(dy, self.params[w].T)
+
+    def _ln(self, x, ln, layer):
+        """Layer norm over the last axis; returns (outputs, cache)."""
+        xc = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LN_EPS)
+        xhat = xc * inv
+        return self.params[f"{ln}_g{layer}"] * xhat + self.params[f"{ln}_b{layer}"], (xhat, inv)
+
+    def _ln_grads(self, grads, cache, dy, ln, layer):
+        """Accumulate ``_ln``'s gain and bias gradients; return d_x."""
+        xhat, inv = cache
+        grads[f"{ln}_g{layer}"] += (dy * xhat).reshape(-1, dy.shape[-1]).sum(axis=0)
+        grads[f"{ln}_b{layer}"] += dy.reshape(-1, dy.shape[-1]).sum(axis=0)
+        dxhat = dy * self.params[f"{ln}_g{layer}"]
+        return inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                      - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+
     def forward(self, x: np.ndarray, mask: np.ndarray, *, rng=None, last_only: bool = False):
         """Blocks over a left-padded (B, L, h) grid; returns (outputs, cache).
+
+        Inputs at padded positions may hold any finite values.  Outputs
+        there are zero, and so is ``backward``'s d_x; real positions never
+        read them, because a padded key gets exactly zero weight from every
+        real query and every other op is row-local.  So padding is masked
+        only on the outputs and on the incoming gradient.
 
         With ``last_only`` returns (the (B, h) last-position outputs, None):
         the last block computes keys and values for every position but its
@@ -95,118 +113,82 @@ class SasRec:
         if L > cfg.max_seq_len:
             raise ValueError(f"sequence length {L} exceeds max_seq_len {cfg.max_seq_len}")
         p = cfg.dropout if rng is not None else 0.0
-        fmask = mask.astype(np.float64)[:, :, None]
+
+        def drop(t):
+            """``t`` after dropout, and its mask (None without dropout)."""
+            m = dropout_mask(rng, t.shape, p) if p > 0.0 else None
+            return _scale(t, m), m
 
         lengths = mask.sum(axis=1)
         pos_idx = np.arange(L)[None, :] - (L - lengths)[:, None]
         pos_idx = np.clip(pos_idx, 0, None)
-        x0 = (x + self.params["pos_emb"][pos_idx]) * fmask
-        dm0 = dropout_mask(rng, x0.shape, p) if p > 0.0 else None
-        cur = x0 * dm0 if dm0 is not None else x0
+        cur, dm0 = drop(x + self.params["pos_emb"][pos_idx])
 
         # allowed[b, 0, i, j]: key j visible from query i (causal, real key).
         causal = np.tril(np.ones((L, L), dtype=bool))
         allowed = causal[None, None, :, :] & mask[:, None, None, :]
+        hd = cfg.h // cfg.n_heads
 
         layer_caches = []
         rows = slice(None)
         for layer in range(self.n_layers):
             if last_only and layer == self.n_layers - 1:
                 rows = slice(L - 1, L)
-            x_in = cur
-            a, ln1_cache = _ln_forward(x_in, self.params[f"ln1_g{layer}"], self.params[f"ln1_b{layer}"])
-            q = mm(a[:, rows], self.params[f"wq{layer}"]) + self.params[f"bq{layer}"]
-            k = mm(a, self.params[f"wk{layer}"])
-            v = mm(a, self.params[f"wv{layer}"]) + self.params[f"bv{layer}"]
-            qh, kh, vh = self._split(q), self._split(k), self._split(v)
-            hd = cfg.h // cfg.n_heads
+            a, ln1_cache = self._ln(cur, "ln1", layer)
+            qh = self._split(self._linear(a[:, rows], f"wq{layer}", f"bq{layer}"))
+            kh = self._split(self._linear(a, f"wk{layer}"))
+            vh = self._split(self._linear(a, f"wv{layer}", f"bv{layer}"))
             scores = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(hd)
             scores = np.where(allowed[:, :, rows], scores, MASKED_SCORE)
             smax = scores.max(axis=-1, keepdims=True)
             e = np.exp(scores - smax)
             s = e / e.sum(axis=-1, keepdims=True)
             ctx = self._merge(s @ vh)
-            attn_out = mm(ctx, self.params[f"wo{layer}"]) + self.params[f"bo{layer}"]
-            dm1 = dropout_mask(rng, attn_out.shape, p) if p > 0.0 else None
-            x_mid = (x_in[:, rows] + (attn_out * dm1 if dm1 is not None else attn_out)) * fmask[:, rows]
+            attn_out, dm1 = drop(self._linear(ctx, f"wo{layer}", f"bo{layer}"))
+            x_mid = cur[:, rows] + attn_out
 
-            f, ln2_cache = _ln_forward(x_mid, self.params[f"ln2_g{layer}"], self.params[f"ln2_b{layer}"])
-            a1 = mm(f, self.params[f"wf1{layer}"]) + self.params[f"bf1{layer}"]
+            f, ln2_cache = self._ln(x_mid, "ln2", layer)
+            a1 = self._linear(f, f"wf1{layer}", f"bf1{layer}")
             h1 = np.maximum(a1, 0.0)
-            ff = mm(h1, self.params[f"wf2{layer}"]) + self.params[f"bf2{layer}"]
-            dm2 = dropout_mask(rng, ff.shape, p) if p > 0.0 else None
-            cur = (x_mid + (ff * dm2 if dm2 is not None else ff)) * fmask[:, rows]
+            ff, dm2 = drop(self._linear(h1, f"wf2{layer}", f"bf2{layer}"))
+            cur = x_mid + ff
 
             if not last_only:
-                layer_caches.append(
-                    (ln1_cache, a, qh, kh, vh, s, ctx, dm1, ln2_cache, f, a1, h1, dm2)
-                )
+                layer_caches.append((ln1_cache, a, qh, kh, vh, s, ctx, dm1, ln2_cache, f, a1, h1, dm2))
 
-        out, lnf_cache = _ln_forward(cur, self.params["lnf_g"], self.params["lnf_b"])
-        out = out * fmask[:, rows]
+        out, lnf_cache = self._ln(cur, "lnf", "")
+        out = out * mask[:, rows, None]
         if last_only:
             return out[:, -1], None
-        cache = (x0, dm0, fmask, pos_idx, mask, layer_caches, lnf_cache)
-        return out, cache
+        return out, (dm0, pos_idx, mask, layer_caches, lnf_cache)
 
     def backward(self, cache, d_out: np.ndarray):
-        x0, dm0, fmask, pos_idx, mask, layer_caches, lnf_cache = cache
-        cfg = self.cfg
+        dm0, pos_idx, mask, layer_caches, lnf_cache = cache
         grads = {name: np.zeros_like(t) for name, t in self.params.items()}
+        hd = self.cfg.h // self.cfg.n_heads
 
-        d = d_out * fmask
-        d, dg, db = _ln_backward(lnf_cache, self.params["lnf_g"], d)
-        grads["lnf_g"] += dg
-        grads["lnf_b"] += db
-
+        d = self._ln_grads(grads, lnf_cache, d_out * mask[:, :, None], "lnf", "")
         for layer in reversed(range(self.n_layers)):
             (ln1_cache, a, qh, kh, vh, s, ctx, dm1, ln2_cache, f, a1, h1, dm2) = layer_caches[layer]
-            hd = cfg.h // cfg.n_heads
 
-            d = d * fmask
-            d_ff = d * dm2 if dm2 is not None else d
-            flat_h1 = h1.reshape(-1, cfg.h)
-            flat_dff = d_ff.reshape(-1, cfg.h)
-            grads[f"wf2{layer}"] += flat_h1.T @ flat_dff
-            grads[f"bf2{layer}"] += flat_dff.sum(axis=0)
-            d_a1 = mm(d_ff, self.params[f"wf2{layer}"].T) * (a1 > 0)
-            grads[f"wf1{layer}"] += f.reshape(-1, cfg.h).T @ d_a1.reshape(-1, cfg.h)
-            grads[f"bf1{layer}"] += d_a1.reshape(-1, cfg.h).sum(axis=0)
-            d_f = mm(d_a1, self.params[f"wf1{layer}"].T)
-            d_ln2, dg, db = _ln_backward(ln2_cache, self.params[f"ln2_g{layer}"], d_f)
-            grads[f"ln2_g{layer}"] += dg
-            grads[f"ln2_b{layer}"] += db
-            d_xmid = d + d_ln2
+            d_h1 = self._linear_grads(grads, h1, _scale(d, dm2), f"wf2{layer}", f"bf2{layer}")
+            d_f = self._linear_grads(grads, f, d_h1 * (a1 > 0), f"wf1{layer}", f"bf1{layer}")
+            d_xmid = d + self._ln_grads(grads, ln2_cache, d_f, "ln2", layer)
 
-            d_xmid = d_xmid * fmask
-            d_attn = d_xmid * dm1 if dm1 is not None else d_xmid
-            flat_ctx = ctx.reshape(-1, cfg.h)
-            flat_dattn = d_attn.reshape(-1, cfg.h)
-            grads[f"wo{layer}"] += flat_ctx.T @ flat_dattn
-            grads[f"bo{layer}"] += flat_dattn.sum(axis=0)
-            d_ctxh = self._split(mm(d_attn, self.params[f"wo{layer}"].T))
+            d_ctxh = self._split(
+                self._linear_grads(grads, ctx, _scale(d_xmid, dm1), f"wo{layer}", f"bo{layer}"))
             d_s = d_ctxh @ vh.transpose(0, 1, 3, 2)
             d_vh = s.transpose(0, 1, 3, 2) @ d_ctxh
             d_scores = s * (d_s - (d_s * s).sum(axis=-1, keepdims=True))
             d_qh = d_scores @ kh / np.sqrt(hd)
             d_kh = d_scores.transpose(0, 1, 3, 2) @ qh / np.sqrt(hd)
-            d_q, d_k, d_v = self._merge(d_qh), self._merge(d_kh), self._merge(d_vh)
 
-            flat_a = a.reshape(-1, cfg.h)
             d_a = np.zeros_like(a)
-            for nm, dx in (("wq", d_q), ("wk", d_k), ("wv", d_v)):
-                flat_dx = dx.reshape(-1, cfg.h)
-                grads[f"{nm}{layer}"] += flat_a.T @ flat_dx
-                if nm != "wk":
-                    grads[f"b{nm[1]}{layer}"] += flat_dx.sum(axis=0)
-                d_a += mm(dx, self.params[f"{nm}{layer}"].T)
-            d_ln1, dg, db = _ln_backward(ln1_cache, self.params[f"ln1_g{layer}"], d_a)
-            grads[f"ln1_g{layer}"] += dg
-            grads[f"ln1_b{layer}"] += db
-            d = d_xmid + d_ln1
+            for w, b, d_xh in (("wq", "bq", d_qh), ("wk", None, d_kh), ("wv", "bv", d_vh)):
+                d_a += self._linear_grads(grads, a, self._merge(d_xh), f"{w}{layer}",
+                                          b and f"{b}{layer}")
+            d = d_xmid + self._ln_grads(grads, ln1_cache, d_a, "ln1", layer)
 
-        if dm0 is not None:
-            d = d * dm0
-        d = d * fmask
+        d = _scale(d, dm0)
         grads["pos_emb"] = segment_sum(pos_idx[mask], d[mask], len(grads["pos_emb"]))
         return d, grads

@@ -213,6 +213,8 @@ def cmd_train(args) -> int:
 
     cfg = RunConfig(**_given_settings(args))
     seeds = _parse_int_list(args.seeds)
+    if min(seeds) < 0:
+        raise ValueError(f"--seeds takes only non-negative seeds, got {args.seeds!r}")
     seed_dirs = [os.path.join(args.out, f"seed{seed}") for seed in seeds]
     # Every output is checked before the first fit.
     with _output_lock(args.out, [os.path.join(d, "summary.json") for d in [args.out, *seed_dirs]],
@@ -403,6 +405,8 @@ def main(argv=None) -> int:
     _cap_threads()
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed takes only non-negative seeds, got {args.seed}")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

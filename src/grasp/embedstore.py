@@ -299,8 +299,8 @@ def synth_corpus(
         raise ValueError(f"n_clusters={n_clusters} exceeds m_items={m_items}")
     if dim < n_clusters:
         raise ValueError(f"dim={dim} must be >= n_clusters={n_clusters}")
-    if n_users < 1 or m_items < 2:
-        raise ValueError("need at least 1 user and 2 items")
+    if n_users < 1 or m_items < 2 or n_clusters < 1:
+        raise ValueError("need at least 1 user, 2 items and 1 cluster")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     centroids = np.eye(dim, dtype=np.float64)[:n_clusters]

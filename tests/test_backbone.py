@@ -164,6 +164,34 @@ class TestRngContract:
         assert not np.array_equal(drawn[0], plain[0])
 
 
+class TestPaddingContract:
+    """Padded inputs may hold any finite values, as the encoders give padded item 0."""
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3], ids=["plain", "dropout"])
+    @pytest.mark.parametrize("make_model", [
+        lambda p: gru(h=8, n_layers=2, seed=50, dropout=p),
+        lambda p: sas(h=8, n_layers=2, n_heads=2, seed=51, dropout=p),
+    ], ids=["gru4rec", "sasrec"])
+    def test_padded_inputs_are_never_read(self, make_model, dropout):
+        model = make_model(dropout)
+        rng = np.random.default_rng(52)
+        x, mask = left_padded_grid(rng, 6, 7, 8)
+        assert not mask.all()
+        noisy = x + 5.0 * rng.standard_normal(x.shape) * ~mask[..., None]
+        d_out = rng.standard_normal(x.shape)  # padded positions too: backward masks them
+        runs = []
+        for grid in (x, noisy):
+            out, cache = model.forward(grid, mask, rng=np.random.default_rng(53))
+            runs.append((out, *model.backward(cache, d_out)))
+        (out, d_x, grads), (noisy_out, noisy_dx, noisy_grads) = runs
+        assert np.array_equal(noisy_out[mask], out[mask])
+        assert np.array_equal(noisy_dx[mask], d_x[mask])
+        for name, g in grads.items():
+            assert np.array_equal(noisy_grads[name], g), name
+        for padded in (out, d_x, noisy_out, noisy_dx):
+            assert not padded[~mask].any()
+
+
 class TestGruRecurrence:
     """The time-major recurrence against the batch-major reference, bit for bit."""
 
@@ -228,7 +256,7 @@ class TestSasRec:
         model = sas(seed=8)
         x = np.random.default_rng(9).standard_normal((1, 1, 4))
         out, cache = model.forward(x, np.ones((1, 1), dtype=bool))
-        layer_caches = cache[5]
+        layer_caches = cache[3]
         attn_weights = layer_caches[0][5]
         np.testing.assert_array_equal(attn_weights, np.ones((1, 1, 1, 1)))
 

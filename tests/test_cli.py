@@ -51,6 +51,13 @@ class TestSynth:
     def test_refuses_overwrite_without_force(self, data_dir, capsys):
         assert run("synth", "--out", data_dir) == 3
 
+    def test_zero_clusters_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "no_clusters"
+        assert run("synth", "--out", out, "--n-users", 10, "--n-items", 8,
+                   "--clusters", 0, "--d-sem", 4) == 2
+        assert "1 cluster" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_noise_flagged(self, tmp_path):
         out = tmp_path / "exact"
         assert run("synth", "--out", out, "--n-users", 10, "--n-items", 8,
@@ -404,6 +411,21 @@ class TestSweepAndReport:
         out = tmp_path / "repeated"
         assert run(command, "--data", data_dir, "--out", out, flag, values, *TRAIN_FLAGS) == 2
         assert f"repeated value in list: {values!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--seeds", "2,-1"), ("sweep", "--seed", -1), ("eval", "--seed", -5),
+        ("synth", "--seed", -1),
+    ], ids=["train", "sweep", "eval", "synth"])
+    def test_negative_seed_is_usage_error(self, data_dir, trained, tmp_path, capsys,
+                                          command, flag, value):
+        inputs = {"train": ("--data", data_dir, *TRAIN_FLAGS),
+                  "sweep": ("--data", data_dir, "--sweep-h", 8, *TRAIN_FLAGS[2:]),
+                  "eval": ("--data", data_dir, "--checkpoint", trained / "seed42"),
+                  "synth": ("--n-users", 60)}[command]
+        out = tmp_path / "negative"
+        assert run(command, "--out", out, flag, value, *inputs) == 2
+        assert f"{flag} takes only non-negative seeds" in capsys.readouterr().err
         assert not out.exists()
 
     def test_id_encoder_k_sweep_is_usage_error(self, data_dir, tmp_path, capsys):
