@@ -220,8 +220,6 @@ def cmd_train(args) -> int:
     with _output_lock(args.out, [os.path.join(d, "summary.json") for d in [args.out, *seed_dirs]],
                       args.force):
         data = load_data_dir(args.data, cfg, need_stores=cfg.encoder == "semantic")
-        write_id_map(os.path.join(args.out, "user_ids.tsv"), data.ds.user_raw_ids)
-        write_id_map(os.path.join(args.out, "item_ids.tsv"), data.ds.item_raw_ids)
         summaries = []
         for seed, seed_dir in zip(seeds, seed_dirs):
             summary = train_one_seed(data, cfg, seed, seed_dir)
@@ -236,6 +234,9 @@ def cmd_train(args) -> int:
             "mean_best_val_ndcg10": sum(s["best_val_ndcg10"] for s in summaries) / len(summaries),
             "per_seed": summaries,
         }
+        # Written last, so a run that fails (at model build, say) leaves no id maps behind.
+        write_id_map(os.path.join(args.out, "user_ids.tsv"), data.ds.user_raw_ids)
+        write_id_map(os.path.join(args.out, "item_ids.tsv"), data.ds.item_raw_ids)
         write_json(os.path.join(args.out, "summary.json"), combined)
     print(f"train: mean best val NDCG@10 {combined['mean_best_val_ndcg10']:.4f}")
     return 0
@@ -312,8 +313,8 @@ def cmd_sweep(args) -> int:
             if param == "k_neighbors":  # the semantic encoder: checked above
                 data = copy.copy(base)
                 data.user_store, data.item_store = (
-                    SemanticStore(store.matrix, build_neighbor_cache(store.matrix, value))
-                    for store in (base.user_store, base.item_store))
+                    SemanticStore(s.matrix, build_neighbor_cache(s.matrix, value), s.rows)
+                    for s in (base.user_store, base.item_store))
             point_data.append(data)
         for (param, value, point_cfg, run_dir), data in zip(points, point_data):
             train_one_seed(data, point_cfg, args.seed, run_dir)

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import binio
 from .config import RunConfig
-from .embedstore import EmbeddingMatrix, NeighborCache
+from .embedstore import EmbeddingMatrix, NeighborCache, _frozen
 from .ops import sigmoid, uniform_init
 
 GHAE_MAGIC = b"GHAE"
@@ -88,10 +88,17 @@ def init_params(cfg: RunConfig, d_sem: int, seed: int) -> HaeParams:
 
 @dataclass(frozen=True)
 class SemanticStore:
-    """A raw embedding matrix paired with its neighbor cache."""
+    """A raw embedding matrix, its neighbor cache, and the dense id -> row map.
+
+    ``rows[i]`` is the matrix row of dense id ``i``; ``None`` maps each id
+    to its own row.  The rows must be distinct and inside the matrix
+    (``pipeline.load_data_dir`` checks them); ``rows`` is frozen like the
+    matrix and the cache, and ``lookup`` is its only reader.
+    """
 
     matrix: EmbeddingMatrix
     cache: NeighborCache
+    rows: np.ndarray | None = None
 
     def __post_init__(self):
         if self.cache.rows != self.matrix.rows or self.cache.dim != self.matrix.dim:
@@ -99,6 +106,13 @@ class SemanticStore:
                 f"cache shape {(self.cache.rows, self.cache.dim)} does not match "
                 f"matrix {(self.matrix.rows, self.matrix.dim)}"
             )
+        rows = np.arange(self.matrix.rows) if self.rows is None else self.rows
+        object.__setattr__(self, "rows", _frozen(np.asarray(rows, dtype=np.int64)))
+
+    def lookup(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(e, e_bar): the embeddings and pooled neighbor means of dense ``ids``."""
+        rows = self.rows[ids]
+        return self.matrix.values[rows], self.cache.pooled_means[rows]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ frozen embedding stores -> gated branches -> fusion MLP) and ``IdEncoder``
 ``RecModel`` wrapper owns the batch loss -- per-position binary cross
 entropy over {positive, sampled negatives} -- and routes gradients to
 exactly two parameter groups: the encoder's and the backbone's.  Semantic
-stores are read-only; no gradient path into them exists.
+stores are read-only; no gradient path into them exists.  Each store
+maps dense ids to its matrix rows (``SemanticStore.lookup``), so the
+encoder keeps no row map.
 
 Each encoder's ``encode_items`` has one job per mode: without ``readout``
 it encodes sequence inputs; with ``readout`` it scores candidates, in
@@ -49,20 +51,14 @@ class SemanticEncoder:
     """Holistic-attention enhancement over frozen semantic stores.
 
     The semantic width ``d_sem`` is the stores' dimension; a nonzero
-    ``cfg.d_sem`` must agree with it.
+    ``cfg.d_sem`` must agree with it.  Dense user and item ids read
+    their rows through the stores' ``lookup``.
     """
 
     group_name = "hae"
 
-    def __init__(
-        self,
-        user_store: SemanticStore,
-        item_store: SemanticStore,
-        cfg: RunConfig,
-        seed: int,
-        user_rows: np.ndarray | None = None,
-        item_rows: np.ndarray | None = None,
-    ):
+    def __init__(self, user_store: SemanticStore, item_store: SemanticStore, cfg: RunConfig,
+                 seed: int):
         d_sem = user_store.matrix.dim
         if item_store.matrix.dim != d_sem or cfg.d_sem not in (0, d_sem):
             raise DataError(
@@ -74,16 +70,6 @@ class SemanticEncoder:
         self.cfg = cfg
         self.d_sem = d_sem
         self.hae = hae_mod.init_params(cfg, d_sem, seed)
-        self.user_rows = self._check_rows(user_rows, user_store.matrix.rows, "user")
-        self.item_rows = self._check_rows(item_rows, item_store.matrix.rows, "item")
-
-    @staticmethod
-    def _check_rows(rows, limit, label):
-        """``rows`` as an int64 id -> matrix row map; None maps each id to its own row."""
-        rows = np.arange(limit) if rows is None else np.asarray(rows, dtype=np.int64)
-        if rows.size and (rows.min() < 0 or rows.max() >= limit):
-            raise DataError(f"{label} id map points outside the embedding matrix ({limit} rows)")
-        return rows
 
     @property
     def params(self) -> dict[str, np.ndarray]:
@@ -99,21 +85,14 @@ class SemanticEncoder:
         """
         user_ids = np.asarray(user_ids, dtype=np.int64)
         item_ids = np.asarray(item_ids, dtype=np.int64)
-        urows = self.user_rows[user_ids]
-        irows = self.item_rows[item_ids]
-        distinct, index = np.unique(irows, return_inverse=True)
+        distinct, index = np.unique(item_ids, return_inverse=True)
         shape = (len(user_ids),) + (1,) * (item_ids.ndim - 1) + (self.d_sem,)
-        user_store, item_store = self.user_store, self.item_store
-        gates = hae_mod._branch_concat(
-            user_store.matrix.values[urows].reshape(shape),
-            user_store.cache.pooled_means[urows].reshape(shape),
-            item_store.matrix.values[irows], item_store.cache.pooled_means[irows], self.cfg,
-            positions_mask=positions_mask,
-        )
-        items = np.concatenate(
-            [item_store.matrix.values[distinct], item_store.cache.pooled_means[distinct]], axis=1
-        )
-        return hae_mod.fuse_forward(gates, index.reshape(irows.shape), items, self.hae, readout)
+        u, u_bar = self.user_store.lookup(user_ids)
+        gates = hae_mod._branch_concat(u.reshape(shape), u_bar.reshape(shape),
+                                       *self.item_store.lookup(item_ids), self.cfg,
+                                       positions_mask=positions_mask)
+        items = np.concatenate(self.item_store.lookup(distinct), axis=1)
+        return hae_mod.fuse_forward(gates, index.reshape(item_ids.shape), items, self.hae, readout)
 
     def backward(self, cache, d_out) -> dict[str, np.ndarray]:
         return hae_mod.fuse_backward(cache, d_out, self.hae)
@@ -261,28 +240,16 @@ def semantic_checksum(model: RecModel) -> str:
         return ""
     digest = hashlib.sha256()
     enc = model.encoder
-    for arr in (
-        enc.user_store.matrix.values,
-        enc.user_store.cache.pooled_means,
-        enc.user_store.cache.neighbor_ids,
-        enc.item_store.matrix.values,
-        enc.item_store.cache.pooled_means,
-        enc.item_store.cache.neighbor_ids,
-    ):
-        digest.update(np.ascontiguousarray(arr).tobytes())
+    for store in (enc.user_store, enc.item_store):
+        for arr in (store.matrix.values, store.cache.pooled_means, store.cache.neighbor_ids,
+                    store.rows):
+            digest.update(np.ascontiguousarray(arr).tobytes())
     return digest.hexdigest()
 
 
-def build_semantic_model(
-    user_store: SemanticStore,
-    item_store: SemanticStore,
-    cfg: RunConfig,
-    seed: int,
-    user_rows=None,
-    item_rows=None,
-) -> RecModel:
-    encoder = SemanticEncoder(user_store, item_store, cfg, seed, user_rows, item_rows)
-    return RecModel(encoder, build_backbone(cfg, seed))
+def build_semantic_model(user_store: SemanticStore, item_store: SemanticStore, cfg: RunConfig,
+                         seed: int) -> RecModel:
+    return RecModel(SemanticEncoder(user_store, item_store, cfg, seed), build_backbone(cfg, seed))
 
 
 def build_id_model(item_count: int, cfg: RunConfig, seed: int) -> RecModel:

@@ -11,7 +11,9 @@ A model checkpoint directory holds ``model.txt`` (the full ``RunConfig``
 it was trained with, in ``--config`` format) plus ``backbone.gbkb`` and
 either ``hae.ghae`` (semantic encoder) or ``id_embedding.gemb`` (ID-only
 baseline).  Embedding rows are addressed by raw id, so datasets filtered
-at load time stay aligned with the full semantic databases.
+at load time stay aligned with the full semantic databases: each raw id,
+parsed with ``int()``, must name a distinct row of its matrix, checked
+once at load, before any command writes a file.
 """
 
 from __future__ import annotations
@@ -50,8 +52,6 @@ class PipelineData:
     split: LeaveOneOutSplit
     user_store: SemanticStore | None
     item_store: SemanticStore | None
-    user_rows: np.ndarray | None
-    item_rows: np.ndarray | None
 
 
 def _require(path, hint: str):
@@ -60,13 +60,22 @@ def _require(path, hint: str):
     return path
 
 
-def _raw_rows(raw_ids: list[str], label: str) -> np.ndarray:
-    try:
-        return np.array([int(r) for r in raw_ids], dtype=np.int64)
-    except ValueError:
-        raise DataError(
-            f"{label} raw ids are not integer row indices; cannot align with embeddings"
-        ) from None
+def _raw_rows(raw_ids: list[str], label: str, n_rows: int) -> np.ndarray:
+    """Each dense id's matrix row: its raw id parsed with ``int()``, naming a distinct row."""
+    owner = {}
+    for raw in raw_ids:
+        try:
+            row = int(raw)
+        except ValueError:
+            raise DataError(f"{label} raw id {raw!r} is not an integer row index; "
+                            "cannot align with embeddings") from None
+        if not 0 <= row < n_rows:
+            raise DataError(f"{label} raw id {raw!r} points outside the embedding matrix "
+                            f"({n_rows} rows)")
+        if owner.setdefault(row, raw) != raw:
+            raise DataError(f"{label} raw ids {owner[row]!r} and {raw!r} both name "
+                            f"embedding row {row}")
+    return np.fromiter(owner, dtype=np.int64, count=len(owner))
 
 
 def load_data_dir(data_dir, cfg: RunConfig, need_stores: bool = True) -> PipelineData:
@@ -74,7 +83,7 @@ def load_data_dir(data_dir, cfg: RunConfig, need_stores: bool = True) -> Pipelin
     ds = load_interactions(log_path, cfg.min_user_len, cfg.min_item_freq)
     split = split_leave_one_out(ds)
 
-    user_store = item_store = user_rows = item_rows = None
+    user_store = item_store = None
     if need_stores:
         user_m = load_embedding_matrix(
             _require(os.path.join(data_dir, USER_EMB_NAME), "user embedding matrix")
@@ -93,11 +102,9 @@ def load_data_dir(data_dir, cfg: RunConfig, need_stores: bool = True) -> Pipelin
                 f"neighbor caches were built with k={user_c.k}/{item_c.k} but config "
                 f"asks k_neighbors={cfg.k_neighbors}; rerun `grasp build-db --k {cfg.k_neighbors}`"
             )
-        user_store = SemanticStore(user_m, user_c)
-        item_store = SemanticStore(item_m, item_c)
-        user_rows = _raw_rows(ds.user_raw_ids, "user")
-        item_rows = _raw_rows(ds.item_raw_ids, "item")
-    return PipelineData(ds, split, user_store, item_store, user_rows, item_rows)
+        user_store = SemanticStore(user_m, user_c, _raw_rows(ds.user_raw_ids, "user", user_m.rows))
+        item_store = SemanticStore(item_m, item_c, _raw_rows(ds.item_raw_ids, "item", item_m.rows))
+    return PipelineData(ds, split, user_store, item_store)
 
 
 def build_model(data: PipelineData, cfg: RunConfig, seed: int) -> RecModel:
@@ -105,10 +112,7 @@ def build_model(data: PipelineData, cfg: RunConfig, seed: int) -> RecModel:
         return build_id_model(data.ds.item_count, cfg, seed)
     if data.user_store is None:
         raise DataError("the semantic encoder needs embedding stores in the data directory")
-    return build_semantic_model(
-        data.user_store, data.item_store, cfg, seed,
-        user_rows=data.user_rows, item_rows=data.item_rows,
-    )
+    return build_semantic_model(data.user_store, data.item_store, cfg, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +173,8 @@ def load_model_dir(model_dir, data: PipelineData) -> tuple[RecModel, RunConfig]:
 
 def train_one_seed(data: PipelineData, cfg: RunConfig, seed: int, out_dir) -> dict:
     """Fit one seed, write checkpoint + epoch log, return the summary dict."""
+    model = build_model(data, cfg, seed)  # a config/data mismatch fails before out_dir exists
     os.makedirs(out_dir, exist_ok=True)
-    model = build_model(data, cfg, seed)
     model, state = fit(model, data.split, data.ds, cfg, seed)
     write_text_atomic(os.path.join(out_dir, "train_log.tsv"), "".join(
         f"{epoch}\t{loss!r}\t{val!r}\n"

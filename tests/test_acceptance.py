@@ -164,7 +164,8 @@ def test_criterion_04_freeze_contract(small_corpus, small_stores):
     assert semantic_checksum(model) == before
     enc = model.encoder
     for arr in (enc.user_store.matrix.values, enc.item_store.matrix.values,
-                enc.user_store.cache.pooled_means, enc.item_store.cache.pooled_means):
+                enc.user_store.cache.pooled_means, enc.item_store.cache.pooled_means,
+                enc.user_store.rows, enc.item_store.rows):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0

@@ -652,3 +652,105 @@ def test_log_parse_error_names_the_file_and_line(data_dir, tmp_path, capsys):
     log.write_text("\n".join(lines) + "\n")
     assert run("train", "--data", broken, "--out", tmp_path / "o", *TRAIN_FLAGS) == 3
     assert f"error: {log}:5: non-integer timestamp 'yesterday'" in capsys.readouterr().err
+
+
+def _renamed_copy(data_dir, dest, field, old, new, every=1):
+    """``data_dir`` copied to ``dest`` with every ``every``-th event's ``old`` user/item id renamed."""
+    shutil.copytree(data_dir, dest)
+    log = dest / "interactions.tsv"
+    lines, seen = [], 0
+    for line in log.read_text().splitlines():
+        parts = line.split("\t")
+        if len(parts) == 3 and parts[field] == old:
+            seen += 1
+            if seen % every == 0:
+                parts[field] = new
+        lines.append("\t".join(parts))
+    assert seen >= 2 * every
+    log.write_text("\n".join(lines) + "\n")
+    return dest
+
+
+class TestRawIdRows:
+    """Each raw id names a distinct embedding row, checked before any command writes a file."""
+
+    @staticmethod
+    def _inputs(command, trained):
+        return {"train": TRAIN_FLAGS,
+                "sweep": ("--sweep-h", 8, *TRAIN_FLAGS[2:]),
+                "eval": ("--checkpoint", trained / "seed42")}[command]
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "eval"])
+    @pytest.mark.parametrize("field, old, new", [
+        (0, "5", "u5"), (0, "5", "-5"), (1, "0", "999"),
+    ], ids=["non-integer", "negative", "out-of-range"])
+    def test_bad_raw_id_writes_nothing(self, data_dir, trained, tmp_path, capsys,
+                                       command, field, old, new):
+        broken = _renamed_copy(data_dir, tmp_path / "data", field, old, new)
+        out = tmp_path / "out"
+        assert run(command, "--data", broken, "--out", out, *self._inputs(command, trained)) == 3
+        assert not out.exists()
+        assert f"error: {('user', 'item')[field]} raw id {new!r}" in capsys.readouterr().err
+
+    def test_two_raw_ids_of_one_row_are_refused(self, data_dir, tmp_path, capsys):
+        broken = _renamed_copy(data_dir, tmp_path / "data", 1, "7", "07", every=2)
+        out = tmp_path / "out"
+        assert run("train", "--data", broken, "--out", out, *TRAIN_FLAGS) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "both name embedding row 7" in err and "'7'" in err and "'07'" in err
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_store_dims_disagreeing_with_config_write_nothing(self, data_dir, trained, tmp_path,
+                                                              capsys, command):
+        out = tmp_path / "out"
+        assert run(command, "--data", data_dir, "--out", out, "--d-sem", 8,
+                   *self._inputs(command, trained)) == 3
+        assert not out.exists()
+        assert "do not match each other or configured d_sem 8" in capsys.readouterr().err
+
+    def test_encoder_reads_the_row_of_each_raw_id(self, data_dir, tmp_path):
+        from grasp import embedstore as es
+        from grasp import hae
+        from grasp.pipeline import build_model, load_data_dir
+
+        # Reversed lines number users and items in another order than their rows.
+        shifted = tmp_path / "data"
+        shutil.copytree(data_dir, shifted)
+        log = shifted / "interactions.tsv"
+        log.write_text("".join(reversed(log.read_text().splitlines(keepends=True))))
+        cfg = RunConfig(h=16, k_neighbors=5, n_layers=1)
+        data = load_data_dir(shifted, cfg)
+        model = build_model(data, cfg, 3)
+        urows = np.array([int(r) for r in data.ds.user_raw_ids])
+        irows = np.array([int(r) for r in data.ds.item_raw_ids])
+        assert (urows != np.arange(len(urows))).any() and (irows != np.arange(len(irows))).any()
+
+        users = np.arange(data.ds.user_count)
+        items = np.random.default_rng(0).integers(0, data.ds.item_count, (len(users), 6))
+        fused, _ = model.encoder.encode_items(users, items)
+        um, im = (es.load_embedding_matrix(shifted / f"{s}_emb.gemb") for s in ("user", "item"))
+        uc, ic = (es.load_neighbor_cache(shifted / f"{s}s.gnbc") for s in ("user", "item"))
+        u, i = urows[users][:, None], irows[items]
+        gates = hae._branch_concat(um.values[u], uc.pooled_means[u], im.values[i],
+                                   ic.pooled_means[i], cfg)
+        per_row = np.concatenate([im.values[i], ic.pooled_means[i]], axis=-1)
+        reference, _ = hae.fuse_forward(gates, np.arange(items.size).reshape(items.shape),
+                                        per_row.reshape(items.size, -1), model.encoder.hae)
+        np.testing.assert_allclose(fused, reference, rtol=1e-12, atol=1e-12)
+
+    def test_sweep_k_point_matches_a_train_on_its_caches(self, data_dir, tmp_path):
+        sweep = tmp_path / "sweep"
+        assert run("sweep", "--data", data_dir, "--out", sweep, "--sweep-k", 3,
+                   "--seed", 42, *TRAIN_FLAGS) == 0
+        k3 = tmp_path / "data_k3"
+        shutil.copytree(data_dir, k3)
+        assert run("build-db", "--users", k3 / "user_emb.gemb", "--items", k3 / "item_emb.gemb",
+                   "--k", 3, "--out-dir", k3, "--force") == 0
+        train = tmp_path / "train"
+        assert run("train", "--data", k3, "--out", train, "--seeds", 42, *TRAIN_FLAGS,
+                   "--k-neighbors", 3) == 0
+        # The sweep pools neighbor means in float64; GNBC files hold them as float32.
+        swept, trained_k3 = (np.loadtxt(d / "train_log.tsv", ndmin=2)
+                             for d in (sweep / "runs" / "k_neighbors_3", train / "seed42"))
+        np.testing.assert_allclose(swept, trained_k3, rtol=1e-7)
