@@ -284,10 +284,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    import copy
-
-    from .embedstore import build_neighbor_cache
-    from .hae import SemanticStore
+    """Fit and test one seed per point; a k point trains as ``build-db --k`` + ``train`` would."""
+    from .embedstore import as_gnbc, build_neighbor_cache
     from .pipeline import eval_model, load_data_dir, load_model_dir, train_one_seed
 
     cfg = RunConfig(**_given_settings(args))
@@ -304,17 +302,18 @@ def cmd_sweep(args) -> int:
     points = [(param, value, dataclasses.replace(cfg, **{param: value}),
                os.path.join(args.out, "runs", f"{param}_{value}")) for param, value in grid]
     rows = []
-    with _output_lock(args.out, [os.path.join(run_dir, "summary.json") for *_, run_dir in points],
-                      args.force):
+    sweep_tsv = os.path.join(args.out, "sweep.tsv")
+    with _output_lock(args.out, [sweep_tsv] + [os.path.join(run_dir, "summary.json")
+                                               for *_, run_dir in points], args.force):
         base = load_data_dir(args.data, cfg, need_stores=cfg.encoder == "semantic")
         point_data = []  # every point's caches are built before the first fit
         for param, value, *_ in points:
             data = base
             if param == "k_neighbors":  # the semantic encoder: checked above
-                data = copy.copy(base)
-                data.user_store, data.item_store = (
-                    SemanticStore(s.matrix, build_neighbor_cache(s.matrix, value), s.rows)
+                user_store, item_store = (
+                    dataclasses.replace(s, cache=as_gnbc(build_neighbor_cache(s.matrix, value)))
                     for s in (base.user_store, base.item_store))
+                data = dataclasses.replace(base, user_store=user_store, item_store=item_store)
             point_data.append(data)
         for (param, value, point_cfg, run_dir), data in zip(points, point_data):
             train_one_seed(data, point_cfg, args.seed, run_dir)
@@ -325,7 +324,7 @@ def cmd_sweep(args) -> int:
             print(f"sweep: {param}={value} NDCG@10 {rows[-1][2]:.4f} HR@10 {rows[-1][3]:.4f}")
         lines = ["param\tvalue\tndcg10\thr10\n"]
         lines += [f"{param}\t{value}\t{ndcg!r}\t{hr!r}\n" for param, value, ndcg, hr in rows]
-        write_text_atomic(os.path.join(args.out, "sweep.tsv"), "".join(lines))
+        write_text_atomic(sweep_tsv, "".join(lines))
     return 0
 
 

@@ -22,7 +22,7 @@ On-disk formats:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -276,6 +276,11 @@ def load_neighbor_cache(path) -> NeighborCache:
     if (ids == np.arange(rows)[:, None]).any():
         raise FormatError(f"{path}: a row lists itself among its neighbors")
     return NeighborCache(k=k, neighbor_ids=ids, pooled_means=records["mean"].astype(np.float64))
+
+
+def as_gnbc(cache: NeighborCache) -> NeighborCache:
+    """``cache`` as a GNBC file returns it: pooled means rounded to float32, held as float64."""
+    return replace(cache, pooled_means=cache.pooled_means.astype(np.float32).astype(np.float64))
 
 
 # ---------------------------------------------------------------------------

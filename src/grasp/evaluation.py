@@ -178,7 +178,6 @@ def parse_report_tsv(path) -> list[MetricReport]:
     reports: list[MetricReport] = []
     meta: dict[str, tuple[int, int, bool]] = {}
     data: dict[str, dict[int, tuple[float, float]]] = {}
-    order: list[str] = []
     first, *lines = read_text(path).split("\n")
     if first != _HEADER:
         raise DataError(f"{path}: unexpected header {first!r}")
@@ -190,15 +189,17 @@ def parse_report_tsv(path) -> list[MetricReport]:
         try:
             if line.startswith("# meta\t"):
                 _, group, n_users, n_skipped, empty = line.split("\t")
+                if group in meta:
+                    raise DataError(f"{path}:{lineno}: repeated # meta line of group {group}")
                 meta[group] = (int(n_users), int(n_skipped), bool(int(empty)))
-                order.append(group)
             else:
                 group, k, ndcg, hr = line.split("\t")
+                if group not in meta:
+                    raise DataError(f"{path}:{lineno}: group {group} row before its # meta line")
                 data.setdefault(group, {})[int(k)] = (float(ndcg), float(hr))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: malformed row {line!r} ({exc})") from None
-    for group in order:
-        n_users, n_skipped, empty = meta[group]
+    for group, (n_users, n_skipped, empty) in meta.items():
         cells = data.get(group, {})
         if set(cells) != set(KS):
             raise DataError(f"{path}: group {group} missing k values")

@@ -50,6 +50,7 @@ import numpy as np
 from . import binio
 from .config import RunConfig
 from .embedstore import EmbeddingMatrix, NeighborCache, _frozen
+from .errors import DataError
 from .ops import sigmoid, uniform_init
 
 GHAE_MAGIC = b"GHAE"
@@ -92,8 +93,10 @@ class SemanticStore:
 
     ``rows[i]`` is the matrix row of dense id ``i``; ``None`` maps each id
     to its own row.  The rows must be distinct and inside the matrix
-    (``pipeline.load_data_dir`` checks them); ``rows`` is frozen like the
-    matrix and the cache, and ``lookup`` is its only reader.
+    (``pipeline.load_data_dir``, which makes every store, checks them; ``grasp
+    sweep`` only swaps the cache).  ``rows`` is frozen like the matrix and the
+    cache, and ``lookup`` is its only reader.  A cache whose shape does not
+    fit the matrix is a ``DataError``.
     """
 
     matrix: EmbeddingMatrix
@@ -102,7 +105,7 @@ class SemanticStore:
 
     def __post_init__(self):
         if self.cache.rows != self.matrix.rows or self.cache.dim != self.matrix.dim:
-            raise ValueError(
+            raise DataError(
                 f"cache shape {(self.cache.rows, self.cache.dim)} does not match "
                 f"matrix {(self.matrix.rows, self.matrix.dim)}"
             )

@@ -6,11 +6,8 @@ import numpy as np
 
 
 def sigmoid(x, out=None):
-    """``1 / (1 + exp(-x))``; with ``out`` (which may be ``x``) computed in place,
-    bit for bit the same values."""
-    if out is None:
-        return 1.0 / (1.0 + np.exp(-x))
-    np.negative(x, out=out)
+    """``1 / (1 + exp(-x))`` of array ``x``, computed in ``out`` (which may be ``x``) if given."""
+    out = np.negative(x, out=out)
     np.exp(out, out=out)
     out += 1.0
     return np.divide(1.0, out, out=out)

@@ -54,7 +54,8 @@ class PipelineData:
     item_store: SemanticStore | None
 
 
-def _require(path, hint: str):
+def _require(directory, name: str, hint: str) -> str:
+    path = os.path.join(directory, name)
     if not os.path.exists(path):
         raise DataError(f"missing {path} ({hint})")
     return path
@@ -79,32 +80,25 @@ def _raw_rows(raw_ids: list[str], label: str, n_rows: int) -> np.ndarray:
 
 
 def load_data_dir(data_dir, cfg: RunConfig, need_stores: bool = True) -> PipelineData:
-    log_path = _require(os.path.join(data_dir, LOG_NAME), "run `grasp synth` or provide a log")
+    log_path = _require(data_dir, LOG_NAME, "run `grasp synth` or provide a log")
     ds = load_interactions(log_path, cfg.min_user_len, cfg.min_item_freq)
     split = split_leave_one_out(ds)
 
-    user_store = item_store = None
+    stores = {}
     if need_stores:
-        user_m = load_embedding_matrix(
-            _require(os.path.join(data_dir, USER_EMB_NAME), "user embedding matrix")
-        )
-        item_m = load_embedding_matrix(
-            _require(os.path.join(data_dir, ITEM_EMB_NAME), "item embedding matrix")
-        )
-        user_c = load_neighbor_cache(
-            _require(os.path.join(data_dir, USER_CACHE_NAME), "run `grasp build-db` first")
-        )
-        item_c = load_neighbor_cache(
-            _require(os.path.join(data_dir, ITEM_CACHE_NAME), "run `grasp build-db` first")
-        )
-        if user_c.k != cfg.k_neighbors or item_c.k != cfg.k_neighbors:
-            raise DataError(
-                f"neighbor caches were built with k={user_c.k}/{item_c.k} but config "
-                f"asks k_neighbors={cfg.k_neighbors}; rerun `grasp build-db --k {cfg.k_neighbors}`"
-            )
-        user_store = SemanticStore(user_m, user_c, _raw_rows(ds.user_raw_ids, "user", user_m.rows))
-        item_store = SemanticStore(item_m, item_c, _raw_rows(ds.item_raw_ids, "item", item_m.rows))
-    return PipelineData(ds, split, user_store, item_store)
+        for side, raw_ids, gemb, gnbc in (
+            ("user", ds.user_raw_ids, USER_EMB_NAME, USER_CACHE_NAME),
+            ("item", ds.item_raw_ids, ITEM_EMB_NAME, ITEM_CACHE_NAME),
+        ):
+            matrix = load_embedding_matrix(_require(data_dir, gemb, f"{side} embedding matrix"))
+            cache_path = _require(data_dir, gnbc, "run `grasp build-db` first")
+            cache = load_neighbor_cache(cache_path)
+            if cache.k != cfg.k_neighbors:
+                raise DataError(f"{cache_path} was built with k={cache.k} but config asks "
+                                f"k_neighbors={cfg.k_neighbors}; rerun `grasp build-db --k "
+                                f"{cfg.k_neighbors}`")
+            stores[side] = SemanticStore(matrix, cache, _raw_rows(raw_ids, side, matrix.rows))
+    return PipelineData(ds, split, stores.get("user"), stores.get("item"))
 
 
 def build_model(data: PipelineData, cfg: RunConfig, seed: int) -> RecModel:
@@ -133,7 +127,7 @@ def save_model_dir(model: RecModel, out_dir, cfg: RunConfig) -> None:
 
 def read_model_config(model_dir) -> RunConfig:
     """The full ``RunConfig`` a checkpoint was trained with."""
-    path = _require(os.path.join(model_dir, MODEL_CONFIG_NAME), "checkpoint run config")
+    path = _require(model_dir, MODEL_CONFIG_NAME, "checkpoint run config")
     values = parse_config_file(path)
     missing = [f.name for f in fields(RunConfig) if f.name not in values]
     if missing:
@@ -148,15 +142,13 @@ def load_model_dir(model_dir, data: PipelineData) -> tuple[RecModel, RunConfig]:
     """Rebuild a checkpoint's model from its run config, then load its tensors."""
     cfg = read_model_config(model_dir)
     model = build_model(data, cfg, 0)
-    load_backbone_checkpoint(
-        model.backbone, _require(os.path.join(model_dir, "backbone.gbkb"), "backbone checkpoint")
-    )
+    load_backbone_checkpoint(model.backbone,
+                             _require(model_dir, "backbone.gbkb", "backbone checkpoint"))
     if isinstance(model.encoder, SemanticEncoder):
-        load_hae_checkpoint(
-            model.encoder.hae, _require(os.path.join(model_dir, "hae.ghae"), "fusion checkpoint")
-        )
+        load_hae_checkpoint(model.encoder.hae,
+                            _require(model_dir, "hae.ghae", "fusion checkpoint"))
     else:
-        path = _require(os.path.join(model_dir, "id_embedding.gemb"), "id embedding table")
+        path = _require(model_dir, "id_embedding.gemb", "id embedding table")
         emb = load_embedding_matrix(path)
         if emb.values.shape != model.encoder.emb.shape:
             raise DataError(

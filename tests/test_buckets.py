@@ -10,7 +10,7 @@ from grasp.config import RunConfig
 from grasp.dataset import split_leave_one_out
 from grasp.evaluation import _eval_candidates, eval_candidates, evaluate, rank_of_target
 from grasp.model import build_id_model, build_semantic_model
-from grasp.ops import length_buckets, segment_sum
+from grasp.ops import length_buckets, segment_sum, sigmoid
 from grasp.trainer import make_training_batch
 
 
@@ -43,6 +43,31 @@ class TestLengthBuckets:
     def test_rejects_bad_arguments(self, lengths, max_rows):
         with pytest.raises(ValueError):
             length_buckets(lengths, max_rows)
+
+
+class TestSigmoid:
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(0)
+        return np.concatenate([rng.standard_normal(1000) * 20, [1000.0, -1000.0, 0.0, -0.0]])
+
+    def test_is_the_textbook_formula_bit_for_bit(self):
+        x = self._inputs()
+        with np.errstate(over="ignore"):
+            expected = 1.0 / (1.0 + np.exp(-x))
+            got = sigmoid(x)
+        assert np.array_equal(got, expected)
+        assert got is not x and np.array_equal(x, self._inputs())
+
+    @pytest.mark.parametrize("in_place", [False, True], ids=["out", "out-is-x"])
+    def test_writes_and_returns_out(self, in_place):
+        x = self._inputs()
+        out = x if in_place else np.empty_like(x)
+        with np.errstate(over="ignore"):
+            expected = 1.0 / (1.0 + np.exp(-self._inputs()))
+            got = sigmoid(x, out=out)
+        assert got is out
+        assert np.array_equal(out, expected)
 
 
 class TestSegmentSum:

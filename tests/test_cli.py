@@ -457,6 +457,32 @@ class TestSweepAndReport:
         assert run("report", "--metrics", metrics) == 3
         assert f"{metrics}:4:" in capsys.readouterr().err
 
+    @staticmethod
+    def _two_group_metrics(tmp_path):
+        from grasp.evaluation import emit_report, report_from_ranks
+
+        metrics = tmp_path / "metrics.tsv"
+        emit_report([report_from_ranks([1, 2, 3]), report_from_ranks([4], group="tail_item")],
+                    metrics)
+        return metrics
+
+    def test_row_before_its_meta_line_is_data_error(self, tmp_path, capsys):
+        # Without its # meta lines every data row would be dropped silently.
+        metrics = self._two_group_metrics(tmp_path)
+        lines = metrics.read_text().splitlines()
+        metrics.write_text("".join(f"{l}\n" for l in lines if not l.startswith("# meta")))
+        assert run("report", "--metrics", metrics) == 3
+        assert f"{metrics}:2: group overall row before its # meta line" in capsys.readouterr().err
+
+    def test_repeated_group_is_data_error(self, tmp_path, capsys):
+        metrics = self._two_group_metrics(tmp_path)
+        header, body = metrics.read_text().split("\n", 1)
+        metrics.write_text(f"{header}\n{body}{body}")
+        second_meta = 2 + body.count("\n")
+        assert run("report", "--metrics", metrics) == 3
+        assert (f"{metrics}:{second_meta}: repeated # meta line of group overall"
+                in capsys.readouterr().err)
+
     def test_missing_metrics_file_is_data_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.tsv"
         assert run("report", "--metrics", missing) == 3
@@ -509,6 +535,16 @@ class TestOutputsCheckedBeforeFit:
                    "--seed", 42, *TRAIN_FLAGS) == 3
         assert "k_neighbors_3/summary.json already exists" in capsys.readouterr().err
         assert sorted(os.listdir(out / "runs")) == ["k_neighbors_3"]
+
+    def test_second_sweep_keeps_the_first_ones_table(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        sweep = ("sweep", "--data", data_dir, "--out", out, "--seed", 42, *TRAIN_FLAGS[2:])
+        assert run(*sweep, "--sweep-h", 8) == 0
+        table = (out / "sweep.tsv").read_bytes()
+        assert run(*sweep, "--sweep-h", 16) == 3
+        assert "sweep/sweep.tsv already exists" in capsys.readouterr().err
+        assert (out / "sweep.tsv").read_bytes() == table
+        assert sorted(os.listdir(out / "runs")) == ["h_8"]
 
 
 def _dead_pid():
@@ -750,7 +786,30 @@ class TestRawIdRows:
         train = tmp_path / "train"
         assert run("train", "--data", k3, "--out", train, "--seeds", 42, *TRAIN_FLAGS,
                    "--k-neighbors", 3) == 0
-        # The sweep pools neighbor means in float64; GNBC files hold them as float32.
-        swept, trained_k3 = (np.loadtxt(d / "train_log.tsv", ndmin=2)
-                             for d in (sweep / "runs" / "k_neighbors_3", train / "seed42"))
-        np.testing.assert_allclose(swept, trained_k3, rtol=1e-7)
+        for name in ("train_log.tsv", "backbone.gbkb", "hae.ghae"):
+            swept = (sweep / "runs" / "k_neighbors_3" / name).read_bytes()
+            assert swept == (train / "seed42" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "eval"])
+    def test_misfit_cache_writes_nothing(self, data_dir, trained, tmp_path, capsys, command):
+        broken = tmp_path / "data"
+        shutil.copytree(data_dir, broken)
+        shutil.copyfile(broken / "users.gnbc", broken / "items.gnbc")  # 80 rows, 50 items
+        out = tmp_path / "out"
+        assert run(command, "--data", broken, "--out", out, *self._inputs(command, trained)) == 3
+        assert not out.exists()
+        assert "cache shape (80, 16) does not match matrix (50, 16)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side", ["user", "item"])
+    def test_k_mismatch_names_the_cache_and_both_ks(self, data_dir, tmp_path, capsys, side):
+        from grasp import embedstore as es
+
+        broken = tmp_path / "data"
+        shutil.copytree(data_dir, broken)
+        matrix = es.load_embedding_matrix(broken / f"{side}_emb.gemb")
+        es.save_neighbor_cache(es.build_neighbor_cache(matrix, 3), broken / f"{side}s.gnbc")
+        out = tmp_path / "out"
+        assert run("train", "--data", broken, "--out", out, *TRAIN_FLAGS) == 3
+        assert not out.exists()
+        assert (f"{broken / f'{side}s.gnbc'} was built with k=3 but config asks k_neighbors=5"
+                in capsys.readouterr().err)

@@ -146,7 +146,7 @@ class TestEnhanceItem:
         # a neighbor cache of another width than its matrix is refused
         m3 = es.matrix_from_array(np.ones((4, 3)))
         m2 = es.matrix_from_array(np.ones((4, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             SemanticStore(m3, es.build_neighbor_cache(m2, 1))
 
     def test_branch_recomputability(self):
