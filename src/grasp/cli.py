@@ -23,7 +23,7 @@ from .config import (
     CHOICES, FIELD_TYPES, RunConfig, parse_config_file, write_json, write_key_values,
     write_text_atomic,
 )
-from .errors import DataError, NumericError, ProtocolError
+from .errors import DataError, NumericError
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -411,7 +411,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, ProtocolError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:

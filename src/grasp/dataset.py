@@ -9,7 +9,7 @@ raw<->dense maps are kept on the dataset (and can be persisted as TSV).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,7 @@ class InteractionDataset:
     (stable for equal timestamps).  ``user_frequency[u]`` is the sequence
     length and ``item_frequency[i]`` the interaction count; both describe
     the full corpus, including users later excluded from splits.
+    ``user_raw_ids[u]`` and ``item_raw_ids[i]`` are the raw ids of dense ids.
     """
 
     user_count: int
@@ -32,8 +33,8 @@ class InteractionDataset:
     sequences: dict[int, list[int]]
     item_frequency: np.ndarray
     user_frequency: np.ndarray
-    user_raw_ids: list[str] = field(default_factory=list)
-    item_raw_ids: list[str] = field(default_factory=list)
+    user_raw_ids: list[str]
+    item_raw_ids: list[str]
 
     @property
     def interaction_count(self) -> int:
@@ -76,18 +77,16 @@ class LeaveOneOutSplit:
 
 @dataclass(frozen=True)
 class GroupLabels:
-    """Head/tail flags per user and item plus the frequency cutoffs.
+    """Head/tail flags per user and item.
 
-    An entity is head iff its frequency >= the corresponding threshold; the
-    head set is the smallest frequency-ranked prefix containing at least
-    ``ceil(ratio * population)`` members (ties at the cutoff spill into
-    head).
+    The head set is the smallest frequency-ranked prefix containing at
+    least ``ceil(ratio * population)`` members (ties at the cutoff spill
+    into head), so an entity is head iff its frequency is at least that
+    prefix's lowest.
     """
 
     user_is_head: np.ndarray
     item_is_head: np.ndarray
-    user_threshold: int
-    item_threshold: int
 
 
 def _raise_first_bad_line(lines: list[str], path) -> None:
@@ -208,28 +207,21 @@ def split_leave_one_out(ds: InteractionDataset) -> LeaveOneOutSplit:
     return LeaveOneOutSplit(entries=entries, n_excluded=excluded)
 
 
-def _head_flags(freq: np.ndarray, ratio: float) -> tuple[np.ndarray, int]:
+def _head_flags(freq: np.ndarray, ratio: float) -> np.ndarray:
     n = len(freq)
     if n == 0:
         raise DataError("cannot partition an empty population")
     head_count = math.ceil(ratio * n)
     order = np.argsort(-freq, kind="stable")
-    threshold = int(freq[order[head_count - 1]])
-    return freq >= threshold, threshold
+    return freq >= freq[order[head_count - 1]]
 
 
 def partition_head_tail(ds: InteractionDataset, ratio: float) -> GroupLabels:
     """Pareto partition: the frequency-ranked top ``ratio`` of users/items is head."""
     if not (0.0 < ratio < 1.0):
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
-    user_head, user_thr = _head_flags(ds.user_frequency, ratio)
-    item_head, item_thr = _head_flags(ds.item_frequency, ratio)
-    return GroupLabels(
-        user_is_head=user_head,
-        item_is_head=item_head,
-        user_threshold=user_thr,
-        item_threshold=item_thr,
-    )
+    return GroupLabels(user_is_head=_head_flags(ds.user_frequency, ratio),
+                       item_is_head=_head_flags(ds.item_frequency, ratio))
 
 
 def sample_negatives(

@@ -50,27 +50,28 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """Immutable row-major matrix of semantic embeddings."""
+    """Immutable row-major matrix of semantic embeddings; ``rows`` and ``dim`` read its shape."""
 
-    rows: int
-    dim: int
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape != (self.rows, self.dim):
-            raise ValueError(
-                f"shape mismatch: declared {(self.rows, self.dim)}, got {self.values.shape}"
-            )
+        if self.values.ndim != 2:
+            raise ValueError(f"expected a 2-d array, got shape {self.values.shape}")
         if self.rows and not np.isfinite(self.values).all():
             raise ValueError("embedding matrix contains non-finite values")
         object.__setattr__(self, "values", _frozen(self.values))
 
+    @property
+    def rows(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.values.shape[1]
+
 
 def matrix_from_array(values: np.ndarray) -> EmbeddingMatrix:
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {values.shape}")
-    return EmbeddingMatrix(rows=values.shape[0], dim=values.shape[1], values=values)
+    return EmbeddingMatrix(np.asarray(values, dtype=np.float64))
 
 
 def normalize_rows(m: EmbeddingMatrix) -> np.ndarray:
@@ -206,7 +207,7 @@ def _load_binary_matrix(r: binio.Reader) -> EmbeddingMatrix:
         raise FormatError(f"{r.path}: dim must be positive")
     values = r.records(_gemb_row(dim), rows)["values"]
     r.expect_eof()
-    return EmbeddingMatrix(rows=rows, dim=dim, values=values.astype(np.float64))
+    return EmbeddingMatrix(values.astype(np.float64))
 
 
 def _load_tsv_matrix(r: binio.Reader) -> EmbeddingMatrix:
@@ -358,8 +359,7 @@ def synth_corpus(
 
 def write_interaction_log(ds: InteractionDataset, path) -> None:
     """Write a dataset back out in the standard log format (timestamp = position)."""
-    users = ds.user_raw_ids or [str(u) for u in range(ds.user_count)]
-    items = ds.item_raw_ids or [str(i) for i in range(ds.item_count)]
+    users, items = ds.user_raw_ids, ds.item_raw_ids
     write_text_atomic(path, "".join(
         f"{users[user]}\t{items[item]}\t{ts}\n"
         for user in range(ds.user_count) for ts, item in enumerate(ds.sequences[user])

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-CLI exit-code mapping: usage errors -> 2, ``DataError`` (and subclasses),
-``ProtocolError`` and ``OSError`` -> 3, ``NumericError`` -> 4.
+CLI exit-code mapping: usage errors -> 2, ``DataError`` (and subclasses)
+and ``OSError`` -> 3, ``NumericError`` -> 4.
 """
 
 
@@ -10,7 +10,7 @@ class GraspError(Exception):
 
 
 class DataError(GraspError):
-    """Malformed, empty, or inconsistent input data."""
+    """Malformed, empty, or inconsistent input data, or a split the protocol cannot use."""
 
 
 class ParseError(DataError):
@@ -23,10 +23,6 @@ class ParseError(DataError):
 
 class FormatError(DataError):
     """A binary file failed structural validation."""
-
-
-class ProtocolError(GraspError):
-    """The training/evaluation protocol cannot proceed (e.g. empty split)."""
 
 
 class NumericError(GraspError):

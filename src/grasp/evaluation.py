@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import read_text, write_text_atomic
 from .dataset import GroupLabels, InteractionDataset, LeaveOneOutSplit, sample_negatives
-from .errors import DataError, NumericError, ProtocolError
+from .errors import DataError, NumericError
 from .ops import length_buckets
 
 KS = (1, 3, 5, 10, 20)
@@ -119,7 +119,7 @@ def evaluate(model, split: LeaveOneOutSplit, ds: InteractionDataset, which: str,
     if which not in ("valid", "test"):
         raise ValueError(f"which must be 'valid' or 'test', got {which!r}")
     if len(split) == 0:
-        raise ProtocolError("cannot evaluate an empty split")
+        raise DataError("cannot evaluate an empty split")
     if candidates is None:
         candidates = eval_candidates(split, ds, which, eval_negatives, seed)
     cand_rows, target_pos = candidates
@@ -174,7 +174,11 @@ def emit_report(reports, path) -> None:
 
 
 def parse_report_tsv(path) -> list[MetricReport]:
-    """The reports of an ``emit_report`` file; one not ending in a newline is refused as cut."""
+    """The reports of an ``emit_report`` file; one not ending in a newline is refused as cut.
+
+    A ``# meta`` line's counts must not be negative, and its empty flag
+    must be ``1`` for 0 users and ``0`` otherwise.
+    """
     reports: list[MetricReport] = []
     meta: dict[str, tuple[int, int, bool]] = {}
     data: dict[str, dict[int, tuple[float, float]]] = {}
@@ -191,7 +195,13 @@ def parse_report_tsv(path) -> list[MetricReport]:
                 _, group, n_users, n_skipped, empty = line.split("\t")
                 if group in meta:
                     raise DataError(f"{path}:{lineno}: repeated # meta line of group {group}")
-                meta[group] = (int(n_users), int(n_skipped), bool(int(empty)))
+                n_users, n_skipped = int(n_users), int(n_skipped)
+                if min(n_users, n_skipped) < 0:
+                    raise DataError(f"{path}:{lineno}: negative count in # meta line")
+                if empty != str(int(n_users == 0)):
+                    raise DataError(f"{path}:{lineno}: # meta empty flag {empty!r} "
+                                    f"contradicts {n_users} users")
+                meta[group] = (n_users, n_skipped, empty == "1")
             else:
                 group, k, ndcg, hr = line.split("\t")
                 if group not in meta:

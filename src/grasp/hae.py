@@ -14,7 +14,8 @@ so each position keeps an independent weight.  The concatenated branches
 (length ``4*d``) pass through a one-hidden-layer rectifier MLP that
 projects into the backbone's hidden size ``h``.  The semantic inputs are
 constants: gradients exist only for the MLP parameters, and the backward
-pass never touches embedding storage.
+pass never touches embedding storage.  The MLP's parameters are one plain
+dict ``{"w1", "b1", "w2", "b2"}`` in GHAE record order (``init_params``).
 
 The concat is never built.  Each branch is a scalar gate times a frozen
 item row, so the MLP's first layer factors through per-item projections:
@@ -59,32 +60,19 @@ GHAE_HEADER = np.dtype([("magic", "S4"), ("version", "<u2"), ("d_sem", "<u4"),
                         ("h_hidden", "<u4"), ("h", "<u4")])
 
 
-@dataclass
-class HaeParams:
-    """Learnable fusion-MLP parameters; tensor order (w1, b1, w2, b2)."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-
-def init_params(cfg: RunConfig, d_sem: int, seed: int) -> HaeParams:
+def init_params(cfg: RunConfig, d_sem: int, seed: int) -> dict[str, np.ndarray]:
     """Seeded symmetric uniform init, scale 1/sqrt(fan_in) per layer.
 
     ``cfg.h_hidden`` 0 means a hidden width of ``2 * h``.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4AE]))
     din, hh, h = 4 * d_sem, cfg.h_hidden or 2 * cfg.h, cfg.h
-    return HaeParams(
-        w1=uniform_init(rng, (din, hh), din),
-        b1=uniform_init(rng, hh, din),
-        w2=uniform_init(rng, (hh, h), hh),
-        b2=uniform_init(rng, h, hh),
-    )
+    return {
+        "w1": uniform_init(rng, (din, hh), din),
+        "b1": uniform_init(rng, hh, din),
+        "w2": uniform_init(rng, (hh, h), hh),
+        "b2": uniform_init(rng, h, hh),
+    }
 
 
 @dataclass(frozen=True)
@@ -181,8 +169,8 @@ def _hidden(g2, proj, idx, rows, b1, out=None) -> np.ndarray:
     return np.maximum(h1, 0.0, out=h1)
 
 
-def fuse_forward(gates: np.ndarray, index: np.ndarray, items: np.ndarray, p: HaeParams,
-                 readout: np.ndarray | None = None):
+def fuse_forward(gates: np.ndarray, index: np.ndarray, items: np.ndarray,
+                 p: dict[str, np.ndarray], readout: np.ndarray | None = None):
     """Fusion MLP on gated branches, factored through per-item projections.
 
     ``gates`` (..., 3) come from ``_branch_concat``; row ``r`` reads item
@@ -199,31 +187,32 @@ def fuse_forward(gates: np.ndarray, index: np.ndarray, items: np.ndarray, p: Hae
     readout . fused[..., c]`` computed as ``relu(a1) . (w2 readout) +
     readout . b2``.  The readout cache holds the inputs only.
     """
+    w1, b1, w2, b2 = p["w1"], p["b1"], p["w2"], p["b2"]
     lead = gates.shape[:-1]
     g2, idx = gates.reshape(-1, 3), index.reshape(-1)
-    proj = _projections(items, p.w1)
+    proj = _projections(items, w1)
     n, C = len(idx), max(lead[-1], 1)
     step = max(CHUNK_ROWS // C, 1) * C  # whole lists along the last axis per chunk
     if readout is None:
-        h1, out = np.empty((n, p.w1.shape[1])), np.empty((n, p.w2.shape[1]))
+        h1, out = np.empty((n, w1.shape[1])), np.empty((n, w2.shape[1]))
     else:
-        ro = readout.reshape(-1, p.w2.shape[1])
-        v = ro @ p.w2.T
+        ro = readout.reshape(-1, w2.shape[1])
+        v = ro @ w2.T
         out = np.empty(n)
     for start in range(0, n, step):
         rows = slice(start, min(start + step, n))
         if readout is None:
-            out[rows] = _hidden(g2, proj, idx, rows, p.b1, out=h1[rows]) @ p.w2
+            out[rows] = _hidden(g2, proj, idx, rows, b1, out=h1[rows]) @ w2
         else:
-            hc = _hidden(g2, proj, idx, rows, p.b1).reshape(-1, C, v.shape[1])
+            hc = _hidden(g2, proj, idx, rows, b1).reshape(-1, C, v.shape[1])
             out[rows] = np.einsum("nch,nh->nc", hc, v[start // C : rows.stop // C]).reshape(-1)
     if readout is None:
-        out += p.b2
+        out += b2
         return out.reshape(lead + out.shape[1:]), (gates, index, items, h1, None)
-    return out.reshape(lead) + (ro @ p.b2).reshape(lead[:-1] + (1,)), (gates, index, items, None, readout)
+    return out.reshape(lead) + (ro @ b2).reshape(lead[:-1] + (1,)), (gates, index, items, None, readout)
 
 
-def fuse_backward(cache, d_out: np.ndarray, p: HaeParams) -> dict[str, np.ndarray]:
+def fuse_backward(cache, d_out: np.ndarray, p: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Analytic gradients of ``fuse_forward``'s output w.r.t. the MLP parameters.
 
     The semantic inputs are frozen and get no gradient; ``d_out`` is the
@@ -238,6 +227,7 @@ def fuse_backward(cache, d_out: np.ndarray, p: HaeParams) -> dict[str, np.ndarra
     ``d_readout = d_v w2 + s b2`` and ``d_a1 = d_logit v[n] [a1 > 0]``,
     with ``a1`` recomputed per chunk.
     """
+    w1, b1, w2, b2 = p["w1"], p["b1"], p["w2"], p["b2"]
     gates, index, items, h1, readout = cache
     g2, idx = gates.reshape(-1, 3), index.reshape(-1)
     d, C = items.shape[1] // 2, max(index.shape[-1], 1)
@@ -245,20 +235,20 @@ def fuse_backward(cache, d_out: np.ndarray, p: HaeParams) -> dict[str, np.ndarra
     if readout is None:
         d2 = d_out.reshape(-1, d_out.shape[-1])
     else:
-        ro = readout.reshape(-1, p.w2.shape[1])
+        ro = readout.reshape(-1, w2.shape[1])
         d_logit = d_out.reshape(len(ro), -1)
-        v = ro @ p.w2.T
+        v = ro @ w2.T
         d_v = np.zeros_like(v)
-        proj = _projections(items, p.w1)
-    d_w1, d_b1 = np.zeros_like(p.w1), np.zeros_like(p.b1)
+        proj = _projections(items, w1)
+    d_w1, d_b1 = np.zeros_like(w1), np.zeros_like(b1)
     for start in range(0, len(idx), step):
         rows = slice(start, min(start + step, len(idx)))
         if readout is None:
-            d_a1 = d2[rows] @ p.w2.T
+            d_a1 = d2[rows] @ w2.T
             d_a1 *= h1[rows] > 0
         else:
             lists = slice(start // C, rows.stop // C)
-            hc = _hidden(g2, proj, idx, rows, p.b1)
+            hc = _hidden(g2, proj, idx, rows, b1)
             d_v[lists] = np.einsum("nc,nch->nh", d_logit[lists], hc.reshape(-1, C, hc.shape[1]))
             d_a1 = (d_logit[lists, :, None] * v[lists, None, :]).reshape(hc.shape)
             d_a1 *= hc > 0
@@ -273,28 +263,28 @@ def fuse_backward(cache, d_out: np.ndarray, p: HaeParams) -> dict[str, np.ndarra
         return {"w1": d_w1, "b1": d_b1, "w2": h1.T @ d2, "b2": d2.sum(axis=0)}
     s = d_logit.sum(axis=1)
     return {"w1": d_w1, "b1": d_b1, "w2": d_v.T @ ro, "b2": s @ ro,
-            "readout": (d_v @ p.w2 + s[:, None] * p.b2).reshape(readout.shape)}
+            "readout": (d_v @ w2 + s[:, None] * b2).reshape(readout.shape)}
 
 
 # ---------------------------------------------------------------------------
 # Checkpoints
 
 
-def _dims(p: HaeParams) -> dict[str, int]:
+def _dims(p: dict[str, np.ndarray]) -> dict[str, int]:
     """The GHAE header fields, in file order, as ``p``'s shapes imply them."""
-    return {"d_sem": p.w1.shape[0] // 4, "h_hidden": p.w1.shape[1], "h": p.w2.shape[1]}
+    return {"d_sem": p["w1"].shape[0] // 4, "h_hidden": p["w1"].shape[1], "h": p["w2"].shape[1]}
 
 
-def _tensor_record(p: HaeParams) -> list:
-    return [(name, "<f4", tensor.shape) for name, tensor in p.tensors().items()]
+def _tensor_record(p: dict[str, np.ndarray]) -> list:
+    return [(name, "<f4", tensor.shape) for name, tensor in p.items()]
 
 
-def save_hae_checkpoint(p: HaeParams, path) -> None:
+def save_hae_checkpoint(p: dict[str, np.ndarray], path) -> None:
     binio.save(path, GHAE_HEADER, (GHAE_MAGIC, GHAE_VERSION, *_dims(p).values()),
-               np.array(tuple(p.tensors().values()), dtype=_tensor_record(p)))
+               np.array(tuple(p.values()), dtype=_tensor_record(p)))
 
 
-def load_hae_checkpoint(p: HaeParams, path) -> None:
+def load_hae_checkpoint(p: dict[str, np.ndarray], path) -> None:
     """Overwrite ``p`` from a GHAE file whose header matches its shapes.
 
     The whole file is read and checked first, so on ``FormatError`` ``p`` is unchanged.
@@ -305,5 +295,5 @@ def load_hae_checkpoint(p: HaeParams, path) -> None:
         r.expect_field(name, head[name], want)
     record = r.records(_tensor_record(p), 1)[0]
     r.expect_eof()
-    for name, tensor in p.tensors().items():
+    for name, tensor in p.items():
         tensor[...] = record[name]

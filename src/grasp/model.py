@@ -52,7 +52,8 @@ class SemanticEncoder:
 
     The semantic width ``d_sem`` is the stores' dimension; a nonzero
     ``cfg.d_sem`` must agree with it.  Dense user and item ids read
-    their rows through the stores' ``lookup``.
+    their rows through the stores' ``lookup``.  ``params`` is the fusion
+    MLP's name -> array dict (``hae.init_params``).
     """
 
     group_name = "hae"
@@ -68,12 +69,7 @@ class SemanticEncoder:
         self.user_store = user_store
         self.item_store = item_store
         self.cfg = cfg
-        self.d_sem = d_sem
-        self.hae = hae_mod.init_params(cfg, d_sem, seed)
-
-    @property
-    def params(self) -> dict[str, np.ndarray]:
-        return self.hae.tensors()
+        self.params = hae_mod.init_params(cfg, d_sem, seed)
 
     def encode_items(self, user_ids, item_ids, positions_mask=None, readout=None):
         """Enhanced representations for items under each user's query.
@@ -86,16 +82,16 @@ class SemanticEncoder:
         user_ids = np.asarray(user_ids, dtype=np.int64)
         item_ids = np.asarray(item_ids, dtype=np.int64)
         distinct, index = np.unique(item_ids, return_inverse=True)
-        shape = (len(user_ids),) + (1,) * (item_ids.ndim - 1) + (self.d_sem,)
         u, u_bar = self.user_store.lookup(user_ids)
+        shape = (len(user_ids),) + (1,) * (item_ids.ndim - 1) + u.shape[-1:]
         gates = hae_mod._branch_concat(u.reshape(shape), u_bar.reshape(shape),
                                        *self.item_store.lookup(item_ids), self.cfg,
                                        positions_mask=positions_mask)
         items = np.concatenate(self.item_store.lookup(distinct), axis=1)
-        return hae_mod.fuse_forward(gates, index.reshape(item_ids.shape), items, self.hae, readout)
+        return hae_mod.fuse_forward(gates, index.reshape(item_ids.shape), items, self.params, readout)
 
     def backward(self, cache, d_out) -> dict[str, np.ndarray]:
-        return hae_mod.fuse_backward(cache, d_out, self.hae)
+        return hae_mod.fuse_backward(cache, d_out, self.params)
 
 
 class IdEncoder:

@@ -97,7 +97,11 @@ def load_data_dir(data_dir, cfg: RunConfig, need_stores: bool = True) -> Pipelin
                 raise DataError(f"{cache_path} was built with k={cache.k} but config asks "
                                 f"k_neighbors={cfg.k_neighbors}; rerun `grasp build-db --k "
                                 f"{cfg.k_neighbors}`")
-            stores[side] = SemanticStore(matrix, cache, _raw_rows(raw_ids, side, matrix.rows))
+            rows = _raw_rows(raw_ids, side, matrix.rows)
+            try:
+                stores[side] = SemanticStore(matrix, cache, rows)
+            except DataError as exc:  # a cache that does not fit its matrix
+                raise DataError(f"{cache_path}: {exc}") from None
     return PipelineData(ds, split, stores.get("user"), stores.get("item"))
 
 
@@ -118,7 +122,7 @@ def save_model_dir(model: RecModel, out_dir, cfg: RunConfig) -> None:
     write_key_values(os.path.join(out_dir, MODEL_CONFIG_NAME), cfg.echo())
     save_backbone_checkpoint(model.backbone, os.path.join(out_dir, "backbone.gbkb"))
     if isinstance(model.encoder, SemanticEncoder):
-        save_hae_checkpoint(model.encoder.hae, os.path.join(out_dir, "hae.ghae"))
+        save_hae_checkpoint(model.encoder.params, os.path.join(out_dir, "hae.ghae"))
     else:
         save_embedding_matrix(
             matrix_from_array(model.encoder.emb), os.path.join(out_dir, "id_embedding.gemb")
@@ -145,7 +149,7 @@ def load_model_dir(model_dir, data: PipelineData) -> tuple[RecModel, RunConfig]:
     load_backbone_checkpoint(model.backbone,
                              _require(model_dir, "backbone.gbkb", "backbone checkpoint"))
     if isinstance(model.encoder, SemanticEncoder):
-        load_hae_checkpoint(model.encoder.hae,
+        load_hae_checkpoint(model.encoder.params,
                             _require(model_dir, "hae.ghae", "fusion checkpoint"))
     else:
         path = _require(model_dir, "id_embedding.gemb", "id embedding table")
@@ -165,9 +169,9 @@ def load_model_dir(model_dir, data: PipelineData) -> tuple[RecModel, RunConfig]:
 
 def train_one_seed(data: PipelineData, cfg: RunConfig, seed: int, out_dir) -> dict:
     """Fit one seed, write checkpoint + epoch log, return the summary dict."""
-    model = build_model(data, cfg, seed)  # a config/data mismatch fails before out_dir exists
-    os.makedirs(out_dir, exist_ok=True)
+    model = build_model(data, cfg, seed)
     model, state = fit(model, data.split, data.ds, cfg, seed)
+    os.makedirs(out_dir, exist_ok=True)  # only now: a failed fit leaves no empty out_dir
     write_text_atomic(os.path.join(out_dir, "train_log.tsv"), "".join(
         f"{epoch}\t{loss!r}\t{val!r}\n"
         for epoch, (loss, val) in enumerate(zip(state.loss_history, state.val_history), start=1)

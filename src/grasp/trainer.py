@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .errors import NumericError, ProtocolError
+from .errors import DataError, NumericError
 from .evaluation import eval_candidates, evaluate
 from .model import RecModel, pad_sequences
 
@@ -80,10 +80,10 @@ def make_training_batch(split, ds, cfg: RunConfig, rng, users) -> TrainBatch:
     items; padded positions carry mask 0.
     """
     if len(split) == 0:
-        raise ProtocolError("empty split")
+        raise DataError("empty split")
     users = [u for u in users if len(split.entries[u].train_prefix) >= 2]
     if not users:
-        raise ProtocolError("no user in the batch has a trainable prefix (length >= 2)")
+        raise DataError("no user in the batch has a trainable prefix (length >= 2)")
 
     prefixes = [split.entries[u].train_prefix for u in users]
     inputs, mask = pad_sequences([prefix[:-1] for prefix in prefixes], cfg.max_seq_len)
@@ -102,7 +102,7 @@ def train_epoch(model: RecModel, split, ds, cfg: RunConfig, state: TrainState,
     """One pass over the split in a seeded shuffle order; appends mean loss."""
     trainable = [u for u in split.users if len(split.entries[u].train_prefix) >= 2]
     if not trainable:
-        raise ProtocolError("no trainable users (all prefixes shorter than 2)")
+        raise DataError("no trainable users (all prefixes shorter than 2)")
     order = rng.permutation(len(trainable))
     total, count = 0.0, 0.0
     for bi, start in enumerate(range(0, len(order), cfg.batch_size)):
@@ -128,7 +128,7 @@ def fit(model: RecModel, split, ds, cfg: RunConfig, seed: int) -> tuple[RecModel
     ``val_history`` hold one mean loss and one validation NDCG@10 per epoch.
     """
     if len(split) == 0:
-        raise ProtocolError("empty validation set: leave-one-out split has no users")
+        raise DataError("empty validation set: leave-one-out split has no users")
     start = time.perf_counter()
     state = TrainState()
     adam = Adam(model.parameter_groups(), cfg.lr)

@@ -125,7 +125,7 @@ def test_criterion_03_gradient_checks():
     gates = _branch_concat(u, ubar, it, itbar, cfg)
     _, cache = fuse_forward(gates, index, items, p)
     grads = fuse_backward(cache, upstream, p)
-    for name, tensor in p.tensors().items():
+    for name, tensor in p.items():
         err = rel_error(grads[name], finite_diff(hae_scalar, tensor, step=1e-5))
         assert err < 1e-4, f"hae {name}: {err}"
 

@@ -225,6 +225,18 @@ class TestTrainEval:
                    "--out", existing) == 3
         assert existing.is_dir() and not any(existing.iterdir())
 
+    def test_failed_fit_leaves_no_out_dir(self, tmp_path, capsys):
+        # Two events per user: the leave-one-out split keeps nobody, so fit refuses.
+        data = tmp_path / "short_data"
+        data.mkdir()
+        (data / "interactions.tsv").write_text(
+            "".join(f"{u}\t{i}\t{t}\n" for u in range(30) for t, i in enumerate((u, u + 1))))
+        out = tmp_path / "out"
+        assert run("train", "--data", data, "--out", out, "--encoder", "id",
+                   "--backbone", "gru4rec", "--min-user-len", 1, "--min-item-freq", 1) == 3
+        assert "empty validation set" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dimension_mismatch_is_compatibility_error(self, data_dir, trained, tmp_path):
         other = tmp_path / "other_data"
         assert run("synth", "--out", other, "--n-users", 30, "--n-items", 20,
@@ -456,6 +468,25 @@ class TestSweepAndReport:
         metrics.write_text("\n".join(lines) + "\n")
         assert run("report", "--metrics", metrics) == 3
         assert f"{metrics}:4:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("counts, message", [
+        ("5\t0\t1", "# meta empty flag '1' contradicts 5 users"),
+        ("0\t0\t0", "# meta empty flag '0' contradicts 0 users"),
+        ("5\t0\t2", "# meta empty flag '2' contradicts 5 users"),
+        ("-5\t0\t0", "negative count in # meta line"),
+        ("5\t-1\t0", "negative count in # meta line"),
+    ], ids=["empty-with-users", "users-zero-not-empty", "flag-2", "negative-users",
+            "negative-skipped"])
+    def test_contradictory_meta_line_is_data_error(self, tmp_path, capsys, counts, message):
+        from grasp.evaluation import emit_report, report_from_ranks
+
+        metrics = tmp_path / "metrics.tsv"
+        emit_report([report_from_ranks([1, 2, 3, 4, 5])], metrics)
+        lines = metrics.read_text().splitlines()
+        lines[1] = f"# meta\toverall\t{counts}"
+        metrics.write_text("\n".join(lines) + "\n")
+        assert run("report", "--metrics", metrics) == 3
+        assert f"{metrics}:2: {message}" in capsys.readouterr().err
 
     @staticmethod
     def _two_group_metrics(tmp_path):
@@ -772,7 +803,7 @@ class TestRawIdRows:
                                    ic.pooled_means[i], cfg)
         per_row = np.concatenate([im.values[i], ic.pooled_means[i]], axis=-1)
         reference, _ = hae.fuse_forward(gates, np.arange(items.size).reshape(items.shape),
-                                        per_row.reshape(items.size, -1), model.encoder.hae)
+                                        per_row.reshape(items.size, -1), model.encoder.params)
         np.testing.assert_allclose(fused, reference, rtol=1e-12, atol=1e-12)
 
     def test_sweep_k_point_matches_a_train_on_its_caches(self, data_dir, tmp_path):
@@ -798,7 +829,8 @@ class TestRawIdRows:
         out = tmp_path / "out"
         assert run(command, "--data", broken, "--out", out, *self._inputs(command, trained)) == 3
         assert not out.exists()
-        assert "cache shape (80, 16) does not match matrix (50, 16)" in capsys.readouterr().err
+        assert (f"{broken / 'items.gnbc'}: cache shape (80, 16) does not match matrix (50, 16)"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("side", ["user", "item"])
     def test_k_mismatch_names_the_cache_and_both_ks(self, data_dir, tmp_path, capsys, side):

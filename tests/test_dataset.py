@@ -35,6 +35,8 @@ def make_ds(sequences, item_count=None):
         sequences=sequences,
         item_frequency=item_freq,
         user_frequency=np.array([len(sequences[u]) for u in sorted(sequences)]),
+        user_raw_ids=[str(u) for u in sorted(sequences)],
+        item_raw_ids=[str(i) for i in range(n_items)],
     )
 
 
@@ -292,21 +294,21 @@ class TestSplit:
 class TestHeadTail:
     def test_ranked_cut(self):
         freqs = np.array([10, 9, 8, 1, 1, 1, 1, 1, 1, 1])
-        ds = InteractionDataset(1, 10, {0: []}, freqs, np.array([0]))
+        ds = InteractionDataset(1, 10, {0: []}, freqs, np.array([0]), ["0"], list("abcdefghij"))
         labels = partition_head_tail(ds, 0.2)
-        assert labels.item_threshold == 9
+        assert freqs[labels.item_is_head].min() == 9
         assert list(np.flatnonzero(labels.item_is_head)) == [0, 1]
 
     def test_single_member_population(self):
-        ds = InteractionDataset(1, 1, {0: [0]}, np.array([1]), np.array([1]))
+        ds = InteractionDataset(1, 1, {0: [0]}, np.array([1]), np.array([1]), ["0"], ["a"])
         labels = partition_head_tail(ds, 0.2)
         assert labels.item_is_head.all()
 
     def test_ties_spill_into_head(self):
         freqs = np.array([5, 5, 5, 1])
-        ds = InteractionDataset(1, 4, {0: []}, freqs, np.array([0]))
+        ds = InteractionDataset(1, 4, {0: []}, freqs, np.array([0]), ["0"], list("abcd"))
         labels = partition_head_tail(ds, 0.25)
-        assert labels.item_threshold == 5
+        assert freqs[labels.item_is_head].min() == 5
         assert labels.item_is_head.sum() == 3
 
     def test_invalid_ratio(self, small_corpus):
@@ -322,8 +324,7 @@ class TestHeadTail:
         head_freqs = ds.item_frequency[labels.item_is_head]
         tail_freqs = ds.item_frequency[~labels.item_is_head]
         if len(tail_freqs):
-            assert tail_freqs.max() <= head_freqs.min()
-            assert tail_freqs.max() < labels.item_threshold
+            assert tail_freqs.max() < head_freqs.min()
         assert labels.item_is_head.sum() >= math.ceil(0.2 * ds.item_count)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grasp.dataset import partition_head_tail, split_leave_one_out
-from grasp.errors import DataError, FormatError, NumericError, ProtocolError
+from grasp.errors import DataError, FormatError, NumericError
 from grasp.evaluation import (
     KS,
     RECORD,
@@ -189,7 +189,7 @@ class TestEvaluateProtocol:
         ds, _ = big_corpus
         from grasp.dataset import LeaveOneOutSplit
 
-        with pytest.raises(ProtocolError):
+        with pytest.raises(DataError):
             evaluate(_EqualScorer(), LeaveOneOutSplit(entries={}, n_excluded=3), ds, "test",
                      eval_negatives=100, seed=42, max_seq_len=100)
 
@@ -252,7 +252,6 @@ class TestGroupReport:
         groups = GroupLabels(
             user_is_head=np.array([True, False]),
             item_is_head=np.array([True, False]),
-            user_threshold=5, item_threshold=5,
         )
         reports = group_report(records, groups)
         assert list(reports) == ["head_user", "tail_user", "head_item", "tail_item"]
@@ -268,7 +267,6 @@ class TestGroupReport:
 
         groups = GroupLabels(
             user_is_head=np.array([True]), item_is_head=np.array([True]),
-            user_threshold=1, item_threshold=1,
         )
         reports = group_report(records, groups)
         assert reports["tail_user"].empty

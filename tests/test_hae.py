@@ -11,7 +11,6 @@ from grasp import hae
 from grasp.config import RunConfig
 from grasp.errors import DataError, FormatError
 from grasp.hae import (
-    HaeParams,
     SemanticStore,
     fuse_backward,
     fuse_forward,
@@ -60,7 +59,7 @@ def item_branches(u, ubar, item, ibar):
     return concat[:d], concat[d : 2 * d], concat[2 * d :]
 
 
-def fuse_one(gates, item, ibar, p: HaeParams) -> np.ndarray:
+def fuse_one(gates, item, ibar, p: dict) -> np.ndarray:
     """The fusion MLP applied to one item's gated branches."""
     items = np.concatenate([item, ibar])[None].astype(np.float64)
     fused, _ = fuse_forward(np.asarray(gates, dtype=np.float64)[None], np.zeros(1, dtype=np.int64),
@@ -68,9 +67,9 @@ def fuse_one(gates, item, ibar, p: HaeParams) -> np.ndarray:
     return fused[0]
 
 
-def reference_fuse(concat, p: HaeParams) -> np.ndarray:
+def reference_fuse(concat, p: dict) -> np.ndarray:
     """relu(concat @ w1 + b1) @ w2 + b2 on the materialised concat."""
-    return np.maximum(concat @ p.w1 + p.b1, 0.0) @ p.w2 + p.b2
+    return np.maximum(concat @ p["w1"] + p["b1"], 0.0) @ p["w2"] + p["b2"]
 
 
 def encoder(stores, h=6, seed=1, **flags) -> SemanticEncoder:
@@ -161,13 +160,13 @@ class TestEnhanceItem:
 class TestFuse:
     def test_degenerate_weights_return_bias(self):
         d, hh, h = 2, 3, 4
-        p = HaeParams(
+        p = dict(
             w1=np.zeros((4 * d, hh)), b1=np.zeros(hh),
             w2=np.zeros((hh, h)), b2=np.array([1.0, -2.0, 3.5, 0.0]),
         )
         rng = np.random.default_rng(3)
         out = fuse_one(rng.random(3), rng.standard_normal(d), rng.standard_normal(d), p)
-        np.testing.assert_array_equal(out, p.b2)
+        np.testing.assert_array_equal(out, p["b2"])
 
     def test_identity_slice_recovers_affine_self_branch(self):
         # w1 copies the self branch (first 2 slots, gate 1) into the hidden layer;
@@ -181,14 +180,14 @@ class TestFuse:
         b1 = np.full(hh, 10.0)
         w2 = np.eye(hh)
         b2 = np.array([0.25, -0.75])
-        p = HaeParams(w1=w1, b1=b1, w2=w2, b2=b2)
+        p = dict(w1=w1, b1=b1, w2=w2, b2=b2)
         self_b = np.array([0.3, -0.2])
         out = fuse_one([1.0, 0.0, 0.0], self_b, np.zeros(d), p)
         np.testing.assert_allclose(out, self_b + 10.0 + b2, atol=1e-12)
 
     def test_all_zero_bundle_zero_biases(self):
         d, hh, h = 2, 3, 2
-        p = HaeParams(
+        p = dict(
             w1=np.ones((4 * d, hh)), b1=np.zeros(hh), w2=np.ones((hh, h)), b2=np.zeros(h)
         )
         out = fuse_one(np.ones(3), np.zeros(d), np.zeros(d), p)
@@ -268,7 +267,7 @@ class TestBackward:
 
         _, cache = fuse_forward(*concat, p)
         grads = fuse_backward(cache, upstream, p)
-        for name, tensor in p.tensors().items():
+        for name, tensor in p.items():
             fd = finite_diff(scalar, tensor, step=1e-5)
             assert rel_error(grads[name], fd) < 1e-4, name
 
@@ -276,7 +275,7 @@ class TestBackward:
         # end to end: gates feed the concat; params still get exact grads
         user_store, item_store = small_stores
         enc = encoder(small_stores, h=3, seed=2, h_hidden=5)
-        cfg, p = enc.cfg, enc.hae
+        cfg, p = enc.cfg, enc.params
         items = np.array([1, 4, 9])
         rng = np.random.default_rng(8)
         upstream = rng.standard_normal((3, 3))
@@ -294,7 +293,7 @@ class TestBackward:
         gates = hae._branch_concat(u, ubar, it, itbar, cfg)
         _, cache = fuse_forward(gates, np.arange(3), np.concatenate([it, itbar], axis=1), p)
         grads = fuse_backward(cache, upstream, p)
-        for name, tensor in p.tensors().items():
+        for name, tensor in p.items():
             fd = finite_diff(scalar, tensor, step=1e-5)
             assert rel_error(grads[name], fd) < 1e-4, name
 
@@ -417,12 +416,12 @@ class TestFactoredForward:
         lengths = np.array([7, 3, 1, 5]) if masked else np.full(4, 7)
         mask = np.arange(7) >= 7 - lengths[:, None]
         got, _ = enc.encode_items(users, items, positions_mask=mask)
-        want = reference_fuse(reference_concat(enc, users, items, mask), enc.hae)
+        want = reference_fuse(reference_concat(enc, users, items, mask), enc.params)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         # candidate grids: gates are never normalised across positions
         cands = rng.integers(40, size=(4, 7, 3))
         got, _ = enc.encode_items(users, cands)
-        np.testing.assert_allclose(got, reference_fuse(reference_concat(enc, users, cands), enc.hae),
+        np.testing.assert_allclose(got, reference_fuse(reference_concat(enc, users, cands), enc.params),
                                    rtol=1e-12, atol=0)
 
     def test_backward_matches_concat_reference(self, monkeypatch):
@@ -439,11 +438,11 @@ class TestFactoredForward:
         fused, cache = fuse_forward(gates, index, items, p)
         grads = fuse_backward(cache, upstream, p)
         concat = gated_concat(gates, items[index, :d], items[index, d:]).reshape(-1, 4 * d)
-        a1 = concat @ p.w1 + p.b1
+        a1 = concat @ p["w1"] + p["b1"]
         h1 = np.maximum(a1, 0.0)
-        np.testing.assert_allclose(fused.reshape(-1, h), h1 @ p.w2 + p.b2, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(fused.reshape(-1, h), h1 @ p["w2"] + p["b2"], rtol=1e-12, atol=0)
         up = upstream.reshape(-1, h)
-        d_a1 = (up @ p.w2.T) * (a1 > 0)
+        d_a1 = (up @ p["w2"].T) * (a1 > 0)
         want = {"w1": concat.T @ d_a1, "b1": d_a1.sum(axis=0), "w2": h1.T @ up, "b2": up.sum(axis=0)}
         for name, g in want.items():
             np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12 * np.abs(g).max(),
@@ -453,7 +452,7 @@ class TestFactoredForward:
             out, _ = fuse_forward(gates, index, items, p)
             return float((out * upstream).sum())
 
-        for name, tensor in p.tensors().items():
+        for name, tensor in p.items():
             assert rel_error(grads[name], finite_diff(scalar, tensor, step=1e-5)) < 1e-4, name
 
     # 18 rows in lists of 3: chunks of 12 and 6 rows, or one list per chunk when C > CHUNK_ROWS
@@ -463,7 +462,7 @@ class TestFactoredForward:
                                                        chunk):
         monkeypatch.setattr(hae, "CHUNK_ROWS", chunk)
         enc = encoder(small_stores, h=4, seed=6, h_hidden=5, **flags)
-        p = enc.hae
+        p = enc.params
         rng = np.random.default_rng(14)
         users = np.array([5, 17])
         cands = rng.integers(40, size=(2, 3, 3))
@@ -473,13 +472,13 @@ class TestFactoredForward:
 
         logits, cache = enc.encode_items(users, cands, readout=o)
         grads = enc.backward(cache, d_logit)
-        concat = reference_concat(enc, users, cands).reshape(-1, p.w1.shape[0])
-        a1 = concat @ p.w1 + p.b1
+        concat = reference_concat(enc, users, cands).reshape(-1, p["w1"].shape[0])
+        a1 = concat @ p["w1"] + p["b1"]
         h1 = np.maximum(a1, 0.0)
-        fused = (h1 @ p.w2 + p.b2).reshape(2, 3, 3, 4)
+        fused = (h1 @ p["w2"] + p["b2"]).reshape(2, 3, 3, 4)
         np.testing.assert_allclose(logits, np.einsum("blh,blch->blc", o, fused), rtol=1e-12, atol=0)
         up = (d_logit[..., None] * o[:, :, None, :]).reshape(-1, 4)
-        d_a1 = (up @ p.w2.T) * (a1 > 0)
+        d_a1 = (up @ p["w2"].T) * (a1 > 0)
         want = {"w1": concat.T @ d_a1, "b1": d_a1.sum(axis=0), "w2": h1.T @ up,
                 "b2": up.sum(axis=0), "readout": np.einsum("blc,blch->blh", d_logit, fused)}
         assert grads.keys() == want.keys()
@@ -491,7 +490,7 @@ class TestFactoredForward:
             out, _ = enc.encode_items(users, cands, readout=o)
             return float((out * d_logit).sum())
 
-        for name, tensor in dict(p.tensors(), readout=o).items():
+        for name, tensor in dict(p, readout=o).items():
             assert rel_error(grads[name], finite_diff(scalar, tensor, step=1e-5)) < 1e-4, name
 
     @pytest.mark.parametrize("n_cand, chunk", [(9, 4), (2100, None)], ids=["chunk_4", "C_over_chunk"])
@@ -512,7 +511,7 @@ class TestFactoredForward:
         fused, _ = model.encoder.encode_items(users, cands)
         want = 1.0 / (1.0 + np.exp(-np.einsum("bh,bch->bc", o, fused)))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        ref = reference_fuse(reference_concat(model.encoder, users, cands), model.encoder.hae)
+        ref = reference_fuse(reference_concat(model.encoder, users, cands), model.encoder.params)
         want = 1.0 / (1.0 + np.exp(-np.einsum("bh,bch->bc", o, ref)))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -529,7 +528,7 @@ def test_enhance_and_fuse_record(small_stores):
     row = items[index[0, 0]]
     np.testing.assert_array_equal(gated_concat(gates[0, 0], row[:8], row[8:]),
                                   np.concatenate(branches))
-    np.testing.assert_array_equal(fused[0, 0], fuse_one(gates[0, 0], item, ibar, enc.hae))
+    np.testing.assert_array_equal(fused[0, 0], fuse_one(gates[0, 0], item, ibar, enc.params))
     assert branches[0].shape == (8,)
     assert branches[2].shape == (16,)
 
@@ -547,9 +546,9 @@ def test_checkpoint_round_trip(tmp_path):
                         ("h", init_params(RunConfig(h=5, h_hidden=5), 3, seed=6))):
         with pytest.raises(FormatError, match=name):
             load_hae_checkpoint(other, path)
-    for name, tensor in p.tensors().items():
+    for name, tensor in p.items():
         np.testing.assert_array_equal(
-            loaded.tensors()[name], tensor.astype(np.float32).astype(np.float64)
+            loaded[name], tensor.astype(np.float32).astype(np.float64)
         )
 
 
@@ -562,9 +561,9 @@ def test_checkpoint_round_trip_generated(tmp_path_factory, d_sem, h_hidden, h, s
     save_hae_checkpoint(p, path)
     loaded = init_params(cfg, d_sem, seed=seed + 1)
     load_hae_checkpoint(loaded, path)
-    for name, tensor in p.tensors().items():
+    for name, tensor in p.items():
         np.testing.assert_array_equal(
-            loaded.tensors()[name], tensor.astype(np.float32).astype(np.float64)
+            loaded[name], tensor.astype(np.float32).astype(np.float64)
         )
     data = path.read_bytes()
     save_hae_checkpoint(loaded, path)
@@ -574,20 +573,20 @@ def test_checkpoint_round_trip_generated(tmp_path_factory, d_sem, h_hidden, h, s
 GHAE_HEADER = 18  # magic 4 | version 2 | d_sem, h_hidden, h 4 each
 
 
-def pack_ghae(p: HaeParams) -> bytes:
+def pack_ghae(p: dict) -> bytes:
     """A GHAE file packed field by field with ``struct``, independent of numpy I/O."""
-    out = [b"GHAE", struct.pack("<HIII", 1, p.w1.shape[0] // 4, p.w1.shape[1], p.w2.shape[1])]
-    for tensor in (p.w1, p.b1, p.w2, p.b2):
+    out = [b"GHAE", struct.pack("<HIII", 1, p["w1"].shape[0] // 4, p["w1"].shape[1], p["w2"].shape[1])]
+    for tensor in (p["w1"], p["b1"], p["w2"], p["b2"]):
         out.append(struct.pack(f"<{tensor.size}f", *tensor.ravel().tolist()))
     return b"".join(out)
 
 
-def snapshot(p: HaeParams) -> dict:
-    return {name: tensor.copy() for name, tensor in p.tensors().items()}
+def snapshot(p: dict) -> dict:
+    return {name: tensor.copy() for name, tensor in p.items()}
 
 
-def assert_unchanged(p: HaeParams, before: dict) -> None:
-    for name, tensor in p.tensors().items():
+def assert_unchanged(p: dict, before: dict) -> None:
+    for name, tensor in p.items():
         np.testing.assert_array_equal(tensor, before[name], err_msg=name)
 
 
@@ -624,7 +623,7 @@ def test_checkpoint_non_finite_tensor_is_refused_at_its_byte(tmp_path):
     before = snapshot(target)
     path = tmp_path / "fusion.ghae"
     offset, bads = GHAE_HEADER, []
-    for name, tensor in p.tensors().items():
+    for name, tensor in p.items():
         bad = offset + 4 * (tensor.size // 2)
         path.write_bytes(data[:bad] + struct.pack("<f", math.nan) + data[bad + 4 :])
         with pytest.raises(FormatError, match=f"non-finite value at byte {bad}$"):
@@ -647,9 +646,9 @@ def test_init_is_seeded_and_bounded():
     a = init_params(cfg, 4, seed=42)
     b = init_params(cfg, 4, seed=42)
     c = init_params(cfg, 4, seed=43)
-    for name in a.tensors():
-        np.testing.assert_array_equal(a.tensors()[name], b.tensors()[name])
+    for name in a:
+        np.testing.assert_array_equal(a[name], b[name])
     assert any(
-        not np.array_equal(a.tensors()[n], c.tensors()[n]) for n in a.tensors()
+        not np.array_equal(a[n], c[n]) for n in a
     )
-    assert np.abs(a.w1).max() <= 1.0 / np.sqrt(16)
+    assert np.abs(a["w1"]).max() <= 1.0 / np.sqrt(16)

@@ -3,7 +3,7 @@ import pytest
 
 from grasp.config import RunConfig
 from grasp.dataset import InteractionDataset, split_leave_one_out
-from grasp.errors import NumericError, ProtocolError
+from grasp.errors import DataError, NumericError
 from grasp.model import IdEncoder, RecModel, build_id_model, build_semantic_model, semantic_checksum
 from grasp.trainer import Adam, TrainBatch, fit, make_training_batch, train_epoch, TrainState
 from helpers import finite_diff, rel_error
@@ -20,6 +20,8 @@ def make_ds(sequences, item_count):
         sequences=sequences,
         item_frequency=item_freq,
         user_frequency=np.array([len(sequences[u]) for u in sorted(sequences)]),
+        user_raw_ids=[str(u) for u in sorted(sequences)],
+        item_raw_ids=[str(i) for i in range(item_count)],
     )
 
 
@@ -342,7 +344,7 @@ class TestFit:
         ds, _, _ = small_corpus
         empty = split_leave_one_out(make_ds({0: [1, 2]}, item_count=4))
         model = small_model(small_stores, seed=13)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(DataError):
             fit(model, empty, ds, RunConfig(max_seq_len=50), 42)
 
     def test_no_best_snapshot_is_numeric_error(self, small_corpus, small_stores, monkeypatch):
