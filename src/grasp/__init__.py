@@ -19,4 +19,13 @@ The ``grasp`` CLI (see ``grasp.cli``) exposes the full pipeline:
 hyper-parameter sweeps.
 """
 
+import os
+
 __version__ = "0.1.0"
+
+# BLAS reads its thread count once, when numpy loads, and every submodule
+# imports numpy, so the cap is applied here; a count already set wins.
+_cap = os.environ.get("GRASP_THREADS")
+if _cap:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(_var, _cap)

@@ -5,14 +5,26 @@ Zero initial state; at masked (padded) positions the state is forced back
 to zero, which -- because padding is always a left prefix -- is exactly
 equivalent to starting the recurrence at the first real position.
 
-The recurrence runs time-major: each layer's input projection is one
-GEMM over the ``(L, B, h)`` transpose of its input, and the caches are
-``(L, B, ·)`` arrays, so every step reads and writes contiguous rows.
-Per layer the cache holds the input, the states, the sigmoid-activated
-``r|z`` gates packed as ``(L, B, 2h)``, the candidate ``n`` and the
-recurrent candidate term ``hn_lin``.  The state entering step ``t`` is
-``states[t-1]`` (zero at ``t = 0``), so it is not stored twice.  With
-``last_only`` no cache is kept: inner layers keep only their states and
+The recurrence runs time-major, so every step reads and writes
+contiguous ``(B, ·)`` rows of ``(L, B, ·)`` arrays.  Per layer, a
+training forward keeps four of them, and the backward consumes them:
+
+* ``x`` ``(L, B, h)``: the layer input, after dropout.  Read only.
+* ``states`` ``(L, B, h)``: the layer outputs.  The state entering step
+  ``t`` is ``states[t-1]`` (zero at ``t = 0``).  Read only.
+* ``act`` ``(L, B, 3h)``: born as the input-projection GEMM plus bias.
+  Forward step ``t`` overwrites ``act[t]`` with ``sigmoid(r|z) | tanh(n)``;
+  backward step ``t`` reads those gates, then overwrites ``act[t]`` with
+  the pre-activation gradients ``da_r | da_z | da_n``.
+* ``hn_lin_all`` ``(L, B, h)``: the recurrent candidate term ``h_prev·W_hn``.
+  Backward step ``t`` reads it, then overwrites it with ``da_n·r``, the
+  gradient of that term.
+
+Backward step ``t`` overwrites only row ``t``, which no earlier step
+reads, and the weight gradients and ``d_inputs`` are GEMMs over the
+overwritten ``act`` and ``hn_lin_all`` once the loop ends.  So a cache
+serves one backward.  With ``last_only`` no cache is kept: the gates go
+to contiguous per-step scratch, inner layers keep only their states and
 the last layer only its running state.
 """
 
@@ -78,28 +90,26 @@ class Gru4Rec:
         """
         L, B, h = x.shape
         w_h = self.params[f"w_h{layer}"]
-        gx = x.reshape(-1, h) @ self.params[f"w_x{layer}"]
-        gx += self.params[f"b{layer}"]
-        gx = gx.reshape(L, B, 3 * h)
+        act = x.reshape(-1, h) @ self.params[f"w_x{layer}"]
+        act += self.params[f"b{layer}"]
+        act = act.reshape(L, B, 3 * h)
 
-        cached = L if keep_cache else 1
-        rz_all = np.empty((cached, B, 2 * h))
-        n_all = np.empty((cached, B, h))
-        hn_lin_all = np.empty((cached, B, h)) if keep_cache else None
+        hn_lin_all = np.empty((L, B, h)) if keep_cache else None
+        rz_step, n_step = np.empty((B, 2 * h)), np.empty((B, h))  # last_only's gates
         states = np.empty((L if keep_states else 2, B, h))
         gh = np.empty((B, 3 * h))
         zh = np.empty((B, h))
         h_prev = np.zeros((B, h))
         for t in range(L):
-            c = t if keep_cache else 0
+            a = act[t]
+            rz_out, n_out = (a[:, : 2 * h], a[:, 2 * h :]) if keep_cache else (rz_step, n_step)
             np.matmul(h_prev, w_h, out=gh)
-            rz = sigmoid(np.add(gx[t, :, : 2 * h], gh[:, : 2 * h], out=rz_all[c]), out=rz_all[c])
+            rz = sigmoid(np.add(a[:, : 2 * h], gh[:, : 2 * h], out=rz_out), out=rz_out)
             r, z = rz[:, :h], rz[:, h:]
             hn_lin = gh[:, 2 * h :]
             if keep_cache:
                 hn_lin_all[t] = hn_lin
-            n = np.multiply(r, hn_lin, out=n_all[c])
-            n += gx[t, :, 2 * h :]
+            n = np.add(a[:, 2 * h :], np.multiply(r, hn_lin, out=zh), out=n_out)
             np.tanh(n, out=n)
             # (1 - z) * n + z * h_prev, in this order: n + z * (h_prev - n)
             # is equal algebraically but not bit for bit.
@@ -110,37 +120,36 @@ class Gru4Rec:
             h_prev = h_new
         if not keep_cache:
             return (states if keep_states else h_prev), None
-        return states, (layer, x, states, rz_all, n_all, hn_lin_all)
+        return states, (layer, x, states, act, hn_lin_all)
 
     def backward(self, cache, d_out: np.ndarray):
-        """BPTT; returns (d_inputs, parameter gradients)."""
+        """BPTT; returns (d_inputs, parameter gradients).  Consumes ``cache``."""
         caches, mask = cache
         grads = {name: np.zeros_like(p) for name, p in self.params.items()}
-        d_layer = d_out
+        d_layer = d_out.transpose(1, 0, 2)
         for layer_cache, drop in reversed(caches):
             d_layer = self._layer_backward(layer_cache, mask, d_layer, grads)
             if drop is not None:
-                d_layer = d_layer * drop
-        return d_layer, grads
+                d_layer *= drop.transpose(1, 0, 2)
+        return np.ascontiguousarray(d_layer.transpose(1, 0, 2)), grads
 
     def _layer_backward(self, cache, mask, d_out, grads):
-        """Gate gradients step by step into (B, L, 3h) buffers, then the
-        weight GEMMs over (B, L)-ordered rows."""
-        layer, x, states, rz_all, n_all, hn_lin_all = cache
+        """Gate gradients step by step over the cache from a time-major
+        ``d_out``, then the weight GEMMs over its (L, B)-ordered rows;
+        returns the (L, B, h) d_inputs."""
+        layer, x, states, act, hn_lin_all = cache
         L, B, h = x.shape
         w_x = self.params[f"w_x{layer}"]
         w_h = self.params[f"w_h{layer}"]
-        d_gx_all = np.empty((B, L, 3 * h))
-        d_gh_all = np.empty((B, L, 3 * h))
+        d_gh = np.empty((B, 3 * h))
+        da_r, da_z, da_n = d_gh[:, :h], d_gh[:, h : 2 * h], d_gh[:, 2 * h :]
         d_h = np.zeros((B, h))
         h_zero = np.zeros((B, h))
         for t in reversed(range(L)):
-            dh_total = (d_out[:, t] + d_h) * mask[:, t, None]
-            r, z = rz_all[t, :, :h], rz_all[t, :, h:]
-            n = n_all[t]
+            dh_total = (d_out[t] + d_h) * mask[:, t, None]
+            a = act[t]
+            r, z, n = a[:, :h], a[:, h : 2 * h], a[:, 2 * h :]
             h_prev = states[t - 1] if t else h_zero
-            d_gx, d_gh = d_gx_all[:, t], d_gh_all[:, t]
-            da_r, da_z, da_n = d_gx[:, :h], d_gx[:, h : 2 * h], d_gx[:, 2 * h :]
             np.multiply(dh_total, 1.0 - z, out=da_n)
             da_n *= 1.0 - n * n
             np.multiply(da_n, hn_lin_all[t], out=da_r)
@@ -150,16 +159,17 @@ class Gru4Rec:
             da_z *= dh_total
             da_z *= z
             da_z *= 1.0 - z
-            d_gh[:, : 2 * h] = d_gx[:, : 2 * h]
-            np.multiply(da_n, r, out=d_gh[:, 2 * h :])
             d_h = dh_total * z
+            # Every read of row t is above; from here row t holds gradients.
+            a[:, 2 * h :] = da_n
+            da_n *= r
+            a[:, : 2 * h] = d_gh[:, : 2 * h]
+            hn_lin_all[t] = da_n
             d_h += d_gh @ w_h.T
-        prev = np.zeros((B, L, h))
-        prev[:, 1:] = states[:-1].transpose(1, 0, 2)
-        flat_x = x.transpose(1, 0, 2).reshape(-1, h)
-        flat_gx = d_gx_all.reshape(-1, 3 * h)
-        flat_gh = d_gh_all.reshape(-1, 3 * h)
-        grads[f"w_x{layer}"] += flat_x.T @ flat_gx
-        grads[f"w_h{layer}"] += prev.reshape(-1, h).T @ flat_gh
-        grads[f"b{layer}"] += flat_gx.sum(axis=0)
-        return (flat_gx @ w_x.T).reshape(B, L, h)
+        flat_act = act.reshape(-1, 3 * h)
+        prev = states[:-1].reshape(-1, h)
+        grads[f"w_x{layer}"] += x.reshape(-1, h).T @ flat_act
+        grads[f"w_h{layer}"][:, : 2 * h] += prev.T @ act[1:, :, : 2 * h].reshape(-1, 2 * h)
+        grads[f"w_h{layer}"][:, 2 * h :] += prev.T @ hn_lin_all[1:].reshape(-1, h)
+        grads[f"b{layer}"] += flat_act.sum(axis=0)
+        return (flat_act @ w_x.T).reshape(L, B, h)

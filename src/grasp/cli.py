@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 usage error, 3 data/format or I/O error, 4
 numeric failure.  ``GRASP_THREADS`` caps BLAS worker threads (applied
-before numpy loads).  Each output directory is guarded by a kernel file
+when the ``grasp`` package is imported).  Each output directory is guarded by a kernel file
 lock (``flock``) on ``.grasp.lock``, so a second run into a busy
 directory exits 3, and a run refuses to overwrite previous results
 without ``--force``.
@@ -18,22 +18,11 @@ import json
 import os
 import sys
 
-# config and errors import no numpy, so they may load before _cap_threads runs.
 from .config import (
     CHOICES, FIELD_TYPES, RunConfig, parse_config_file, write_json, write_key_values,
     write_text_atomic,
 )
 from .errors import DataError, NumericError
-
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-
-
-def _cap_threads() -> None:
-    cap = os.environ.get("GRASP_THREADS")
-    if cap:
-        for var in _THREAD_VARS:
-            os.environ.setdefault(var, cap)
-
 
 @contextlib.contextmanager
 def _output_lock(out_dir, outputs, force: bool):
@@ -402,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "seed", 0) < 0:

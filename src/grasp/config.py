@@ -73,8 +73,8 @@ class RunConfig:
         for name in ("n_layers", "d_sem", "h_hidden"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0 (0 picks the default), got {getattr(self, name)}")
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+        if not 0.0 <= self.lr < float("inf"):  # false for NaN too
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")

@@ -359,8 +359,9 @@ class TestConfigPrecedence:
         assert summary["config"]["batch_size"] == 32  # file beats default
         assert summary["config"]["patience"] == 5
 
-    @pytest.mark.parametrize("flags", [("--n-heads", 3, "--h", 64), ("--max-epochs", 0)],
-                             ids=["heads", "epochs"])
+    @pytest.mark.parametrize("flags", [("--n-heads", 3, "--h", 64), ("--max-epochs", 0),
+                                       ("--lr", "nan")],
+                             ids=["heads", "epochs", "lr-nan"])
     def test_bad_flag_exits_before_writing(self, data_dir, tmp_path, flags):
         out = tmp_path / "never"
         assert run("train", "--data", data_dir, "--out", out, *TRAIN_FLAGS, *flags) == 2
@@ -845,3 +846,19 @@ class TestRawIdRows:
         assert not out.exists()
         assert (f"{broken / f'{side}s.gnbc'} was built with k=3 but config asks k_neighbors=5"
                 in capsys.readouterr().err)
+
+
+class TestThreadCap:
+    """``GRASP_THREADS`` takes effect when the package is imported, before numpy loads."""
+
+    @pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")],
+                             ids=["capped", "preset-kept"])
+    def test_import_sets_the_blas_thread_count(self, preset, want):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env.update(GRASP_THREADS="1", PYTHONPATH=str(Path(grasp.__file__).parents[1]))
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        probe = "import os, sys, grasp; print(os.environ['OPENBLAS_NUM_THREADS'], 'numpy' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.split() == [want, "False"]

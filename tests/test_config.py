@@ -18,6 +18,8 @@ from grasp.hae import init_params, save_hae_checkpoint
     dict(negatives_per_positive=0),
     dict(eval_negatives=0),
     dict(lr=-0.001),
+    dict(lr=float("nan")),
+    dict(lr=float("inf")),
     dict(backbone="lstm"),
     dict(encoder="bert"),
     dict(h=0),
