@@ -14,8 +14,9 @@ exactly when an ``rng`` is passed, as training does; without one the
 pass is deterministic.  With ``last_only`` it returns ``(outputs (B, h),
 None)``: the last position's outputs only, from work that keeps no cache
 and skips what only earlier positions' outputs need.  GRU4Rec's
-last-only outputs equal ``forward(...)[0][:, -1]`` bit for bit; SASRec's
-agree to rounding (its single-query attention takes another BLAS kernel).
+last-only outputs equal ``forward(...)[0][:, -1]`` bit for bit except at
+tiny B, where its per-step input projection takes another BLAS kernel;
+SASRec's agree to rounding (its single-query attention does likewise).
 """
 
 from ..config import RunConfig

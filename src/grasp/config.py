@@ -83,7 +83,7 @@ class RunConfig:
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if not (0.0 < self.head_ratio < 1.0):
-            raise ValueError("head_ratio must be in (0, 1)")
+            raise ValueError(f"head_ratio must be in (0, 1), got {self.head_ratio}")
 
     def echo(self) -> dict:
         return asdict(self)

@@ -176,6 +176,7 @@ class RecModel:
         """BCE summed over this grid's real pairs, divided by ``n_pairs``, plus gradients."""
         enc_in, cache_in = self.encoder.encode_items(users, inputs, positions_mask=mask)
         o, bb_cache = self.backbone.forward(enc_in, mask, rng=rng)
+        del enc_in  # the backbone's cache keeps what its backward needs; free the input early
         cand_ids = np.concatenate([targets[..., None], negatives], axis=-1)
         logits, cache_cand = self.encoder.encode_items(users, cand_ids, readout=o)
 
@@ -201,7 +202,8 @@ class RecModel:
         """Last-position backbone output per user, shape (B, h).
 
         The backbone runs with ``last_only``: it keeps no training cache and
-        computes no output it would discard.
+        computes no output it would discard (GRU4Rec streams its input
+        projection step by step and keeps only its running state).
         """
         inputs, mask = pad_sequences(seqs, max_seq_len)
         enc_in, _ = self.encoder.encode_items(users, inputs, positions_mask=mask)

@@ -19,6 +19,7 @@ from grasp.config import RunConfig
 from grasp.errors import FormatError
 from grasp.model import IdEncoder, RecModel
 from grasp.ops import sigmoid
+from grasp.trainer import TrainBatch
 from helpers import finite_diff, rel_error, run_sequence
 
 
@@ -194,11 +195,14 @@ class TestPaddingContract:
 
 
 class TestGruRecurrence:
-    """The time-major recurrence against the batch-major reference.
+    """The gate-major recurrence against the batch-major reference.
 
-    Outputs and input gradients match bit for bit.  The weight gradients
-    are GEMMs over time-major rows, which sum in another order than the
-    reference's batch-major rows, so they match to rounding.
+    Outputs match bit for bit.  The weight gradients are GEMMs over
+    time-major rows, which sum in another order than the reference's
+    batch-major rows, so they match to rounding.  Input gradients are
+    per-step ``(B, 3h)`` GEMMs: bit for bit at B=128, but at B = 1 and 7
+    OpenBLAS takes another kernel for them than for the reference's
+    ``B·L`` rows (measured drift up to 8.3e-16 of the largest entry).
     """
 
     @pytest.mark.parametrize("n_layers", [1, 2])
@@ -219,14 +223,18 @@ class TestGruRecurrence:
         out, cache = model.forward(x, mask, rng=np.random.default_rng(7))
         d_x, grads = model.backward(cache, d_out)
         assert np.array_equal(out, ref_out)
-        assert np.array_equal(d_x, ref_dx)
+        if B == 128:
+            assert np.array_equal(d_x, ref_dx)
+        else:
+            assert np.abs(d_x - ref_dx).max() <= 1e-13 * np.abs(ref_dx).max()
         for name, g in ref_grads.items():
             assert np.abs(grads[name] - g).max() <= 1e-13 * np.abs(g).max(), name
 
 
 class TestGruMemory:
-    """A training step works inside its cache: the forward's gate cache
-    becomes the backward's gradient buffer."""
+    """Peaks in units U of one (B, L, h) float64 array.  A training step
+    works inside its cache: the forward's gate cache becomes the backward's
+    gradient buffer.  Last-position inference keeps no projection cache."""
 
     @pytest.mark.parametrize("n_layers, backward_bound", [(1, 2.5), (2, 3.5)])
     def test_step_allocates_little_beyond_its_cache(self, n_layers, backward_bound):
@@ -247,6 +255,39 @@ class TestGruMemory:
             tracemalloc.stop()
         assert (forward_peak - held) / unit <= 0.5
         assert (backward_peak - held) / unit <= backward_bound
+        last_layer_cache, _ = cache[0][-1]
+        assert np.shares_memory(out, last_layer_cache[2])  # outputs are a view of the cached states
+
+    @pytest.mark.parametrize("n_layers, bound", [(1, 0.5), (2, 1.5)])
+    def test_last_only_keeps_no_projection_cache(self, n_layers, bound):
+        B, L, h = 256, 50, 64
+        unit = B * L * h * 8
+        model = gru(h=h, n_layers=n_layers, max_seq_len=L)
+        x, mask = left_padded_grid(np.random.default_rng(62), B, L, h)
+        tracemalloc.start()
+        try:
+            model.forward(x, mask, last_only=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / unit <= bound
+
+    def test_training_step_peak(self):
+        B, L, h, items = 128, 49, 64, 2000
+        unit = B * L * h * 8
+        cfg = RunConfig(backbone="gru4rec", encoder="id", h=h, max_seq_len=L, dropout=0.2)
+        model = RecModel(IdEncoder(items, h, seed=0), Gru4Rec(cfg, seed=0))
+        rng = np.random.default_rng(63)
+        batch = TrainBatch(users=np.arange(B), inputs=rng.integers(1, items, (B, L)),
+                           mask=np.ones((B, L), dtype=bool), targets=rng.integers(1, items, (B, L)),
+                           negatives=rng.integers(1, items, (B, L, 1)))
+        tracemalloc.start()
+        try:
+            model.loss_and_grads(batch, rng=np.random.default_rng(64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / unit <= 11
 
 
 class TestLastOnly:
@@ -264,10 +305,11 @@ class TestLastOnly:
         last, cache = model.forward(x, mask, last_only=True)
         assert cache is None
         assert last.shape == (B, 16)
-        if isinstance(model, Gru4Rec):
+        if isinstance(model, Gru4Rec) and B > 1:
             assert np.array_equal(last, full[:, -1])
         else:
-            # One query row takes another BLAS kernel than L rows do.
+            # One query row (SASRec) or one batch row per step (GRU4Rec's
+            # streamed projection) takes another BLAS kernel than L rows do.
             np.testing.assert_allclose(last, full[:, -1], rtol=1e-12, atol=0.0)
 
 

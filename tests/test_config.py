@@ -33,10 +33,13 @@ from grasp.hae import init_params, save_hae_checkpoint
     dict(dropout=-0.1),
     dict(k_neighbors=0),
     dict(head_ratio=1.0),
+    dict(head_ratio=2.0),
 ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
 def test_rejects_invalid_settings(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         RunConfig(**bad)
+    for value in bad.values():  # the message names the bad value
+        assert str(value) in str(err.value)
 
 
 def test_heads_need_not_divide_h_for_gru4rec():
