@@ -150,14 +150,13 @@ def cmd_synth(args) -> int:
 
 
 def _neighbor_report(m, cache, build_s: float) -> dict:
-    """Zero rows and mean neighbor cosines of one built cache."""
+    """Zero rows and mean neighbor cosines of one built cache, as its build ranked them."""
     import numpy as np
 
-    from .embedstore import normalize_rows
+    from .embedstore import normalize_rows, pair_cosines
 
-    unit = normalize_rows(m)
-    cos = np.stack([(unit * unit[cache.neighbor_ids[:, j]]).sum(axis=1)
-                    for j in range(cache.k)], axis=1)
+    cos = pair_cosines(normalize_rows(m), np.repeat(np.arange(m.rows), cache.k),
+                       cache.neighbor_ids.ravel()).reshape(m.rows, cache.k)
     return {
         "rows": m.rows,
         "zero_rows": int((~m.values.any(axis=1)).sum()),
@@ -294,7 +293,9 @@ def cmd_sweep(args) -> int:
     sweep_tsv = os.path.join(args.out, "sweep.tsv")
     with _output_lock(args.out, [sweep_tsv] + [os.path.join(run_dir, "summary.json")
                                                for *_, run_dir in points], args.force):
-        base = load_data_dir(args.data, cfg, need_stores=cfg.encoder == "semantic")
+        # A k point builds its own caches: only an h point reads the directory's.
+        base = load_data_dir(args.data, cfg, need_stores=cfg.encoder == "semantic",
+                             check_k=bool(args.sweep_h))
         point_data = []  # every point's caches are built before the first fit
         for param, value, *_ in points:
             data = base

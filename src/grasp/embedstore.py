@@ -3,11 +3,16 @@
 Matrices are immutable once constructed (the backing arrays are marked
 read-only) so that nothing downstream -- training included -- can mutate
 the semantic databases.  Retrieval has brute-force semantics: the k most
-cosine-similar rows excluding the query row itself, ties in the computed
-similarities broken by ascending row index.  Neighbor means are pooled
-from the rows of the matrix as given (similarity is measured on
-internally normalized copies); zero-norm rows have similarity 0 to
-everything but remain queryable.
+cosine-similar rows excluding the query row itself, in (-cosine, index)
+order over float64 cosines that ``pair_cosines`` computes from each pair
+of rows alone, so identical rows tie exactly.  A float32 GEMM only
+bounds which columns can qualify: it is within ``e = (d + 2) * 2**-24``
+of the float64 cosine, so each row ranks just its band, the columns at
+or above its k-th largest group maximum minus ``4 * e``, which holds
+every column of the exact top-k (``build_neighbor_cache``).  Neighbor
+means are pooled from the rows of the matrix as given (similarity is
+measured on internally normalized copies); zero-norm rows have
+similarity 0 to everything but remain queryable.
 
 On-disk formats:
 
@@ -80,47 +85,54 @@ def normalize_rows(m: EmbeddingMatrix) -> np.ndarray:
     return m.values / np.where(norms == 0.0, 1.0, norms)
 
 
-# Column groups of the top-k prefilter: column j belongs to group
-# j % GROUPS, so a block's group maxima are one elementwise max over
-# contiguous slices.  Small enough that the k best groups hold few
-# candidates, large enough that ranking the maxima stays cheap.
+# Column groups of the band floor: column j belongs to group j % GROUPS,
+# so a block's group maxima are one elementwise max over contiguous
+# slices.  The k-th largest maximum bounds the k-th value from above; with
+# more groups fewer of the k best columns share one, so the bound is
+# tighter, and with fewer the maxima are cheaper to rank.
 GROUPS = 256
 
+# Pairs per gather of ``pair_cosines``: bounds its two (pairs, dim)
+# temporaries, which a row with a wide band (a zero row) would otherwise
+# make as large as the whole matrix.
+PAIR_CHUNK = 1024
 
-def _select_topk(sims: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
-    """Ids of the k best columns of each row of ``sims``, by (-sim, index).
 
-    ``rows[i]`` is row i's own column; it is excluded by setting it to
-    -inf in place.  Each row's group maxima are ranked first: its k best
-    columns lie in its k best groups, so only those groups' columns and
-    the ``n % GROUPS`` tail columns are ranked, and the k-th of them is
-    the row's k-th value.  A row has a tie across that value when a group
-    left out has a maximum at or above it, or more than k candidates
-    reach it; only such rows (duplicates, zero rows) rank every column of
-    the row at or above the value instead.  With fewer than 2 * GROUPS
-    columns, or k >= GROUPS, every column is its own group.
+def pair_cosines(unit: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Float64 dot product of each row pair ``(unit[left[p]], unit[right[p]])``.
+
+    Each value is computed from its two rows alone, so it depends only on
+    their values: identical rows get identical values, whatever their
+    position, the block or the BLAS.  These are the values the top-k
+    selection ranks.
+    """
+    out = np.empty(len(left))
+    for start in range(0, len(left), PAIR_CHUNK):
+        part = slice(start, start + PAIR_CHUNK)
+        np.einsum("pd,pd->p", unit[left[part]], unit[right[part]], out=out[part])
+    return out
+
+
+def _select_topk(sims: np.ndarray, unit: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """Ids of each query row's k best columns, by (-cosine, index).
+
+    ``sims`` is the float32 product of the query rows ``unit[rows]`` with
+    every row of ``unit``; its self column is set to -inf in place.  Only
+    the band is ranked, on ``pair_cosines`` (see ``build_neighbor_cache``).
+    With fewer than 2 * GROUPS columns, or k >= GROUPS, every column is
+    its own group.
     """
     b, n = sims.shape
-    r = np.arange(b)[:, None]
-    sims[r[:, 0], rows] = -np.inf
+    sims[np.arange(b), rows] = -np.inf
     g = GROUPS if n >= 2 * GROUPS and k < GROUPS else n
     span = n - n % g
     gmax = sims[:, :span].reshape(b, span // g, g).max(axis=1) if g < n else sims
-    best = np.argpartition(gmax, g - k, axis=1)[:, g - k :]
-    cand = (best[:, :, None] + np.arange(0, span, g)).reshape(b, -1)
-    cand = np.concatenate([cand, np.broadcast_to(np.arange(span, n), (b, n - span))], axis=1)
-    cand_sims = sims[r, cand]
-    part = np.argpartition(cand_sims, -k, axis=1)[:, -k:]
-    top, top_sims = cand[r, part], cand_sims[r, part]
-    # lexsort: primary key last -> sort by descending similarity, then index.
-    ids = top[r, np.lexsort((top, -top_sims), axis=1)]
-    kth = top_sims[:, :1]
-    left_out = (gmax >= kth).sum(axis=1) - (gmax[r, best] >= kth).sum(axis=1)
-    tied = (left_out > 0) | ((cand_sims >= kth).sum(axis=1) > k)
-    for i in np.flatnonzero(tied):
-        cols = np.flatnonzero(sims[i] >= kth[i])
-        ids[i] = cols[np.lexsort((cols, -sims[i, cols]))[:k]]
-    return ids
+    tol = 4 * (unit.shape[1] + 2) * 2.0**-24  # 4 * e, subtracted in float32 like the maxima
+    floor = np.partition(gmax, g - k, axis=1)[:, g - k, None] - tol
+    # Row-major order: r ascends, as searchsorted needs.
+    r, c = np.divmod(np.flatnonzero(sims >= floor), n)
+    order = np.lexsort((c, -pair_cosines(unit, rows[r], c), r))
+    return c[order][np.searchsorted(r, np.arange(b))[:, None] + np.arange(k)]
 
 
 @dataclass(frozen=True)
@@ -152,33 +164,44 @@ BLOCK_ROWS = 64
 def build_neighbor_cache(m: EmbeddingMatrix, k: int) -> NeighborCache:
     """Top-k neighbor ids plus the mean of each row's k neighbors.
 
-    Similarity is computed on a normalized copy, one GEMM per
-    ``BLOCK_ROWS`` rows, and each row's neighbors are in exact (-sim,
-    index) order over those similarities.  Selection reads each
-    similarity row once for its ``GROUPS`` group maxima and then ranks
-    only the columns of the k best groups (``_select_topk``); a row with a
-    tie at its k-th value, such as a duplicate or a zero row, is ranked
-    over the whole row instead.  With one OpenBLAS thread on an Intel
-    Xeon, 8192 rows at dim 64 and k=10 take about 0.35 s, most of it the
-    GEMM.  Rows that are mathematically tied but distinct may round
-    differently, and the rounding can depend on the block size, so their
-    order is not fixed across block sizes.  Pooled
-    means average the rows of ``m`` as given, so callers pooling raw
-    embeddings simply pass the raw matrix.
+    Each row's neighbors are the first k in (-cosine, index) order over
+    ``pair_cosines``, with the row itself excluded.  Rows are normalized
+    in float64 and cast to float32 once, and one float32 GEMM per
+    ``BLOCK_ROWS`` query rows, into one reused buffer, gives each cosine
+    to within ``e = (d + 2) * 2**-24`` (2 * 2**-24 from rounding the
+    inputs, d * 2**-24 from the float32 sum).  So at most k - 1 of a row's
+    ``GROUPS`` group maxima exceed its k-th float64 cosine by more than e,
+    and the k-th largest maximum is at most that cosine plus e.  Each
+    row's band is the columns at or above that maximum minus ``4 * e``;
+    every column of the exact top-k and every tie at its k-th value is at
+    least the k-th cosine minus e, so it is in the band, and only the band
+    is ranked in float64 (``_select_topk``).  Identical rows get identical
+    float64 values, so copies tie whatever the BLAS tile, thread count or
+    block size; a zero row or a run of copies just gets a wide band.
+    Distinct rows that are tied mathematically (proportional rows, say)
+    may still differ in the last bit; their order follows that rounding,
+    which depends on the two rows only.  With one OpenBLAS thread on an
+    Intel Xeon, at dim 64 and k=10, 2048 rows take 0.03-0.04 s, 8192 rows
+    0.25-0.38 s and 32,768 rows 4.2-5.4 s.  Pooled means average the rows
+    of ``m`` as given, so callers pooling raw embeddings simply pass the
+    raw matrix.
     """
     if not (1 <= k <= m.rows - 1):
         raise ValueError(f"k={k} out of range: need 1 <= k <= rows-1 = {m.rows - 1}")
     unit = normalize_rows(m)
+    # The columns as one contiguous (dim, rows) float32 copy: a GEMM
+    # against it ran faster than against the transposed view.
+    cols = np.ascontiguousarray(unit.T, dtype=np.float32)
     ids = np.empty((m.rows, k), dtype=np.int64)
     pooled = np.empty((m.rows, m.dim), dtype=np.float64)
     # One buffer for every block: a fresh block-sized array per GEMM is a
     # new mmap whose pages fault in each time, which cost about a third of
     # an 8k build.
-    sims = np.empty((min(BLOCK_ROWS, m.rows), m.rows))
+    sims = np.empty((min(BLOCK_ROWS, m.rows), m.rows), dtype=np.float32)
     for start in range(0, m.rows, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, m.rows)
-        np.matmul(unit[start:stop], unit.T, out=sims[: stop - start])
-        ids[start:stop] = _select_topk(sims[: stop - start], np.arange(start, stop), k)
+        np.matmul(cols[:, start:stop].T, cols, out=sims[: stop - start])
+        ids[start:stop] = _select_topk(sims[: stop - start], unit, np.arange(start, stop), k)
         pooled[start:stop] = m.values[ids[start:stop]].mean(axis=1)
     return NeighborCache(k=k, neighbor_ids=ids, pooled_means=pooled)
 

@@ -79,7 +79,13 @@ def _raw_rows(raw_ids: list[str], label: str, n_rows: int) -> np.ndarray:
     return np.fromiter(owner, dtype=np.int64, count=len(owner))
 
 
-def load_data_dir(data_dir, cfg: RunConfig, need_stores: bool = True) -> PipelineData:
+def load_data_dir(data_dir, cfg: RunConfig, need_stores: bool = True,
+                  check_k: bool = True) -> PipelineData:
+    """The log, its split and, with ``need_stores``, both semantic stores.
+
+    Each cache's k must equal ``cfg.k_neighbors`` unless ``check_k`` is
+    false, for a caller that replaces every cache before it reads one.
+    """
     log_path = _require(data_dir, LOG_NAME, "run `grasp synth` or provide a log")
     ds = load_interactions(log_path, cfg.min_user_len, cfg.min_item_freq)
     split = split_leave_one_out(ds)
@@ -93,7 +99,7 @@ def load_data_dir(data_dir, cfg: RunConfig, need_stores: bool = True) -> Pipelin
             matrix = load_embedding_matrix(_require(data_dir, gemb, f"{side} embedding matrix"))
             cache_path = _require(data_dir, gnbc, "run `grasp build-db` first")
             cache = load_neighbor_cache(cache_path)
-            if cache.k != cfg.k_neighbors:
+            if check_k and cache.k != cfg.k_neighbors:
                 raise DataError(f"{cache_path} was built with k={cache.k} but config asks "
                                 f"k_neighbors={cfg.k_neighbors}; rerun `grasp build-db --k "
                                 f"{cfg.k_neighbors}`")

@@ -34,6 +34,7 @@ def data_dir(tmp_path_factory):
 
 TRAIN_FLAGS = ("--h", 16, "--max-seq-len", 30, "--max-epochs", 2, "--patience", 5,
                "--eval-negatives", 20, "--k-neighbors", 5, "--n-layers", 1)
+NO_K_FLAGS = TRAIN_FLAGS[:10] + TRAIN_FLAGS[12:]  # k_neighbors left at its default, 10
 
 
 class TestSynth:
@@ -411,6 +412,22 @@ class TestSweepAndReport:
         assert run("sweep", "--data", data_dir, "--out", out, "--sweep-k", "2,60",
                    "--seed", 42, *TRAIN_FLAGS) == 2
         assert "k=60 out of range" in capsys.readouterr().err
+        assert not (out / "runs").exists()
+
+    def test_k_only_grid_ignores_the_directory_cache_k(self, data_dir, tmp_path):
+        # data_dir's caches have k=5; without --k-neighbors the config asks 10.
+        out = tmp_path / "sweep"
+        assert run("sweep", "--data", data_dir, "--out", out, "--sweep-k", 3,
+                   "--seed", 42, *NO_K_FLAGS) == 0
+        rows = (out / "sweep.tsv").read_text().splitlines()
+        assert [r.split("\t")[:2] for r in rows[1:]] == [["k_neighbors", "3"]]
+
+    def test_grid_with_an_h_point_checks_the_directory_cache_k(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert run("sweep", "--data", data_dir, "--out", out, "--sweep-k", 3, "--sweep-h", 8,
+                   "--seed", 42, *NO_K_FLAGS[2:]) == 3
+        assert ("users.gnbc was built with k=5 but config asks k_neighbors=10"
+                in capsys.readouterr().err)
         assert not (out / "runs").exists()
 
     def test_empty_grid_usage_error(self, data_dir, tmp_path):

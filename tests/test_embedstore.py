@@ -190,6 +190,12 @@ class TestTopK:
         values = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         assert neighbor_ids(values, 2)[0].tolist() == [1, 2]
 
+    def test_copies_tie_whatever_the_blas_tile(self):
+        # Eleven copies of one row: a float64 GEMM can round the copies in
+        # its tail tile differently from the rest, which put copy 8 first.
+        values = np.array([[1.0, -1.0]] + [[1.0, 1.0]] * 11)
+        assert neighbor_ids(values, 1)[0].tolist() == [1]
+
 
 class TestNeighborCache:
     def test_identical_rows_pool_to_themselves(self):
@@ -268,6 +274,12 @@ def lexsort_topk(sims: np.ndarray, row: int, k: int) -> list[int]:
     return np.lexsort((np.arange(len(s)), -s))[:k].tolist()
 
 
+def all_pair_cosines(m) -> np.ndarray:
+    """The (rows, rows) table of ``pair_cosines`` the build ranks."""
+    left, right = np.divmod(np.arange(m.rows * m.rows), m.rows)
+    return es.pair_cosines(es.normalize_rows(m), left, right).reshape(m.rows, m.rows)
+
+
 # Integer entries in {-1, 0, 1}: many exact ties, zero rows, duplicates.
 tie_heavy = st.tuples(st.integers(2, 24), st.integers(1, 5)).flatmap(
     lambda shape: arrays(np.float64, shape, elements=st.sampled_from([-1.0, 0.0, 1.0]))
@@ -275,11 +287,8 @@ tie_heavy = st.tuples(st.integers(2, 24), st.integers(1, 5)).flatmap(
 
 
 class TestSelectionProperties:
-    """The selection equals a full per-row lexsort of the same similarities.
-
-    The matrices fit in one block, so ``unit @ unit.T`` below is the very
-    product the build computes.
-    """
+    """The selection equals a full per-row lexsort of the values it ranks:
+    ``pair_cosines`` over every pair of rows."""
 
     @settings(max_examples=150, deadline=None)
     @given(tie_heavy)
@@ -287,8 +296,7 @@ class TestSelectionProperties:
     @example(np.array([[1.0, 0.0]] * 5 + [[0.0, 0.0]] * 3))
     def test_build_equals_per_row_lexsort(self, values):
         m = es.matrix_from_array(values)
-        unit = es.normalize_rows(m)
-        sims = unit @ unit.T
+        sims = all_pair_cosines(m)
         rows = len(values)
         for k in range(1, rows):
             ids = es.build_neighbor_cache(m, k).neighbor_ids
@@ -309,8 +317,7 @@ class TestSelectionProperties:
         # larger k takes the one-column-per-group path.
         groups, values = case
         m = es.matrix_from_array(values)
-        unit = es.normalize_rows(m)
-        sims = unit @ unit.T
+        sims = all_pair_cosines(m)
         rows = len(values)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(es, "GROUPS", groups)
@@ -334,6 +341,38 @@ class TestSelectionProperties:
         for row in checked:
             expected = [i for i, _ in brute_force_topk(values, row, k)]
             assert cache.neighbor_ids[row].tolist() == expected
+
+    def test_copies_in_the_last_rows_match_brute_force_oracle(self):
+        # Copies in the last n % 8 rows of an odd-sized matrix, where a
+        # BLAS kernel's tail tile rounds them unlike their originals.  Every
+        # row whose k + 2 nearest by a float64 product (itself included)
+        # name a copied row is checked, and a sample of the rest.
+        rng = np.random.default_rng(1)
+        rows, k = 1005, 10
+        values = rng.standard_normal((rows, 64))
+        tail = rows % 8
+        originals = rng.choice(rows - tail, tail, replace=False)
+        values[rows - tail:] = values[originals]
+        copied = np.concatenate([originals, np.arange(rows - tail, rows)])
+        unit = es.normalize_rows(es.matrix_from_array(values))
+        near = np.argsort(-(unit @ unit.T), axis=1, kind="stable")[:, : k + 2]
+        checked = np.union1d(np.flatnonzero(np.isin(near, copied).any(axis=1)),
+                             np.arange(0, rows, 25))
+        ids = neighbor_ids(values, k)
+        for row in checked:
+            assert ids[row].tolist() == [i for i, _ in brute_force_topk(values, row, k)], row
+
+    def test_band_spanning_every_column(self):
+        # Copies fill every group, so each copy's band is all the copies, and
+        # the zero row's cosines are all 0, so its band is every column.
+        rows = 2 * es.GROUPS + 1
+        values = np.zeros((rows, 3))
+        values[:-1] = [1.0, 2.0, -0.5]
+        for k in (1, 10, es.GROUPS - 1):
+            ids = neighbor_ids(values, k)
+            for row in range(rows - 1):
+                assert ids[row].tolist() == [j for j in range(rows) if j != row][:k]
+            assert ids[-1].tolist() == list(range(k))
 
 
 GNBC_HEADER = 26  # magic 4 | version 2 | k 4 | rows 8 | dim 8
