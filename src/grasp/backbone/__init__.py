@@ -8,15 +8,22 @@ positions.  Inputs at padded positions may hold any finite values (the
 encoders give padded item 0 a real representation); outputs and
 ``backward``'s input gradients there are zero.
 
-Each backbone has one ``forward(x, mask, *, rng=None, last_only=False)``.
-It returns ``(outputs (B, L, h), cache)`` for ``backward``.  Dropout runs
-exactly when an ``rng`` is passed, as training does; without one the
-pass is deterministic.  With ``last_only`` it returns ``(outputs (B, h),
-None)``: the last position's outputs only, from work that keeps no cache
-and skips what only earlier positions' outputs need.  GRU4Rec's
-last-only outputs equal ``forward(...)[0][:, -1]`` bit for bit except at
-tiny B, where its per-step input projection takes another BLAS kernel;
-SASRec's agree to rounding (its single-query attention does likewise).
+Each backbone has one ``forward(x, mask, *, rng=None, last_only=False,
+table=None)``.  It returns ``(outputs (B, L, h), cache)`` for
+``backward``.  Dropout runs exactly when an ``rng`` is passed, as training
+does; without one the pass is deterministic.  With ``last_only`` it
+returns ``(outputs (B, h), None)``: the last position's outputs only, from
+work that keeps no cache and skips what only earlier positions' outputs
+need.  GRU4Rec's last-only outputs equal ``forward(...)[0][:, -1]`` bit
+for bit except at tiny B, where its per-step input projection takes
+another BLAS kernel; SASRec's agree to rounding (its single-query
+attention does likewise).
+
+With ``table`` (the ID encoder's embedding table), ``x`` is a ``(B, L)``
+id grid into it and the result is ``forward(table[x], mask,
+last_only=True)``'s; it needs ``last_only`` and no ``rng``.  SASRec
+gathers the rows; GRU4Rec projects each distinct row once (see its
+module for where that agrees bit for bit).
 """
 
 from ..config import RunConfig

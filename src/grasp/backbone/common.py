@@ -1,4 +1,4 @@
-"""Dropout masks and checkpoint IO for the backbones.
+"""Dropout masks, the ``table=`` guard and checkpoint IO for the backbones.
 
 Checkpoint format ``GBKB`` (``GBKB_HEADER``, then one ``_tensor_record``):
 magic | version u16 | kind u8 (1 = gru4rec, 2 = sasrec) | h u32 |
@@ -25,6 +25,12 @@ GBKB_HEADER = np.dtype([("magic", "S4"), ("version", "<u2"), ("kind", "u1"), ("h
 def dropout_mask(rng: np.random.Generator, shape, p: float) -> np.ndarray:
     """Inverted-dropout multiplier; identity when p == 0."""
     return (rng.random(shape) >= p) / (1.0 - p)
+
+
+def check_table_call(table, rng, last_only: bool) -> None:
+    """Refuse ``forward(table=...)`` outside inference: it needs ``last_only`` and no ``rng``."""
+    if table is not None and (rng is not None or not last_only):
+        raise ValueError("forward(table=...) is inference-only: pass last_only=True and no rng")
 
 
 def _header_fields(model) -> dict:

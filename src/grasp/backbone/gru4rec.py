@@ -29,12 +29,21 @@ the weight gradients are per-gate GEMMs over the overwritten rows once
 the loop ends.  So a cache serves one backward.  With ``last_only`` the
 same step loop projects each input row, read through a transposed view,
 into a reused ``(3, B, h)`` scratch; inner layers keep their states and
-the last layer two state rows.
+the last layer two state rows.  With ``table`` as well, the first
+layer's inputs are rows of that table: the grid's ``n`` distinct ids
+(at most min(table rows, B·L)) are projected once, bias included, into a
+gate-major ``(3, n, h)`` table, and each step gathers its rows into the
+scratch with no GEMM or bias add.  Inner layers are unchanged.  That
+table is smaller than the gathered ``(B, L, h)`` input while n < B·L/3,
+and up to three times it when every id in the grid is distinct.
 
 Outputs equal a batch-major reference bit for bit (B = 1, 7 and 128 in
 the tests); input gradients and last-only outputs do at B=128, but at
 tiny B their per-step ``(B, ·)`` GEMMs take another BLAS kernel than
-``L·B`` rows do, so there they agree to rounding.
+``L·B`` rows do, so there they agree to rounding.  The same holds for the
+``table`` path against the gathered one: bit for bit when B >= 2 and
+``n`` >= 2, within about 4e-17 at B = 1, where one side projects a single
+row per call.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ import numpy as np
 
 from ..config import RunConfig
 from ..ops import sigmoid, uniform_init
-from .common import dropout_mask
+from .common import check_table_call, dropout_mask
 
 
 class Gru4Rec:
@@ -61,13 +70,17 @@ class Gru4Rec:
             self.params[f"w_h{layer}"] = uniform_init(rng, (h, 3 * h), h)
             self.params[f"b{layer}"] = np.zeros(3 * h)
 
-    def forward(self, x: np.ndarray, mask: np.ndarray, *, rng=None, last_only: bool = False):
+    def forward(self, x: np.ndarray, mask: np.ndarray, *, rng=None, last_only: bool = False,
+                table=None):
         """Batched recurrence over a left-padded (B, L, h) grid.
 
         Returns (outputs, cache); outputs at padded positions are zero.
         With ``last_only`` returns (the (B, h) last-position outputs, None).
+        With ``table`` (inference only), ``x`` is a (B, L) id grid into it.
         """
-        B, L, h = x.shape
+        check_table_call(table, rng, last_only)
+        B, L = mask.shape
+        h = (x if table is None else table).shape[-1]
         if h != self.cfg.h:
             raise ValueError(f"input dim {h} != configured h {self.cfg.h}")
         if L == 0:
@@ -75,7 +88,12 @@ class Gru4Rec:
         p = self.cfg.dropout if rng is not None else 0.0
         keep = np.ascontiguousarray(mask.T, dtype=np.float64)[:, :, None]  # (L, B, 1)
         caches = []
-        layer_in = x.transpose(1, 0, 2)
+        ids = None
+        if table is None:
+            layer_in = x.transpose(1, 0, 2)
+        else:
+            distinct, index = np.unique(x, return_inverse=True)
+            layer_in, ids = table[distinct], np.ascontiguousarray(index.reshape(B, L).T)
         for layer in range(self.n_layers):
             drop = dropout_mask(rng, (B, L, h), p) if p > 0.0 else None
             if drop is not None:
@@ -83,8 +101,8 @@ class Gru4Rec:
             elif not last_only:
                 layer_in = np.ascontiguousarray(layer_in)
             states, cache = self._layer_forward(
-                layer, layer_in, keep, keep_cache=not last_only,
-                keep_states=not last_only or layer < self.n_layers - 1,
+                layer, layer_in, keep, ids=ids if layer == 0 else None,
+                keep_cache=not last_only, keep_states=not last_only or layer < self.n_layers - 1,
             )
             caches.append((cache, drop))
             layer_in = states
@@ -92,14 +110,18 @@ class Gru4Rec:
             return layer_in, None
         return layer_in.transpose(1, 0, 2), (caches, keep)
 
-    def _layer_forward(self, layer: int, x: np.ndarray, keep: np.ndarray, *,
+    def _layer_forward(self, layer: int, x: np.ndarray, keep: np.ndarray, *, ids=None,
                        keep_cache: bool, keep_states: bool):
         """One layer over a time-major (L, B, h) input, contiguous with ``keep_cache``.
 
-        Returns (states (L, B, h), cache), or without ``keep_states`` the
-        last state (B, h); the cache is None without ``keep_cache``.
+        With ``ids`` (L, B), ``x`` holds distinct input rows and step ``t``
+        reads ``x[ids[t]]``: each row is projected once, and each step
+        gathers its projected rows.  Returns (states (L, B, h), cache), or
+        without ``keep_states`` the last state (B, h); the cache is None
+        without ``keep_cache``.
         """
-        L, B, h = x.shape
+        L, B = keep.shape[:2]
+        h = x.shape[-1]
         w_x, w_h = (np.ascontiguousarray(self.params[f"{name}{layer}"].reshape(h, 3, h)
                                          .transpose(1, 0, 2)) for name in ("w_x", "w_h"))
         b = self.params[f"b{layer}"].reshape(3, 1, h)
@@ -110,12 +132,18 @@ class Gru4Rec:
             hn_lin_all = np.empty((L, B, h))
         else:
             proj, hn_lin = np.empty((3, B, h)), np.empty((B, h))
+            if ids is not None:
+                rows = np.matmul(x, w_x)  # (3, n, h)
+                rows += b
         states = np.empty((L if keep_states else 2, B, h))
         gh, tmp = np.empty((2, B, h)), np.empty((B, h))
         h_prev = np.zeros((B, h))
         for t in range(L):
             if keep_cache:
                 a, hn_lin = act[:, t], hn_lin_all[t]
+            elif ids is not None:
+                # mode="clip" writes straight into ``out``; the default mode buffers it.
+                a = np.take(rows, ids[t], axis=1, out=proj, mode="clip")
             else:
                 a = np.matmul(x[t], w_x, out=proj)
                 a += b

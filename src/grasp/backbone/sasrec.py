@@ -14,7 +14,7 @@ import numpy as np
 
 from ..config import RunConfig
 from ..ops import mm, segment_sum, uniform_init
-from .common import dropout_mask
+from .common import check_table_call, dropout_mask
 
 LN_EPS = 1e-8
 MASKED_SCORE = -1e30
@@ -92,7 +92,8 @@ class SasRec:
         return inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                       - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
 
-    def forward(self, x: np.ndarray, mask: np.ndarray, *, rng=None, last_only: bool = False):
+    def forward(self, x: np.ndarray, mask: np.ndarray, *, rng=None, last_only: bool = False,
+                table=None):
         """Blocks over a left-padded (B, L, h) grid; returns (outputs, cache).
 
         Inputs at padded positions may hold any finite values.  Outputs
@@ -104,8 +105,12 @@ class SasRec:
         With ``last_only`` returns (the (B, h) last-position outputs, None):
         the last block computes keys and values for every position but its
         query, attention, output projection, FFN and the final layer norm
-        for the last position only.
+        for the last position only.  With ``table`` (inference only), ``x``
+        is a (B, L) id grid into it, gathered to ``table[x]``.
         """
+        check_table_call(table, rng, last_only)
+        if table is not None:
+            x = table[x]
         B, L, h = x.shape
         cfg = self.cfg
         if h != cfg.h:

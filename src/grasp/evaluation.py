@@ -32,8 +32,8 @@ def rank_of_target(scores, target_index: int) -> int:
     if not (0 <= target_index < len(scores)):
         raise ValueError(f"target index {target_index} out of range")
     target = scores[target_index]
-    greater = int((scores > target).sum())
-    tied_before = int(((scores == target) & (np.arange(len(scores)) < target_index)).sum())
+    greater = int(np.count_nonzero(scores > target))
+    tied_before = int(np.count_nonzero(scores[:target_index] == target))
     return 1 + greater + tied_before
 
 
@@ -67,16 +67,6 @@ def report_from_ranks(ranks, group: str = "overall", n_skipped: int = 0) -> Metr
                         n_skipped=n_skipped, group=group)
 
 
-def _eval_candidates(ds: InteractionDataset, user: int, target: int,
-                     eval_negatives: int, seed: int):
-    """Seeded per-user candidate vector: target + negatives, order shuffled."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1, user]))
-    negs = sample_negatives(ds, user, eval_negatives, rng)
-    candidates = np.concatenate([[target], negs])
-    order = rng.permutation(len(candidates))
-    return candidates[order], int(np.flatnonzero(order == 0)[0])
-
-
 def _protocol(entry, which: str):
     """(input sequence, target item) of one split entry under ``which``."""
     if which == "valid":
@@ -88,14 +78,23 @@ def eval_candidates(split: LeaveOneOutSplit, ds: InteractionDataset, which: str,
                     eval_negatives: int, seed: int):
     """Every split user's candidates (U, 1 + eval_negatives) and target positions (U,).
 
-    Rows follow ascending user id.  The draw depends only on its
-    arguments, so one result serves every ``evaluate`` of the same split.
+    Each row is the user's target and negatives from one generator seeded
+    by (seed, user), shuffled by that generator's permutation.  Rows follow
+    ascending user id.  The draw depends only on its arguments, so one
+    result serves every ``evaluate`` of the same split.
     """
-    rows = [
-        _eval_candidates(ds, u, _protocol(split.entries[u], which)[1], eval_negatives, seed)
-        for u in split.users
-    ]
-    return np.stack([c for c, _ in rows]), np.array([t for _, t in rows], dtype=np.int64)
+    candidates = np.empty((len(split.users), 1 + eval_negatives), dtype=np.int64)
+    target_pos = np.empty(len(split.users), dtype=np.int64)
+    for i, user in enumerate(split.users):
+        entry = split.entries[user]
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1, user]))
+        row = candidates[i]
+        row[0] = entry.valid_target if which == "valid" else entry.test_target
+        row[1:] = sample_negatives(ds, user, eval_negatives, rng)
+        order = rng.permutation(len(row))
+        row[:] = row[order]
+        target_pos[i] = order.argmin()  # where the target, at 0, went
+    return candidates, target_pos
 
 
 # Most users scored per ``evaluate`` batch.

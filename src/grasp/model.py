@@ -202,10 +202,16 @@ class RecModel:
         """Last-position backbone output per user, shape (B, h).
 
         The backbone runs with ``last_only``: it keeps no training cache and
-        computes no output it would discard (GRU4Rec streams its input
-        projection step by step and keeps only its running state).
+        computes no output it would discard (GRU4Rec streams its steps and
+        keeps only its running state).  An ``IdEncoder``'s inputs are rows
+        of one table, so the backbone reads the id grid with ``table=``
+        (GRU4Rec projects each distinct item once); semantic inputs depend
+        on the user and are encoded first.
         """
         inputs, mask = pad_sequences(seqs, max_seq_len)
+        if isinstance(self.encoder, IdEncoder):
+            out, _ = self.backbone.forward(inputs, mask, last_only=True, table=self.encoder.emb)
+            return out
         enc_in, _ = self.encoder.encode_items(users, inputs, positions_mask=mask)
         out, _ = self.backbone.forward(enc_in, mask, last_only=True)
         return out

@@ -3,13 +3,14 @@
 These stay structurally independent of the implementation paths they
 check: the KNN oracle is a per-pair python loop, the DCG oracle builds an
 explicit relevance list, the gradient oracle is central finite
-differences over every parameter entry, and the interaction-log oracle
-reads, filters and re-indexes one event at a time.
+differences over every parameter entry, the interaction-log oracle
+reads, filters and re-indexes one event at a time, and the candidate
+oracle draws one user's row with its own concatenate and search.
 """
 
 import numpy as np
 
-from grasp.dataset import InteractionDataset
+from grasp.dataset import InteractionDataset, sample_negatives
 from grasp.errors import DataError, ParseError
 
 
@@ -68,6 +69,16 @@ def random_baseline_ndcg10(n_candidates: int = 101, k: int = 10) -> float:
     """E[NDCG@k] for a uniformly random target rank among n candidates."""
     total = sum(1.0 / np.log2(r + 1) for r in range(1, k + 1))
     return total / n_candidates
+
+
+def reference_eval_candidates(ds: InteractionDataset, user: int, target: int,
+                              eval_negatives: int, seed: int):
+    """One user's evaluation candidates, target + negatives shuffled, and the target's position."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1, user]))
+    negs = sample_negatives(ds, user, eval_negatives, rng)
+    candidates = np.concatenate([[target], negs])
+    order = rng.permutation(len(candidates))
+    return candidates[order], int(np.flatnonzero(order == 0)[0])
 
 
 def run_sequence(model, x) -> np.ndarray:

@@ -234,7 +234,8 @@ class TestGruRecurrence:
 class TestGruMemory:
     """Peaks in units U of one (B, L, h) float64 array.  A training step
     works inside its cache: the forward's gate cache becomes the backward's
-    gradient buffer.  Last-position inference keeps no projection cache."""
+    gradient buffer.  Last-position inference keeps no projection cache,
+    and ID-encoder inference projects distinct table rows only."""
 
     @pytest.mark.parametrize("n_layers, backward_bound", [(1, 2.5), (2, 3.5)])
     def test_step_allocates_little_beyond_its_cache(self, n_layers, backward_bound):
@@ -267,6 +268,24 @@ class TestGruMemory:
         tracemalloc.start()
         try:
             model.forward(x, mask, last_only=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / unit <= bound
+
+    @pytest.mark.parametrize("n_layers, bound", [(1, 1.0), (2, 2.0)])
+    def test_id_final_representations_project_the_table(self, n_layers, bound):
+        # Below the one (B, L, h) unit that gathering the inputs alone would take
+        # (one layer), plus the inner layer's states (two).
+        B, L, h, items = 256, 50, 64, 2000
+        unit = B * L * h * 8
+        cfg = RunConfig(backbone="gru4rec", encoder="id", h=h, max_seq_len=L, n_layers=n_layers)
+        model = RecModel(IdEncoder(items, h, seed=0), Gru4Rec(cfg, seed=0))
+        rng = np.random.default_rng(65)
+        seqs = [rng.integers(0, items, rng.integers(L // 2, L + 1)).tolist() for _ in range(B)]
+        tracemalloc.start()
+        try:
+            model.final_representations(np.arange(B), seqs, L)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -311,6 +330,43 @@ class TestLastOnly:
             # One query row (SASRec) or one batch row per step (GRU4Rec's
             # streamed projection) takes another BLAS kernel than L rows do.
             np.testing.assert_allclose(last, full[:, -1], rtol=1e-12, atol=0.0)
+
+
+class TestTablePath:
+    """``forward(ids, mask, last_only=True, table=T)`` is ``forward(T[ids], mask, last_only=True)``."""
+
+    @pytest.mark.parametrize("make_model", [
+        lambda: gru(h=16, n_layers=1, seed=44),
+        lambda: gru(h=16, n_layers=2, seed=45),
+        lambda: sas(h=16, n_layers=2, n_heads=2, seed=46),
+    ], ids=["gru4rec-1", "gru4rec-2", "sasrec-2"])
+    @pytest.mark.parametrize("B, L", [(1, 1), (1, 9), (2, 9), (7, 1), (7, 9), (128, 9)])
+    def test_equals_the_gathered_forward(self, make_model, B, L):
+        model = make_model()
+        rng = np.random.default_rng(B * 31 + L)
+        table = rng.standard_normal((40, 16))
+        _, mask = left_padded_grid(rng, B, L, 1)
+        # Padding reads row 0, and rows 30-39 are never read.
+        ids = rng.integers(0, 30, (B, L)) * mask
+        want, _ = model.forward(table[ids], mask, last_only=True)
+        got, cache = model.forward(ids, mask, last_only=True, table=table)
+        assert cache is None
+        if B > 1 or isinstance(model, SasRec):
+            assert np.array_equal(got, want)
+        else:
+            # One input row per step takes another BLAS kernel than the
+            # distinct rows' projection does.
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("make_model", [gru, sas], ids=["gru4rec", "sasrec"])
+    def test_is_inference_only(self, make_model):
+        model = make_model(h=4)
+        ids, mask = np.zeros((2, 3), dtype=np.int64), np.ones((2, 3), dtype=bool)
+        table = np.ones((5, 4))
+        with pytest.raises(ValueError, match="inference-only"):
+            model.forward(ids, mask, table=table)
+        with pytest.raises(ValueError, match="inference-only"):
+            model.forward(ids, mask, last_only=True, table=table, rng=np.random.default_rng(0))
 
 
 class TestSasRec:

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from grasp import evaluation
 from grasp.config import RunConfig
 from grasp.dataset import split_leave_one_out
-from grasp.evaluation import _eval_candidates, eval_candidates, evaluate, rank_of_target
+from grasp.evaluation import eval_candidates, evaluate, rank_of_target
 from grasp.model import build_id_model, build_semantic_model
 from grasp.ops import length_buckets, segment_sum, sigmoid
 from grasp.trainer import make_training_batch
+from helpers import reference_eval_candidates
 
 
 class TestLengthBuckets:
@@ -209,7 +210,7 @@ def test_evaluate_records_independent_of_batch_size(monkeypatch, small_corpus, s
         seq = entry.train_prefix if which == "valid" else entry.train_prefix + [entry.valid_target]
         target = entry.valid_target if which == "valid" else entry.test_target
         assert target_item == target
-        cands, tpos = _eval_candidates(ds, user, target, 20, 5)
+        cands, tpos = reference_eval_candidates(ds, user, target, 20, 5)
         o_final = model.final_representations(np.array([user]), [seq], 50)
         scores = model.candidate_scores(np.array([user]), cands[None], o_final)
         assert rank == rank_of_target(scores[0], tpos)
@@ -224,9 +225,10 @@ def test_cached_candidates_equal_per_user_draws(small_corpus, which):
     split = split_leave_one_out(ds)
     cands, target_pos = eval_candidates(split, ds, which, 20, seed=9)
     assert cands.shape == (len(split), 21)
+    assert cands.dtype == target_pos.dtype == np.int64
     for row, user in enumerate(split.users):
         entry = split.entries[user]
         target = entry.valid_target if which == "valid" else entry.test_target
-        want, want_pos = _eval_candidates(ds, user, target, 20, 9)
+        want, want_pos = reference_eval_candidates(ds, user, target, 20, 9)
         np.testing.assert_array_equal(cands[row], want)
         assert target_pos[row] == want_pos

@@ -10,6 +10,7 @@ from grasp.evaluation import (
     RECORD,
     MetricReport,
     emit_report,
+    eval_candidates,
     evaluate,
     format_report_table,
     group_report,
@@ -35,6 +36,17 @@ class TestRank:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             rank_of_target([0.5], 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=40), st.data())
+    def test_matches_brute_force(self, levels, data):
+        # Few distinct values, so most draws tie with the target.
+        scores = np.array(levels, dtype=np.float64) / 3.0
+        target_index = data.draw(st.integers(0, len(scores) - 1))
+        target = scores[target_index]
+        want = 1 + sum(s > target or (s == target and i < target_index)
+                       for i, s in enumerate(scores.tolist()))
+        assert rank_of_target(scores, target_index) == want
 
 
 class TestMetricOracles:
@@ -174,12 +186,10 @@ class TestEvaluateProtocol:
 
     def test_negatives_exclude_only_history(self, big_corpus):
         # candidates may include other users' targets, never the user's history
-        from grasp.evaluation import _eval_candidates
-
         ds, split = big_corpus
-        for user in list(split.entries)[:40]:
+        cand_rows, target_pos = eval_candidates(split, ds, "test", 100, seed=7)
+        for cands, tpos, user in list(zip(cand_rows, target_pos, split.users))[:40]:
             entry = split.entries[user]
-            cands, tpos = _eval_candidates(ds, user, entry.test_target, 100, seed=7)
             history = set(ds.sequences[user])
             negs = np.delete(cands, tpos)
             assert not (set(negs.tolist()) & history)
