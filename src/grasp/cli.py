@@ -197,7 +197,7 @@ def cmd_build_db(args) -> int:
 
 def cmd_train(args) -> int:
     from .dataset import write_id_map
-    from .pipeline import load_data_dir, train_one_seed
+    from .pipeline import fit_points, load_data_dir
 
     cfg = RunConfig(**_given_settings(args))
     seeds = _parse_int_list(args.seeds)
@@ -209,11 +209,11 @@ def cmd_train(args) -> int:
                       args.force):
         data = load_data_dir(args.data, cfg, need_stores=cfg.encoder == "semantic")
         summaries = []
-        for seed, seed_dir in zip(seeds, seed_dirs):
-            summary = train_one_seed(data, cfg, seed, seed_dir)
+        for summary, _ in fit_points([(data, cfg, seed, d) for seed, d in zip(seeds, seed_dirs)],
+                                     test=False):
             summaries.append(summary)
             print(
-                f"train: seed {seed} best val NDCG@10 {summary['best_val_ndcg10']:.4f} "
+                f"train: seed {summary['seed']} best val NDCG@10 {summary['best_val_ndcg10']:.4f} "
                 f"(epoch {summary['best_epoch']}/{summary['epochs_run']})"
             )
         combined = {
@@ -273,15 +273,13 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Fit and test one seed per point; a k point trains as ``build-db --k`` + ``train`` would."""
-    from .embedstore import as_gnbc, build_neighbor_cache
-    from .pipeline import eval_model, load_data_dir, load_model_dir, train_one_seed
+    from .pipeline import fit_points, load_data_dir, with_stores
 
     cfg = RunConfig(**_given_settings(args))
-    grid: list[tuple[str, int]] = []
-    if args.sweep_k:
-        grid += [("k_neighbors", v) for v in sorted(_parse_int_list(args.sweep_k))]
-    if args.sweep_h:
-        grid += [("h", v) for v in sorted(_parse_int_list(args.sweep_h))]
+    grid = []
+    for param, values in (("k_neighbors", args.sweep_k), ("h", args.sweep_h)):
+        if values:
+            grid += [(param, v) for v in sorted(_parse_int_list(values))]
     if not grid:
         raise ValueError("empty sweep grid: pass --sweep-k and/or --sweep-h")
     if args.sweep_k and cfg.encoder == "id":
@@ -289,31 +287,19 @@ def cmd_sweep(args) -> int:
     # Every point's config and output are checked before the first one trains.
     points = [(param, value, dataclasses.replace(cfg, **{param: value}),
                os.path.join(args.out, "runs", f"{param}_{value}")) for param, value in grid]
-    rows = []
     sweep_tsv = os.path.join(args.out, "sweep.tsv")
     with _output_lock(args.out, [sweep_tsv] + [os.path.join(run_dir, "summary.json")
                                                for *_, run_dir in points], args.force):
-        # A k point builds its own caches: only an h point reads the directory's.
-        base = load_data_dir(args.data, cfg, need_stores=cfg.encoder == "semantic",
-                             check_k=bool(args.sweep_h))
-        point_data = []  # every point's caches are built before the first fit
-        for param, value, *_ in points:
-            data = base
-            if param == "k_neighbors":  # the semantic encoder: checked above
-                user_store, item_store = (
-                    dataclasses.replace(s, cache=as_gnbc(build_neighbor_cache(s.matrix, value)))
-                    for s in (base.user_store, base.item_store))
-                data = dataclasses.replace(base, user_store=user_store, item_store=item_store)
-            point_data.append(data)
-        for (param, value, point_cfg, run_dir), data in zip(points, point_data):
-            train_one_seed(data, point_cfg, args.seed, run_dir)
-            model, _ = load_model_dir(run_dir, data)
-            reports, _ = eval_model(data, model, point_cfg, seed=args.seed,
-                                    which="test", with_groups=False)
-            rows.append((param, value, reports[0].ndcg[10], reports[0].hr[10]))
-            print(f"sweep: {param}={value} NDCG@10 {rows[-1][2]:.4f} HR@10 {rows[-1][3]:.4f}")
+        # Only an h point reads the directory's caches; every point's stores exist before a fit.
+        base = load_data_dir(args.data, cfg,
+                             need_stores=cfg.encoder == "semantic" and bool(args.sweep_h))
+        fits = [(with_stores(args.data, base, value) if param == "k_neighbors" else base,
+                 point_cfg, args.seed, run_dir) for param, value, point_cfg, run_dir in points]
         lines = ["param\tvalue\tndcg10\thr10\n"]
-        lines += [f"{param}\t{value}\t{ndcg!r}\t{hr!r}\n" for param, value, ndcg, hr in rows]
+        for (param, value, *_), (_, reports) in zip(points, fit_points(fits, test=True)):
+            ndcg, hr = reports[0].ndcg[10], reports[0].hr[10]
+            print(f"sweep: {param}={value} NDCG@10 {ndcg:.4f} HR@10 {hr:.4f}")
+            lines.append(f"{param}\t{value}\t{ndcg!r}\t{hr!r}\n")
         write_text_atomic(sweep_tsv, "".join(lines))
     return 0
 

@@ -81,8 +81,8 @@ class SemanticStore:
 
     ``rows[i]`` is the matrix row of dense id ``i``; ``None`` maps each id
     to its own row.  The rows must be distinct and inside the matrix
-    (``pipeline.load_data_dir``, which makes every store, checks them; ``grasp
-    sweep`` only swaps the cache).  ``rows`` is frozen like the matrix and the
+    (``pipeline`` checks them for every store it makes, including a ``grasp
+    sweep`` k point's).  ``rows`` is frozen like the matrix and the
     cache, and ``lookup`` is its only reader.  A cache whose shape does not
     fit the matrix is a ``DataError``.
     """

@@ -29,8 +29,6 @@ from .errors import DataError
 from .hae import SemanticStore
 from .ops import length_buckets, segment_sum, sigmoid, uniform_init
 
-PROB_CLAMP = 1e-7
-
 
 def pad_sequences(seqs, max_seq_len: int):
     """Left-pad integer sequences into an (B, L) grid plus boolean mask.
@@ -180,17 +178,14 @@ class RecModel:
         cand_ids = np.concatenate([targets[..., None], negatives], axis=-1)
         logits, cache_cand = self.encoder.encode_items(users, cand_ids, readout=o)
 
-        probs = sigmoid(logits)
-        labels = np.zeros_like(probs)
+        labels = np.zeros_like(logits)
         labels[..., 0] = 1.0
-        pair_mask = np.broadcast_to(mask[..., None], probs.shape).astype(np.float64)
+        pair_mask = np.broadcast_to(mask[..., None], logits.shape).astype(np.float64)
 
-        clamped = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-        losses = -(labels * np.log(clamped) + (1.0 - labels) * np.log(1.0 - clamped))
+        # Logit-space BCE, finite at any x: log(1 + e^-x) for a positive, log(1 + e^x) otherwise.
+        losses = np.logaddexp(0.0, np.where(labels == 1.0, -logits, logits))
         loss = float((losses * pair_mask).sum() / n_pairs)
-
-        inside = (probs > PROB_CLAMP) & (probs < 1.0 - PROB_CLAMP)
-        d_logits = (probs - labels) * inside * pair_mask / n_pairs
+        d_logits = (sigmoid(logits) - labels) * pair_mask / n_pairs
         cand_grads = self.encoder.backward(cache_cand, d_logits)
         d_enc_in, bb_grads = self.backbone.backward(bb_cache, cand_grads.pop("readout"))
         enc_grads = {name: g + cand_grads[name]

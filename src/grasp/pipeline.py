@@ -14,6 +14,9 @@ baseline).  Embedding rows are addressed by raw id, so datasets filtered
 at load time stay aligned with the full semantic databases: each raw id,
 parsed with ``int()``, must name a distinct row of its matrix, checked
 once at load, before any command writes a file.
+
+Every fit runs through ``fit_points``, each point with its own stores; a
+sweep k point builds its caches (``with_stores``), so a k-only grid reads no ``.gnbc``.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from .backbone import load_backbone_checkpoint, save_backbone_checkpoint
 from .config import RunConfig, parse_config_file, write_json, write_key_values, write_text_atomic
 from .dataset import InteractionDataset, LeaveOneOutSplit, load_interactions, partition_head_tail, split_leave_one_out
 from .embedstore import (
+    as_gnbc,
+    build_neighbor_cache,
     load_embedding_matrix,
     load_neighbor_cache,
     matrix_from_array,
@@ -79,36 +84,38 @@ def _raw_rows(raw_ids: list[str], label: str, n_rows: int) -> np.ndarray:
     return np.fromiter(owner, dtype=np.int64, count=len(owner))
 
 
-def load_data_dir(data_dir, cfg: RunConfig, need_stores: bool = True,
-                  check_k: bool = True) -> PipelineData:
-    """The log, its split and, with ``need_stores``, both semantic stores.
-
-    Each cache's k must equal ``cfg.k_neighbors`` unless ``check_k`` is
-    false, for a caller that replaces every cache before it reads one.
-    """
+def load_data_dir(data_dir, cfg: RunConfig, need_stores: bool = True) -> PipelineData:
+    """The log, its split and, with ``need_stores``, both semantic stores
+    on the directory's caches, whose k must equal ``cfg.k_neighbors``."""
     log_path = _require(data_dir, LOG_NAME, "run `grasp synth` or provide a log")
     ds = load_interactions(log_path, cfg.min_user_len, cfg.min_item_freq)
-    split = split_leave_one_out(ds)
+    data = PipelineData(ds, split_leave_one_out(ds), None, None)
+    return with_stores(data_dir, data, cfg.k_neighbors, build=False) if need_stores else data
 
-    stores = {}
-    if need_stores:
-        for side, raw_ids, gemb, gnbc in (
-            ("user", ds.user_raw_ids, USER_EMB_NAME, USER_CACHE_NAME),
-            ("item", ds.item_raw_ids, ITEM_EMB_NAME, ITEM_CACHE_NAME),
-        ):
-            matrix = load_embedding_matrix(_require(data_dir, gemb, f"{side} embedding matrix"))
-            cache_path = _require(data_dir, gnbc, "run `grasp build-db` first")
-            cache = load_neighbor_cache(cache_path)
-            if check_k and cache.k != cfg.k_neighbors:
+
+def with_stores(data_dir, data: PipelineData, k: int, build: bool = True) -> PipelineData:
+    """``data`` with its own stores on the directory's matrices, their caches at ``k`` built
+    as ``grasp build-db --k`` writes them or, without ``build``, read from the directory."""
+    stores = []
+    for side, raw_ids, gemb, gnbc in (
+        ("user", data.ds.user_raw_ids, USER_EMB_NAME, USER_CACHE_NAME),
+        ("item", data.ds.item_raw_ids, ITEM_EMB_NAME, ITEM_CACHE_NAME),
+    ):
+        matrix = load_embedding_matrix(_require(data_dir, gemb, f"{side} embedding matrix"))
+        cache_path = os.path.join(data_dir, gnbc)
+        if build:
+            cache = as_gnbc(build_neighbor_cache(matrix, k))
+        else:
+            cache = load_neighbor_cache(_require(data_dir, gnbc, "run `grasp build-db` first"))
+            if cache.k != k:
                 raise DataError(f"{cache_path} was built with k={cache.k} but config asks "
-                                f"k_neighbors={cfg.k_neighbors}; rerun `grasp build-db --k "
-                                f"{cfg.k_neighbors}`")
-            rows = _raw_rows(raw_ids, side, matrix.rows)
-            try:
-                stores[side] = SemanticStore(matrix, cache, rows)
-            except DataError as exc:  # a cache that does not fit its matrix
-                raise DataError(f"{cache_path}: {exc}") from None
-    return PipelineData(ds, split, stores.get("user"), stores.get("item"))
+                                f"k_neighbors={k}; rerun `grasp build-db --k {k}`")
+        rows = _raw_rows(raw_ids, side, matrix.rows)
+        try:
+            stores.append(SemanticStore(matrix, cache, rows))
+        except DataError as exc:  # a cache that does not fit its matrix
+            raise DataError(f"{cache_path}: {exc}") from None
+    return PipelineData(data.ds, data.split, *stores)
 
 
 def build_model(data: PipelineData, cfg: RunConfig, seed: int) -> RecModel:
@@ -177,12 +184,11 @@ def train_one_seed(data: PipelineData, cfg: RunConfig, seed: int, out_dir) -> di
     """Fit one seed, write checkpoint + epoch log, return the summary dict."""
     model = build_model(data, cfg, seed)
     model, state = fit(model, data.split, data.ds, cfg, seed)
-    os.makedirs(out_dir, exist_ok=True)  # only now: a failed fit leaves no empty out_dir
+    save_model_dir(model, out_dir, cfg)  # only now: a failed fit leaves no empty out_dir
     write_text_atomic(os.path.join(out_dir, "train_log.tsv"), "".join(
         f"{epoch}\t{loss!r}\t{val!r}\n"
         for epoch, (loss, val) in enumerate(zip(state.loss_history, state.val_history), start=1)
     ))
-    save_model_dir(model, out_dir, cfg)
     summary = {
         "config": cfg.echo(),
         "seed": seed,
@@ -207,3 +213,15 @@ def eval_model(data: PipelineData, model: RecModel, cfg: RunConfig, seed: int,
     if with_groups:
         reports += group_report(records, partition_head_tail(data.ds, cfg.head_ratio)).values()
     return reports, records
+
+
+def fit_points(points, test: bool):
+    """Fit each ``(data, cfg, seed, out_dir)`` point in order; yield ``(summary, reports)``,
+    with ``test`` the test reports of the checkpoint it wrote, read back (else empty)."""
+    for data, cfg, seed, out_dir in points:
+        summary = train_one_seed(data, cfg, seed, out_dir)
+        reports = []
+        if test:
+            model, _ = load_model_dir(out_dir, data)
+            reports, _ = eval_model(data, model, cfg, seed)
+        yield summary, reports

@@ -2,7 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  Criteria 6 and 7
 train 18 small models on the default synthetic corpus and dominate the
-runtime (several minutes of CPU).
+runtime (several minutes of CPU).  Each of their fits goes through
+``pipeline.fit_points``, as ``grasp train`` and ``grasp sweep`` do: it
+writes its checkpoint to a session temp directory, and every tested
+number comes from that checkpoint read back from disk.
 """
 
 import time
@@ -13,10 +16,11 @@ import pytest
 from grasp import embedstore as es
 from grasp.backbone import build_backbone
 from grasp.config import RunConfig
-from grasp.dataset import partition_head_tail, split_leave_one_out
-from grasp.evaluation import KS, evaluate, group_report, report_from_ranks
+from grasp.dataset import split_leave_one_out
+from grasp.evaluation import KS, report_from_ranks
 from grasp.hae import SemanticStore, init_params, fuse_forward, fuse_backward, _branch_concat
-from grasp.model import SemanticEncoder, build_id_model, build_semantic_model, semantic_checksum
+from grasp.model import SemanticEncoder, build_semantic_model, semantic_checksum
+from grasp.pipeline import PipelineData, fit_points
 from grasp.trainer import fit
 from helpers import (
     brute_force_hr, brute_force_ndcg, brute_force_topk, finite_diff, rel_error,
@@ -38,30 +42,26 @@ def report_line(criterion: int, name: str):
 
 
 @pytest.fixture(scope="session")
-def trend_env():
+def trend_env(tmp_path_factory):
+    """The trend corpus with both stores, and the session directory its fits write to."""
     ds, user_m, item_m = es.synth_corpus(
         n_users=500, m_items=200, n_clusters=8, dim=32, noise=0.1, seed=42
     )
-    split = split_leave_one_out(ds)
-    groups = partition_head_tail(ds, 0.2)
-    user_store = SemanticStore(user_m, es.build_neighbor_cache(user_m, 10))
-    item_store = SemanticStore(item_m, es.build_neighbor_cache(item_m, 10))
-    return ds, split, groups, user_store, item_store
+    data = PipelineData(ds, split_leave_one_out(ds),
+                        SemanticStore(user_m, es.build_neighbor_cache(user_m, 10)),
+                        SemanticStore(item_m, es.build_neighbor_cache(item_m, 10)))
+    return data, tmp_path_factory.mktemp("trend")
 
 
 def _train_and_score(trend_env, seed, encoder="semantic", **hae_flags):
-    ds, split, groups, user_store, item_store = trend_env
+    """Overall and tail-item test NDCG@10 of the checkpoint one fit wrote, read back."""
+    data, root = trend_env
     cfg = RunConfig(backbone="sasrec", h=64, max_seq_len=TREND_MAX_SEQ, encoder=encoder,
                     max_epochs=TREND_MAX_EPOCHS, patience=TREND_PATIENCE, **hae_flags)
-    if encoder == "id":
-        model = build_id_model(ds.item_count, cfg, seed)
-    else:
-        model = build_semantic_model(user_store, item_store, cfg, seed)
-    model, _ = fit(model, split, ds, cfg, seed)
-    report, records = evaluate(model, split, ds, "test", eval_negatives=100,
-                               seed=seed, max_seq_len=TREND_MAX_SEQ)
-    tail = group_report(records, groups)["tail_item"]
-    return report.ndcg[10], tail.ndcg[10]
+    out_dir = root / "_".join([encoder, *hae_flags, f"seed{seed}"])
+    [(_, reports)] = fit_points([(data, cfg, seed, out_dir)], test=True)
+    ndcg10 = {report.group: report.ndcg[10] for report in reports}
+    return ndcg10["overall"], ndcg10["tail_item"]
 
 
 @pytest.fixture(scope="session")

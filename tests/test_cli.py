@@ -422,6 +422,19 @@ class TestSweepAndReport:
         rows = (out / "sweep.tsv").read_text().splitlines()
         assert [r.split("\t")[:2] for r in rows[1:]] == [["k_neighbors", "3"]]
 
+    def test_k_only_grid_reads_no_directory_cache(self, data_dir, tmp_path):
+        bare = tmp_path / "data"
+        shutil.copytree(data_dir, bare)
+        for name in ("users.gnbc", "items.gnbc"):
+            (bare / name).unlink()
+        tables = []
+        for data in (data_dir, bare):
+            out = tmp_path / f"sweep_{data.name}"
+            assert run("sweep", "--data", data, "--out", out, "--sweep-k", "2,3",
+                       "--seed", 42, *TRAIN_FLAGS) == 0
+            tables.append((out / "sweep.tsv").read_bytes())
+        assert tables[0] == tables[1]
+
     def test_grid_with_an_h_point_checks_the_directory_cache_k(self, data_dir, tmp_path, capsys):
         out = tmp_path / "sweep"
         assert run("sweep", "--data", data_dir, "--out", out, "--sweep-k", 3, "--sweep-h", 8,

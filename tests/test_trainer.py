@@ -46,17 +46,14 @@ class IdentityBackbone:
         return d_out, {}
 
 
-def position_loss(probs, real=True) -> float:
-    """The training loss of one position whose candidates score ``probs``.
+def one_position(logits, real=True):
+    """A model and a one-position batch whose candidates score ``logits``.
 
-    ``probs[0]`` is the positive and the rest are negatives, as in every
-    training batch.  The input item embeds as o = [1] and candidate ``c``
-    as its logit, so ``RecModel.loss_and_grads`` sees exactly these scores.
+    ``logits[0]`` is the positive's and the rest are negatives', as in
+    every training batch.  The input item embeds as o = [1] and candidate
+    ``c`` as its logit, so ``RecModel.loss_and_grads`` sees exactly these.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        logits = np.clip(np.log(probs) - np.log1p(-probs), -40.0, 40.0)
-    n = len(probs)
+    n = len(logits)
     encoder = IdEncoder(n + 1, 1, seed=0)
     encoder.emb[0] = 1.0
     encoder.emb[1:, 0] = logits
@@ -65,7 +62,16 @@ def position_loss(probs, real=True) -> float:
         mask=np.full((1, 1), real), targets=np.ones((1, 1), dtype=np.int64),
         negatives=np.arange(2, n + 1, dtype=np.int64).reshape(1, 1, n - 1),
     )
-    loss, _, _ = RecModel(encoder, IdentityBackbone()).loss_and_grads(batch)
+    return RecModel(encoder, IdentityBackbone()), batch
+
+
+def position_loss(probs, real=True) -> float:
+    """The training loss of one position whose candidates score ``probs``."""
+    probs = np.asarray(probs, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        logits = np.clip(np.log(probs) - np.log1p(-probs), -40.0, 40.0)
+    model, batch = one_position(logits, real)
+    loss, _, _ = model.loss_and_grads(batch)
     return loss
 
 
@@ -76,11 +82,25 @@ class TestBceLoss:
     def test_confident_correct(self):
         assert position_loss([0.9, 0.1]) == pytest.approx(0.1053605, abs=1e-6)
 
-    def test_clamp_at_perfect_prediction(self):
+    def test_finite_at_perfect_prediction(self):
         loss = position_loss([1.0 - 1e-7])
         assert loss == pytest.approx(1e-7, rel=1e-3)
         assert np.isfinite(position_loss([1.0]))
         assert np.isfinite(position_loss([0.0]))
+
+    @pytest.mark.parametrize("logits, row_grads", [
+        ([-40.0, 40.0], [-0.5, 0.5]), ([40.0, -40.0], [0.0, 0.0]),
+    ], ids=["wrong", "right"])
+    def test_gradient_matches_finite_differences_at_saturated_logits(self, logits, row_grads):
+        # Nothing is clamped: a confidently wrong pair keeps its whole loss and gradient.
+        model, batch = one_position(logits)
+        loss, grads, n_pairs = model.loss_and_grads(batch)
+        signs = np.array([-1.0, 1.0])  # log(1 + e^-x) for the positive, log(1 + e^x) for the negative
+        assert loss == pytest.approx(np.logaddexp(0.0, signs * logits).sum() / n_pairs, rel=1e-12)
+        analytic = grads["id_embedding"]["emb"]
+        fd = finite_diff(lambda: model.loss_and_grads(batch)[0], model.encoder.emb, step=1e-4)
+        assert rel_error(analytic, fd) < 1e-6
+        np.testing.assert_allclose(analytic[1:, 0], row_grads, rtol=1e-12, atol=1e-17)
 
     def test_empty_pool_errors(self):
         # a batch without a real position has no (position, candidate) pair
