@@ -9,7 +9,8 @@ raw<->dense maps are kept on the dataset (and can be persisted as TSV).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,8 @@ from .errors import DataError, ParseError
 class InteractionDataset:
     """Per-user chronologically ordered item sequences with dense ids.
 
-    ``sequences[u]`` preserves the timestamp order of the source log
+    User ``u``'s sequence is the window ``items[offsets[u]:offsets[u + 1]]``
+    of one flat int64 array, in the timestamp order of the source log
     (stable for equal timestamps).  ``user_frequency[u]`` is the sequence
     length and ``item_frequency[i]`` the interaction count; both describe
     the full corpus, including users later excluded from splits.
@@ -30,7 +32,8 @@ class InteractionDataset:
 
     user_count: int
     item_count: int
-    sequences: dict[int, list[int]]
+    items: np.ndarray
+    offsets: np.ndarray
     item_frequency: np.ndarray
     user_frequency: np.ndarray
     user_raw_ids: list[str]
@@ -40,39 +43,65 @@ class InteractionDataset:
     def interaction_count(self) -> int:
         return int(self.user_frequency.sum())
 
-    def non_history(self, user: int) -> np.ndarray:
-        """Item ids outside the user's full sequence, sorted ascending."""
-        if user not in self.sequences:
+    @cached_property
+    def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each user's distinct items ``hs``, ascending, as flat ``hs - arange(len(hs))``
+        keys and their (U+1,) offsets: one sort of ``user * N + item`` keys."""
+        users = np.repeat(np.arange(self.user_count), np.diff(self.offsets))
+        keys = np.sort(users * self.item_count + self.items)
+        users, items = np.divmod(keys[np.diff(keys, prepend=-1) != 0], self.item_count)
+        offsets = np.r_[0, np.cumsum(np.bincount(users, minlength=self.user_count))]
+        return items - (np.arange(len(items)) - offsets[users]), offsets
+
+    def outside(self, user: int, draw) -> np.ndarray:
+        """Items outside the user's full sequence, at the 0-based positions ``j`` that
+        ``draw(n)`` picks in its ascending n-item complement: ``j`` plus the history
+        items below it.  An unknown user is a ``DataError``."""
+        if not 0 <= user < self.user_count:
             raise DataError(f"unknown user id {user}")
-        outside = np.ones(self.item_count, dtype=bool)
-        outside[self.sequences[user]] = False
-        return np.flatnonzero(outside)
+        shifted, offsets = self._distinct
+        keys = shifted[offsets[user] : offsets[user + 1]]
+        j = draw(self.item_count - len(keys))
+        return j + np.searchsorted(keys, j, side="right")
+
+    def windows(self, ends: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Left-padded (B, L) grid with rows ``items[ends - lengths : ends]``, L the
+        longest length and padded cells 0, and its mask."""
+        L = int(lengths.max(initial=0))
+        mask = np.arange(L) >= L - lengths[:, None]
+        grid = np.zeros(mask.shape, dtype=np.int64)
+        grid[mask] = self.items[(ends[:, None] - L + np.arange(L))[mask]]
+        return grid, mask
 
 
 @dataclass(frozen=True)
 class SplitEntry:
-    train_prefix: list[int]
+    train_prefix: np.ndarray
     valid_target: int
     test_target: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeaveOneOutSplit:
-    """Per-user (prefix, validation target, test target) triples.
+    """The ascending ``users`` with >= 3 items; ``n_excluded`` counts the rest.
 
-    Only users whose post-filter sequence length is >= 3 appear;
-    ``n_excluded`` counts the rest.
-    """
+    A user's last item is the test target, the one before it the validation
+    target, and the items before those the training prefix."""
 
-    entries: dict[int, SplitEntry]
+    users: np.ndarray
     n_excluded: int
+    ds: InteractionDataset = field(repr=False)
 
-    @property
-    def users(self) -> list[int]:
-        return sorted(self.entries)
+    @cached_property
+    def entries(self) -> dict[int, SplitEntry]:
+        """``{user: SplitEntry}`` views, built once: rebuilding per access raised peak RSS."""
+        items, ends = self.ds.items, self.ds.offsets[1:]
+        return {u: SplitEntry(items[self.ds.offsets[u] : ends[u] - 2],
+                              int(items[ends[u] - 2]), int(items[ends[u] - 1]))
+                for u in self.users.tolist()}
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.users)
 
 
 @dataclass(frozen=True)
@@ -176,11 +205,11 @@ def load_interactions(path, min_user_len: int, min_item_freq: int) -> Interactio
     # File position breaks timestamp ties, so equal timestamps keep file order.
     order = np.lexsort((keep, stamps[keep], user))
     user_freq, item_freq = np.bincount(user), np.bincount(item)
-    flat, ends = item[order].tolist(), np.cumsum(user_freq).tolist()
     return InteractionDataset(
         user_count=len(user_raw),
         item_count=len(item_raw),
-        sequences={u: flat[a:b] for u, (a, b) in enumerate(zip([0, *ends], ends))},
+        items=item[order],
+        offsets=np.r_[0, np.cumsum(user_freq)],
         item_frequency=item_freq,
         user_frequency=user_freq,
         user_raw_ids=user_raw,
@@ -194,17 +223,8 @@ def split_leave_one_out(ds: InteractionDataset) -> LeaveOneOutSplit:
     Users with sequences shorter than 3 are excluded (counted, not an
     error); their interactions still contribute to corpus statistics.
     """
-    entries = {}
-    excluded = 0
-    for user in range(ds.user_count):
-        seq = ds.sequences[user]
-        if len(seq) < 3:
-            excluded += 1
-            continue
-        entries[user] = SplitEntry(
-            train_prefix=list(seq[:-2]), valid_target=seq[-2], test_target=seq[-1]
-        )
-    return LeaveOneOutSplit(entries=entries, n_excluded=excluded)
+    users = np.flatnonzero(np.diff(ds.offsets) >= 3)
+    return LeaveOneOutSplit(users=users, n_excluded=ds.user_count - len(users), ds=ds)
 
 
 def _head_flags(freq: np.ndarray, ratio: float) -> np.ndarray:
@@ -234,13 +254,13 @@ def sample_negatives(
     """
     if count == 0:
         return np.empty(0, dtype=np.int64)
-    candidates = ds.non_history(user)
-    if count > len(candidates):
-        raise DataError(
-            f"cannot sample {count} negatives for user {user}: "
-            f"only {len(candidates)} items outside their history"
-        )
-    return rng.choice(candidates, size=count, replace=False)
+
+    def draw(n_outside):
+        if count > n_outside:
+            raise DataError(f"cannot sample {count} negatives for user {user}: "
+                            f"only {n_outside} items outside their history")
+        return rng.choice(n_outside, size=count, replace=False)
+    return ds.outside(user, draw)
 
 
 def write_id_map(path, raw_ids: list[str]) -> None:

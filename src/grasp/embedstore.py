@@ -342,7 +342,7 @@ def synth_corpus(
         w = 1.0 / (1.0 + np.arange(len(members), dtype=np.float64))
         member_weights.append(w / w.sum())
 
-    sequences: dict[int, list[int]] = {}
+    sequences = []
     for user in range(n_users):
         home = int(rng.integers(n_clusters))
         length = int(np.clip(rng.geometric(1.0 / 8.0), 3, 50))
@@ -355,24 +355,19 @@ def synth_corpus(
                 while clusters[item] == home:
                     item = int(rng.integers(m_items))
             seq.append(item)
-        sequences[user] = seq
+        sequences.append(seq)
 
-    user_values = np.empty((n_users, dim), dtype=np.float64)
-    for user in range(n_users):
-        user_values[user] = item_values[sequences[user]].mean(axis=0)
+    user_values = np.array([item_values[seq].mean(axis=0) for seq in sequences])
     user_values += noise * rng.standard_normal((n_users, dim))
-
-    user_freq = np.array([len(sequences[u]) for u in range(n_users)], dtype=np.int64)
-    item_freq = np.zeros(m_items, dtype=np.int64)
-    for seq in sequences.values():
-        for item in seq:
-            item_freq[item] += 1
+    user_freq = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    flat = np.concatenate(sequences, dtype=np.int64)
 
     ds = InteractionDataset(
         user_count=n_users,
         item_count=m_items,
-        sequences=sequences,
-        item_frequency=item_freq,
+        items=flat,
+        offsets=np.r_[0, np.cumsum(user_freq)],
+        item_frequency=np.bincount(flat, minlength=m_items),
         user_frequency=user_freq,
         user_raw_ids=[str(u) for u in range(n_users)],
         item_raw_ids=[str(i) for i in range(m_items)],
@@ -382,8 +377,9 @@ def synth_corpus(
 
 def write_interaction_log(ds: InteractionDataset, path) -> None:
     """Write a dataset back out in the standard log format (timestamp = position)."""
-    users, items = ds.user_raw_ids, ds.item_raw_ids
+    users, items, bounds = ds.user_raw_ids, ds.item_raw_ids, ds.offsets.tolist()
     write_text_atomic(path, "".join(
         f"{users[user]}\t{items[item]}\t{ts}\n"
-        for user in range(ds.user_count) for ts, item in enumerate(ds.sequences[user])
+        for user in range(ds.user_count)
+        for ts, item in enumerate(ds.items[bounds[user] : bounds[user + 1]].tolist())
     ))

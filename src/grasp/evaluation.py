@@ -67,11 +67,9 @@ def report_from_ranks(ranks, group: str = "overall", n_skipped: int = 0) -> Metr
                         n_skipped=n_skipped, group=group)
 
 
-def _protocol(entry, which: str):
-    """(input sequence, target item) of one split entry under ``which``."""
-    if which == "valid":
-        return entry.train_prefix, entry.valid_target
-    return entry.train_prefix + [entry.valid_target], entry.test_target
+def _input_ends(split: LeaveOneOutSplit, ds: InteractionDataset, which: str) -> np.ndarray:
+    """Where each split user's ``which`` input window ends; its target is ``items[end]``."""
+    return ds.offsets[split.users + 1] - (2 if which == "valid" else 1)
 
 
 def eval_candidates(split: LeaveOneOutSplit, ds: InteractionDataset, which: str,
@@ -83,13 +81,12 @@ def eval_candidates(split: LeaveOneOutSplit, ds: InteractionDataset, which: str,
     ascending user id.  The draw depends only on its arguments, so one
     result serves every ``evaluate`` of the same split.
     """
-    candidates = np.empty((len(split.users), 1 + eval_negatives), dtype=np.int64)
-    target_pos = np.empty(len(split.users), dtype=np.int64)
-    for i, user in enumerate(split.users):
-        entry = split.entries[user]
+    candidates = np.empty((len(split), 1 + eval_negatives), dtype=np.int64)
+    candidates[:, 0] = ds.items[_input_ends(split, ds, which)]
+    target_pos = np.empty(len(split), dtype=np.int64)
+    for i, user in enumerate(split.users.tolist()):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1, user]))
         row = candidates[i]
-        row[0] = entry.valid_target if which == "valid" else entry.test_target
         row[1:] = sample_negatives(ds, user, eval_negatives, rng)
         order = rng.permutation(len(row))
         row[:] = row[order]
@@ -123,14 +120,14 @@ def evaluate(model, split: LeaveOneOutSplit, ds: InteractionDataset, which: str,
         candidates = eval_candidates(split, ds, which, eval_negatives, seed)
     cand_rows, target_pos = candidates
 
-    users = np.asarray(split.users, dtype=np.int64)
-    seqs = [_protocol(split.entries[u], which)[0] for u in split.users]
+    users, ends = split.users, _input_ends(split, ds, which)
+    lengths = np.minimum(ends - ds.offsets[users], max_seq_len)
     records = np.zeros(len(users), dtype=RECORD)
     records["user"] = users
     records["target_item"] = cand_rows[np.arange(len(users)), target_pos]
     finite = np.ones(len(users), dtype=bool)
-    for rows in length_buckets([min(len(s), max_seq_len) for s in seqs], EVAL_BATCH_ROWS):
-        o_final = model.final_representations(users[rows], [seqs[i] for i in rows], max_seq_len)
+    for rows in length_buckets(lengths, EVAL_BATCH_ROWS):
+        o_final = model.final_representations(users[rows], *ds.windows(ends[rows], lengths[rows]))
         scores = model.candidate_scores(users[rows], cand_rows[rows], o_final)
         finite[rows] = np.isfinite(scores).all(axis=1)
         for i, row_scores in zip(rows, scores):

@@ -30,21 +30,6 @@ from .hae import SemanticStore
 from .ops import length_buckets, segment_sum, sigmoid, uniform_init
 
 
-def pad_sequences(seqs, max_seq_len: int):
-    """Left-pad integer sequences into an (B, L) grid plus boolean mask.
-
-    Sequences longer than ``max_seq_len`` keep their most recent items; L
-    is the longest kept length in the batch.
-    """
-    kept = [list(s)[-max_seq_len:] for s in seqs]
-    lengths = np.array([len(s) for s in kept], dtype=np.int64)
-    L = int(lengths.max(initial=0))
-    mask = np.arange(L) >= L - lengths[:, None]
-    items = np.zeros(mask.shape, dtype=np.int64)
-    items[mask] = [item for s in kept for item in s]
-    return items, mask
-
-
 class SemanticEncoder:
     """Holistic-attention enhancement over frozen semantic stores.
 
@@ -193,8 +178,8 @@ class RecModel:
         return loss, {self.encoder.group_name: enc_grads, "backbone": bb_grads}
 
     # -- inference -----------------------------------------------------
-    def final_representations(self, users, seqs, max_seq_len: int) -> np.ndarray:
-        """Last-position backbone output per user, shape (B, h).
+    def final_representations(self, users, inputs, mask) -> np.ndarray:
+        """Last-position backbone output (B, h) of the left-padded grid ``inputs`` and ``mask``.
 
         The backbone runs with ``last_only``: it keeps no training cache and
         computes no output it would discard (GRU4Rec streams its steps and
@@ -203,7 +188,6 @@ class RecModel:
         (GRU4Rec projects each distinct item once); semantic inputs depend
         on the user and are encoded first.
         """
-        inputs, mask = pad_sequences(seqs, max_seq_len)
         if isinstance(self.encoder, IdEncoder):
             out, _ = self.backbone.forward(inputs, mask, last_only=True, table=self.encoder.emb)
             return out

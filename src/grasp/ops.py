@@ -47,8 +47,8 @@ def length_buckets(lengths, max_rows: int) -> list[np.ndarray]:
         raise ValueError(f"max_rows must be >= 1, got {max_rows}")
     if lengths.size and lengths.min() < 1:
         raise ValueError("every length must be >= 1")
-    # ceil(log2(n)) for n >= 1: the bit length of n - 1.
-    classes = np.array([int(n - 1).bit_length() for n in lengths], dtype=np.int64)
+    # ceil(log2(n)) for n >= 1: the bit length of n - 1, frexp's exponent.
+    classes = np.frexp(lengths - 1)[1]
     order = np.argsort(classes, kind="stable")
     bounds = np.flatnonzero(np.diff(classes[order])) + 1
     return [

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .config import RunConfig
 from .errors import DataError, NumericError
 from .evaluation import eval_candidates, evaluate
-from .model import RecModel, pad_sequences
+from .model import RecModel
 
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -72,7 +73,8 @@ class TrainBatch:
 
 
 def make_training_batch(split, ds, cfg: RunConfig, rng, users) -> TrainBatch:
-    """Shift-by-one batch over ``users``: inputs are prefix[:-1], targets prefix[1:].
+    """Shift-by-one batch over ``users``: inputs are prefix[:-1], targets prefix[1:],
+    windows of ``ds.items`` ending at ``offsets[u + 1] - 3`` and one item later.
 
     Users whose prefix is shorter than 2 are skipped.  Each row keeps its
     most recent ``cfg.max_seq_len`` positions.  Per real position,
@@ -81,32 +83,32 @@ def make_training_batch(split, ds, cfg: RunConfig, rng, users) -> TrainBatch:
     """
     if len(split) == 0:
         raise DataError("empty split")
-    users = [u for u in users if len(split.entries[u].train_prefix) >= 2]
-    if not users:
+    users = np.asarray(users, dtype=np.int64)[np.diff(ds.offsets)[users] >= 4]
+    if not len(users):
         raise DataError("no user in the batch has a trainable prefix (length >= 2)")
 
-    prefixes = [split.entries[u].train_prefix for u in users]
-    inputs, mask = pad_sequences([prefix[:-1] for prefix in prefixes], cfg.max_seq_len)
-    targets, _ = pad_sequences([prefix[1:] for prefix in prefixes], cfg.max_seq_len)
+    ends = ds.offsets[users + 1] - 3
+    lengths = np.minimum(ends - ds.offsets[users], cfg.max_seq_len)
+    inputs, mask = ds.windows(ends, lengths)
+    targets, _ = ds.windows(ends + 1, lengths)
     B, L = inputs.shape
     negatives = np.zeros((B, L, cfg.negatives_per_positive), dtype=np.int64)
-    for b, u in enumerate(users):
-        n = int(mask[b].sum())
-        pool = ds.non_history(u)
-        negatives[b, L - n:] = pool[rng.integers(len(pool), size=(n, cfg.negatives_per_positive))]
-    return TrainBatch(np.asarray(users, dtype=np.int64), inputs, mask, targets, negatives)
+    for b, (u, n) in enumerate(zip(users.tolist(), lengths.tolist())):
+        draw = partial(rng.integers, size=(n, cfg.negatives_per_positive))
+        negatives[b, L - n:] = ds.outside(u, draw)
+    return TrainBatch(users, inputs, mask, targets, negatives)
 
 
 def train_epoch(model: RecModel, split, ds, cfg: RunConfig, state: TrainState,
                 adam: Adam, rng, dropout_rng) -> TrainState:
     """One pass over the split in a seeded shuffle order; appends mean loss."""
-    trainable = [u for u in split.users if len(split.entries[u].train_prefix) >= 2]
-    if not trainable:
+    trainable = split.users[np.diff(ds.offsets)[split.users] >= 4]  # prefix length >= 2
+    if not len(trainable):
         raise DataError("no trainable users (all prefixes shorter than 2)")
     order = rng.permutation(len(trainable))
     total, count = 0.0, 0.0
     for bi, start in enumerate(range(0, len(order), cfg.batch_size)):
-        chunk = [trainable[i] for i in order[start : start + cfg.batch_size]]
+        chunk = trainable[order[start : start + cfg.batch_size]]
         batch = make_training_batch(split, ds, cfg, rng, chunk)
         loss, grads, n_pairs = model.loss_and_grads(batch, rng=dropout_rng)
         if not np.isfinite(loss):

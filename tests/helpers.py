@@ -4,13 +4,15 @@ These stay structurally independent of the implementation paths they
 check: the KNN oracle is a per-pair python loop, the DCG oracle builds an
 explicit relevance list, the gradient oracle is central finite
 differences over every parameter entry, the interaction-log oracle
-reads, filters and re-indexes one event at a time, and the candidate
-oracle draws one user's row with its own concatenate and search.
+reads, filters and re-indexes one event at a time, the candidate
+oracle draws one user's row with its own concatenate and search, the
+negative oracle draws from an explicit complement pool, and the padding
+oracle left-pads per-user python lists item by item.
 """
 
 import numpy as np
 
-from grasp.dataset import InteractionDataset, sample_negatives
+from grasp.dataset import InteractionDataset
 from grasp.errors import DataError, ParseError
 
 
@@ -71,11 +73,56 @@ def random_baseline_ndcg10(n_candidates: int = 101, k: int = 10) -> float:
     return total / n_candidates
 
 
+def make_dataset(sequences, item_count=None) -> InteractionDataset:
+    """A dataset of per-user item lists (a list, or a dict in user order), ids ``str(n)``."""
+    seqs = [list(s) for s in (sequences.values() if isinstance(sequences, dict) else sequences)]
+    n_items = item_count or (max(i for s in seqs for i in s) + 1)
+    items = np.array([i for s in seqs for i in s], dtype=np.int64)
+    user_freq = np.array([len(s) for s in seqs], dtype=np.int64)
+    return InteractionDataset(
+        user_count=len(seqs),
+        item_count=n_items,
+        items=items,
+        offsets=np.r_[0, np.cumsum(user_freq)].astype(np.int64),
+        item_frequency=np.bincount(items, minlength=n_items),
+        user_frequency=user_freq,
+        user_raw_ids=[str(u) for u in range(len(seqs))],
+        item_raw_ids=[str(i) for i in range(n_items)],
+    )
+
+
+def sequence(ds: InteractionDataset, user: int) -> list[int]:
+    """User ``user``'s items as a python list."""
+    return ds.items[ds.offsets[user] : ds.offsets[user + 1]].tolist()
+
+
+def pad_sequences(seqs, max_seq_len: int):
+    """Left-pad integer sequences into an (B, L) grid plus boolean mask.
+
+    Sequences longer than ``max_seq_len`` keep their most recent items; L
+    is the longest kept length in the batch.
+    """
+    kept = [list(s)[-max_seq_len:] for s in seqs]
+    lengths = np.array([len(s) for s in kept], dtype=np.int64)
+    L = int(lengths.max(initial=0))
+    mask = np.arange(L) >= L - lengths[:, None]
+    items = np.zeros(mask.shape, dtype=np.int64)
+    items[mask] = [item for s in kept for item in s]
+    return items, mask
+
+
+def reference_negatives(ds: InteractionDataset, user: int, count: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """``count`` distinct draws from an explicit pool of the items outside the user's history."""
+    pool = np.setdiff1d(np.arange(ds.item_count), sequence(ds, user))
+    return rng.choice(pool, size=count, replace=False)
+
+
 def reference_eval_candidates(ds: InteractionDataset, user: int, target: int,
                               eval_negatives: int, seed: int):
     """One user's evaluation candidates, target + negatives shuffled, and the target's position."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1, user]))
-    negs = sample_negatives(ds, user, eval_negatives, rng)
+    negs = reference_negatives(ds, user, eval_negatives, rng)
     candidates = np.concatenate([[target], negs])
     order = rng.permutation(len(candidates))
     return candidates[order], int(np.flatnonzero(order == 0)[0])
@@ -147,14 +194,18 @@ def reference_load_interactions(path, min_user_len: int = 3, min_item_freq: int 
     n_users, n_items = len(user_index), len(item_index)
     user_freq = np.zeros(n_users, dtype=np.int64)
     item_freq = np.zeros(n_items, dtype=np.int64)
+    flat, offsets = [], [0]
     for u, seq in sequences.items():
         user_freq[u] = len(seq)
         for i in seq:
             item_freq[i] += 1
+            flat.append(i)
+        offsets.append(len(flat))
     return InteractionDataset(
         user_count=n_users,
         item_count=n_items,
-        sequences=sequences,
+        items=np.array(flat, dtype=np.int64),
+        offsets=np.array(offsets, dtype=np.int64),
         item_frequency=item_freq,
         user_frequency=user_freq,
         user_raw_ids=list(user_index),
@@ -163,11 +214,9 @@ def reference_load_interactions(path, min_user_len: int = 3, min_item_freq: int 
 
 
 def assert_same_dataset(got: InteractionDataset, want: InteractionDataset) -> None:
-    """Every field equal, dtypes and key order included."""
+    """Every field equal, dtypes included."""
     assert (got.user_count, got.item_count) == (want.user_count, want.item_count)
-    assert list(got.sequences.items()) == list(want.sequences.items())
-    assert all(type(i) is int for seq in got.sequences.values() for i in seq)
-    for name in ("item_frequency", "user_frequency"):
+    for name in ("items", "offsets", "item_frequency", "user_frequency"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype == np.int64, name
         np.testing.assert_array_equal(a, b, err_msg=name)

@@ -20,7 +20,7 @@ from grasp.errors import FormatError
 from grasp.model import IdEncoder, RecModel
 from grasp.ops import sigmoid
 from grasp.trainer import TrainBatch
-from helpers import finite_diff, rel_error, run_sequence
+from helpers import finite_diff, pad_sequences, rel_error, run_sequence
 
 
 def gru(h=4, n_layers=1, seed=0, dropout=0.0, max_seq_len=50):
@@ -283,9 +283,10 @@ class TestGruMemory:
         model = RecModel(IdEncoder(items, h, seed=0), Gru4Rec(cfg, seed=0))
         rng = np.random.default_rng(65)
         seqs = [rng.integers(0, items, rng.integers(L // 2, L + 1)).tolist() for _ in range(B)]
+        inputs, mask = pad_sequences(seqs, L)
         tracemalloc.start()
         try:
-            model.final_representations(np.arange(B), seqs, L)
+            model.final_representations(np.arange(B), inputs, mask)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -12,7 +12,7 @@ from grasp.evaluation import eval_candidates, evaluate, rank_of_target
 from grasp.model import build_id_model, build_semantic_model
 from grasp.ops import length_buckets, segment_sum, sigmoid
 from grasp.trainer import make_training_batch
-from helpers import reference_eval_candidates
+from helpers import pad_sequences, reference_eval_candidates
 
 
 class TestLengthBuckets:
@@ -39,6 +39,17 @@ class TestLengthBuckets:
     def test_class_order_then_chunks(self):
         got = [rows.tolist() for rows in length_buckets([3, 1, 4, 1, 3, 1], 2)]
         assert got == [[1, 3], [5], [0, 2], [4]]
+
+    def test_classes_are_the_bit_length_of_n_minus_1(self):
+        rng = np.random.default_rng(20)
+        powers = 2 ** np.arange(21)
+        lengths = np.concatenate([rng.integers(1, 2**20 + 1, 100_000), powers, powers + 1])
+        classes = np.array([int(n - 1).bit_length() for n in lengths.tolist()])
+        order = np.argsort(classes, kind="stable")
+        want = np.split(order, np.flatnonzero(np.diff(classes[order])) + 1)
+        got = length_buckets(lengths, len(lengths))
+        assert len(got) == len(want) == 22  # classes 0 (n = 1) to 21 (n = 2**20 + 1)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("lengths, max_rows", [([0, 2], 4), ([2], 0)])
     def test_rejects_bad_arguments(self, lengths, max_rows):
@@ -178,7 +189,7 @@ def test_single_class_batch_equals_dense_core_exactly(small_corpus, small_stores
     ds, _, _ = small_corpus
     split = split_leave_one_out(ds)
     model = _model(small_stores, ds.item_count, "sasrec", "semantic")
-    users = [u for u in split.users if len(split.entries[u].train_prefix) - 1 in (3, 4)]
+    users = [u for u, e in split.entries.items() if len(e.train_prefix) - 1 in (3, 4)]
     batch = make_training_batch(split, ds, RunConfig(), np.random.default_rng(1), users=users)
     assert len(length_buckets(batch.mask.sum(axis=1), len(users))) == 1
     loss, grads, n_pairs = model.loss_and_grads(batch)
@@ -205,13 +216,14 @@ def test_evaluate_records_independent_of_batch_size(monkeypatch, small_corpus, s
         results.append(evaluate(model, split, ds, which, eval_negatives=20, seed=5, max_seq_len=50))
     (report, records) = results[0]
     assert np.array_equal(records["user"], split.users)
+    entries = split.entries
     for user, target_item, rank in records.tolist():  # each user scored on their own
-        entry = split.entries[user]
-        seq = entry.train_prefix if which == "valid" else entry.train_prefix + [entry.valid_target]
+        entry = entries[user]
+        seq = list(entry.train_prefix) + ([entry.valid_target] if which == "test" else [])
         target = entry.valid_target if which == "valid" else entry.test_target
         assert target_item == target
         cands, tpos = reference_eval_candidates(ds, user, target, 20, 5)
-        o_final = model.final_representations(np.array([user]), [seq], 50)
+        o_final = model.final_representations(np.array([user]), *pad_sequences([seq], 50))
         scores = model.candidate_scores(np.array([user]), cands[None], o_final)
         assert rank == rank_of_target(scores[0], tpos)
     for other_report, other_records in results[1:]:
@@ -226,8 +238,9 @@ def test_cached_candidates_equal_per_user_draws(small_corpus, which):
     cands, target_pos = eval_candidates(split, ds, which, 20, seed=9)
     assert cands.shape == (len(split), 21)
     assert cands.dtype == target_pos.dtype == np.int64
-    for row, user in enumerate(split.users):
-        entry = split.entries[user]
+    entries = split.entries
+    for row, user in enumerate(split.users.tolist()):
+        entry = entries[user]
         target = entry.valid_target if which == "valid" else entry.test_target
         want, want_pos = reference_eval_candidates(ds, user, target, 20, 9)
         np.testing.assert_array_equal(cands[row], want)

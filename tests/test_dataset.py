@@ -15,29 +15,18 @@ from grasp.dataset import (
     write_id_map,
 )
 from grasp.errors import DataError, ParseError
-from helpers import assert_same_dataset, reference_load_interactions
+from helpers import (
+    assert_same_dataset,
+    make_dataset as make_ds,
+    reference_load_interactions,
+    reference_negatives,
+    sequence,
+)
 
 
 def write_log(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
-
-
-def make_ds(sequences, item_count=None):
-    n_items = item_count or (max(i for s in sequences.values() for i in s) + 1)
-    item_freq = np.zeros(n_items, dtype=np.int64)
-    for seq in sequences.values():
-        for i in seq:
-            item_freq[i] += 1
-    return InteractionDataset(
-        user_count=len(sequences),
-        item_count=n_items,
-        sequences=sequences,
-        item_frequency=item_freq,
-        user_frequency=np.array([len(sequences[u]) for u in sorted(sequences)]),
-        user_raw_ids=[str(u) for u in sorted(sequences)],
-        item_raw_ids=[str(i) for i in range(n_items)],
-    )
 
 
 class TestLoadInteractions:
@@ -52,7 +41,7 @@ class TestLoadInteractions:
         ds = load_interactions(log, min_user_len=3, min_item_freq=1)
         assert ds.user_count == 1
         assert ds.item_count == 3
-        assert ds.sequences[0] == [0, 1, 2]
+        assert sequence(ds, 0) == [0, 1, 2]
         assert ds.user_raw_ids == ["u1"]
         assert ds.item_raw_ids == ["a", "b", "c"]
 
@@ -89,7 +78,7 @@ class TestLoadInteractions:
         ])
         ds = load_interactions(log, min_user_len=1, min_item_freq=1)
         # sorted by timestamp: b (t=1) before a (t=2)
-        assert ds.sequences[0] == [1, 0]
+        assert sequence(ds, 0) == [1, 0]
 
     def test_equal_timestamps_keep_file_order(self, tmp_path):
         log = write_log(tmp_path / "log.tsv", [
@@ -98,7 +87,7 @@ class TestLoadInteractions:
             "u1\tz\t7",
         ])
         ds = load_interactions(log, 1, 1)
-        assert ds.sequences[0] == [0, 1, 2]
+        assert sequence(ds, 0) == [0, 1, 2]
 
     def test_iterative_filter_cascades(self, tmp_path):
         # Dropping item `rare` shrinks u2 below the length cutoff; dropping
@@ -110,7 +99,7 @@ class TestLoadInteractions:
         ds = load_interactions(log, min_user_len=2, min_item_freq=2)
         assert ds.user_raw_ids == ["u1"]
         assert ds.item_raw_ids == ["a"]
-        assert ds.sequences[0] == [0, 0]
+        assert sequence(ds, 0) == [0, 0]
 
     def test_frequency_sums_match(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -135,7 +124,7 @@ class TestLoadInteractions:
         ds = load_interactions(log, min_user_len=1, min_item_freq=1)
         decoded = []
         for u in range(ds.user_count):
-            for i in ds.sequences[u]:
+            for i in sequence(ds, u):
                 decoded.append((ds.user_raw_ids[u], ds.item_raw_ids[i]))
         assert sorted(decoded) == sorted(raw_events)
 
@@ -242,7 +231,8 @@ class TestReaderMatchesOracle:
 
     def test_int64_bounds_are_accepted(self, tmp_path):
         log = write_log(tmp_path / "log.tsv", [f"u\ta\t{2**63 - 1}", f"u\tb\t{-(2**63)}"])
-        assert load_interactions(log, 1, 1).sequences == {0: [1, 0]}
+        ds = load_interactions(log, 1, 1)
+        assert ds.user_count == 1 and sequence(ds, 0) == [1, 0]
 
     def test_undecodable_log_names_the_file(self, tmp_path):
         log = tmp_path / "log.tsv"
@@ -267,46 +257,53 @@ class TestSplit:
         ds = make_ds({0: [5, 9, 2, 7]})
         split = split_leave_one_out(ds)
         entry = split.entries[0]
-        assert entry.train_prefix == [5, 9]
+        assert entry.train_prefix.tolist() == [5, 9]
         assert entry.valid_target == 2
         assert entry.test_target == 7
 
     def test_minimum_length(self):
         ds = make_ds({0: [5, 9, 2]})
         entry = split_leave_one_out(ds).entries[0]
-        assert (entry.train_prefix, entry.valid_target, entry.test_target) == ([5], 9, 2)
+        assert (entry.train_prefix.tolist(), entry.valid_target, entry.test_target) == ([5], 9, 2)
 
     def test_short_users_excluded_and_counted(self):
         ds = make_ds({0: [1, 2], 1: [1, 2, 3], 2: [1, 2, 3, 4]})
         split = split_leave_one_out(ds)
         assert len(split) == 2
         assert split.n_excluded == 1
+        assert split.users.tolist() == [1, 2] and split.users.dtype == np.int64
         assert 0 not in split.entries
 
     def test_reassembly_identity(self, small_corpus):
         ds, _, _ = small_corpus
         split = split_leave_one_out(ds)
         for user, entry in split.entries.items():
-            rebuilt = entry.train_prefix + [entry.valid_target, entry.test_target]
-            assert rebuilt == ds.sequences[user]
+            rebuilt = entry.train_prefix.tolist() + [entry.valid_target, entry.test_target]
+            assert rebuilt == sequence(ds, user)
+
+
+EMPTY = np.empty(0, dtype=np.int64)
 
 
 class TestHeadTail:
     def test_ranked_cut(self):
         freqs = np.array([10, 9, 8, 1, 1, 1, 1, 1, 1, 1])
-        ds = InteractionDataset(1, 10, {0: []}, freqs, np.array([0]), ["0"], list("abcdefghij"))
+        ds = InteractionDataset(1, 10, EMPTY, np.array([0, 0]), freqs, np.array([0]), ["0"],
+                                list("abcdefghij"))
         labels = partition_head_tail(ds, 0.2)
         assert freqs[labels.item_is_head].min() == 9
         assert list(np.flatnonzero(labels.item_is_head)) == [0, 1]
 
     def test_single_member_population(self):
-        ds = InteractionDataset(1, 1, {0: [0]}, np.array([1]), np.array([1]), ["0"], ["a"])
+        ds = InteractionDataset(1, 1, np.array([0]), np.array([0, 1]), np.array([1]), np.array([1]),
+                                ["0"], ["a"])
         labels = partition_head_tail(ds, 0.2)
         assert labels.item_is_head.all()
 
     def test_ties_spill_into_head(self):
         freqs = np.array([5, 5, 5, 1])
-        ds = InteractionDataset(1, 4, {0: []}, freqs, np.array([0]), ["0"], list("abcd"))
+        ds = InteractionDataset(1, 4, EMPTY, np.array([0, 0]), freqs, np.array([0]), ["0"],
+                                list("abcd"))
         labels = partition_head_tail(ds, 0.25)
         assert freqs[labels.item_is_head].min() == 5
         assert labels.item_is_head.sum() == 3
@@ -355,35 +352,61 @@ class TestNegativeSampling:
         ds, _, _ = small_corpus
         rng = np.random.default_rng(5)
         for user in range(0, ds.user_count, 7):
-            history = set(ds.sequences[user])
+            history = set(sequence(ds, user))
             negs = sample_negatives(ds, user, 12, rng)
             assert len(set(negs.tolist()) & history) == 0
             assert len(set(negs.tolist())) == 12
 
 
+@st.composite
+def histories(draw):
+    """A catalog size and 1-4 users' histories over it, repeated items likely; a
+    history may cover every item but one, or the whole catalog."""
+    n = draw(st.integers(1, 30))
+    items = st.integers(0, n - 1)
+    seqs = []
+    for _ in range(draw(st.integers(1, 4))):
+        seq = draw(st.lists(items, max_size=60))
+        cover = draw(st.sampled_from(["some", "all but one", "all"]))
+        if cover != "some":
+            skip = draw(items) if cover == "all but one" else -1
+            seq = [i for i in seq + draw(st.permutations(range(n))) if i != skip]
+        seqs.append(seq)
+    return n, seqs
+
+
 class TestNonHistory:
+    """The complement map: ``outside(u, draw)`` gives the items at ``draw``'s positions j
+    in the ascending complement of u's history."""
+
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 30).flatmap(
-        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=60))))
-    @example((3, [0, 1, 2, 2, 0]))  # empty complement, repeated items
-    @example((4, []))
-    def test_equals_setdiff_of_history(self, case):
-        item_count, seq = case
-        ds = make_ds({0: seq}, item_count=item_count)
-        want = np.setdiff1d(np.arange(item_count, dtype=np.int64), np.unique(seq))
-        got = ds.non_history(0)
-        np.testing.assert_array_equal(got, want)
-        assert got.dtype == np.int64
-        # the pool feeds the seeded draws, so equal pools give equal draws
-        if len(want):
-            np.testing.assert_array_equal(
-                np.random.default_rng(1).choice(got, size=len(want), replace=False),
-                np.random.default_rng(1).choice(want, size=len(want), replace=False),
-            )
+    @given(histories(), st.integers(0, 2**32 - 1))
+    @example((3, [[0, 1, 2, 2, 0]]), 0)  # full catalog: empty complement, repeated items
+    @example((4, [[3, 0, 3, 2, 2, 0]]), 5)  # one item left outside
+    @example((4, [[], [1, 1]]), 2)  # a user without history
+    def test_equals_setdiff_of_history(self, case, seed):
+        item_count, seqs = case
+        ds = make_ds(seqs, item_count=item_count)
+        for user, seq in enumerate(seqs):
+            want = np.setdiff1d(np.arange(item_count, dtype=np.int64), seq)
+            sizes = []
+            got = ds.outside(user, lambda n: sizes.append(n) or np.arange(n))
+            assert sizes == [len(want)]
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == np.int64
+            for count in {0, len(want) // 2, len(want)}:
+                drawn = sample_negatives(ds, user, count, np.random.default_rng(seed))
+                oracle = reference_negatives(ds, user, count, np.random.default_rng(seed))
+                assert drawn.dtype == oracle.dtype == np.int64
+                assert drawn.tobytes() == oracle.tobytes()
 
     def test_unknown_user_is_data_error(self):
-        with pytest.raises(DataError):
-            make_ds({0: [0, 1]}).non_history(5)
+        ds = make_ds({0: [0, 1], 1: [1, 2]}, item_count=5)
+        for user in (-1, ds.user_count):
+            with pytest.raises(DataError, match=f"unknown user id {user}"):
+                ds.outside(user, np.arange)
+            with pytest.raises(DataError, match=f"unknown user id {user}"):
+                sample_negatives(ds, user, 1, np.random.default_rng(0))
 
 
 def test_write_id_map_bytes(tmp_path):

@@ -18,7 +18,7 @@ from grasp.evaluation import (
     rank_of_target,
     report_from_ranks,
 )
-from helpers import brute_force_hr, brute_force_ndcg, random_baseline_ndcg10
+from helpers import brute_force_hr, brute_force_ndcg, random_baseline_ndcg10, sequence
 
 
 class TestRank:
@@ -107,7 +107,7 @@ class TestMetricOracles:
 class _EqualScorer:
     """All candidates tie; ranks come purely from the shuffled order."""
 
-    def final_representations(self, users, seqs, max_seq_len):
+    def final_representations(self, users, inputs, mask):
         return np.zeros((len(users), 4))
 
     def candidate_scores(self, users, cand_ids, o_final):
@@ -118,7 +118,7 @@ class _PerfectScorer:
     def __init__(self, targets):
         self.targets = targets
 
-    def final_representations(self, users, seqs, max_seq_len):
+    def final_representations(self, users, inputs, mask):
         self._users = users
         return np.zeros((len(users), 4))
 
@@ -133,7 +133,7 @@ class _NanScorer:
     def __init__(self, bad_users):
         self.bad_users = set(bad_users)
 
-    def final_representations(self, users, seqs, max_seq_len):
+    def final_representations(self, users, inputs, mask):
         return np.zeros((len(users), 4))
 
     def candidate_scores(self, users, cand_ids, o_final):
@@ -188,9 +188,10 @@ class TestEvaluateProtocol:
         # candidates may include other users' targets, never the user's history
         ds, split = big_corpus
         cand_rows, target_pos = eval_candidates(split, ds, "test", 100, seed=7)
-        for cands, tpos, user in list(zip(cand_rows, target_pos, split.users))[:40]:
-            entry = split.entries[user]
-            history = set(ds.sequences[user])
+        entries = split.entries
+        for cands, tpos, user in list(zip(cand_rows, target_pos, split.users.tolist()))[:40]:
+            entry = entries[user]
+            history = set(sequence(ds, user))
             negs = np.delete(cands, tpos)
             assert not (set(negs.tolist()) & history)
             assert cands[tpos] == entry.test_target
@@ -199,9 +200,9 @@ class TestEvaluateProtocol:
         ds, _ = big_corpus
         from grasp.dataset import LeaveOneOutSplit
 
+        empty = LeaveOneOutSplit(np.empty(0, dtype=np.int64), 3, ds)
         with pytest.raises(DataError):
-            evaluate(_EqualScorer(), LeaveOneOutSplit(entries={}, n_excluded=3), ds, "test",
-                     eval_negatives=100, seed=42, max_seq_len=100)
+            evaluate(_EqualScorer(), empty, ds, "test", eval_negatives=100, seed=42, max_seq_len=100)
 
     def test_bad_which(self, big_corpus):
         ds, split = big_corpus

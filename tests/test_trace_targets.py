@@ -6,6 +6,7 @@ changed argument layout would otherwise surface only when the benchmark
 runs.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from grasp.config import RunConfig  # noqa: E402
 from grasp.dataset import split_leave_one_out  # noqa: E402
 from grasp.evaluation import evaluate  # noqa: E402
 from grasp.model import build_id_model, build_semantic_model  # noqa: E402
+from grasp.trainer import Adam, TrainState, train_epoch  # noqa: E402
 
 
 def test_every_target_resolves():
@@ -62,10 +64,9 @@ def test_cells_match_an_id_gru4rec_evaluate(monkeypatch, small_corpus):
     grids = []
     final_representations = model.final_representations
 
-    def recording_final(users, seqs, max_seq_len):
-        lengths = [min(len(s), max_seq_len) for s in seqs]
-        grids.append((len(seqs) * max(lengths), sum(lengths)))
-        return final_representations(users, seqs, max_seq_len)
+    def recording_final(users, inputs, mask):
+        grids.append((mask.size, int(mask.sum())))
+        return final_representations(users, inputs, mask)
 
     model.final_representations = recording_final
     monkeypatch.setattr(evaluation, "EVAL_BATCH_ROWS", 16)
@@ -80,3 +81,25 @@ def test_cells_match_an_id_gru4rec_evaluate(monkeypatch, small_corpus):
     assert tracer.counts["backbone.cells"] == sum(cells for cells, _ in grids)
     assert tracer.counts["backbone.real_positions"] == sum(real for _, real in grids)
     assert tracer.counts["backbone.cells"] > tracer.counts["backbone.real_positions"]
+
+
+def test_calls_count_batches_and_evaluated_users(small_corpus):
+    """A traced epoch builds one batch per ``batch_size`` trainable users (prefix of
+    at least 2), and a traced ``evaluate`` draws each split user's negatives once."""
+    ds, _, _ = small_corpus
+    split = split_leave_one_out(ds)
+    cfg = RunConfig(backbone="gru4rec", encoder="id", h=8, max_seq_len=6, batch_size=16)
+    model = build_id_model(ds.item_count, cfg, seed=3)
+    trainable = sum(len(e.train_prefix) >= 2 for e in split.entries.values())
+    assert trainable < len(split)
+    tracer = Tracer(targets())
+    tracer.install()
+    try:
+        train_epoch(model, split, ds, cfg, TrainState(), Adam(model.parameter_groups(), cfg.lr),
+                    np.random.default_rng(0), np.random.default_rng(1))
+        assert tracer.counts["dataset.sample_negatives_calls"] == 0
+        evaluate(model, split, ds, "valid", eval_negatives=20, seed=4, max_seq_len=cfg.max_seq_len)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["trainer.batches"] == math.ceil(trainable / cfg.batch_size)
+    assert tracer.counts["dataset.sample_negatives_calls"] == len(split)

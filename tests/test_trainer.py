@@ -2,27 +2,11 @@ import numpy as np
 import pytest
 
 from grasp.config import RunConfig
-from grasp.dataset import InteractionDataset, split_leave_one_out
+from grasp.dataset import split_leave_one_out
 from grasp.errors import DataError, NumericError
 from grasp.model import IdEncoder, RecModel, build_id_model, build_semantic_model, semantic_checksum
 from grasp.trainer import Adam, TrainBatch, fit, make_training_batch, train_epoch, TrainState
-from helpers import finite_diff, rel_error
-
-
-def make_ds(sequences, item_count):
-    item_freq = np.zeros(item_count, dtype=np.int64)
-    for seq in sequences.values():
-        for i in seq:
-            item_freq[i] += 1
-    return InteractionDataset(
-        user_count=len(sequences),
-        item_count=item_count,
-        sequences=sequences,
-        item_frequency=item_freq,
-        user_frequency=np.array([len(sequences[u]) for u in sorted(sequences)]),
-        user_raw_ids=[str(u) for u in sorted(sequences)],
-        item_raw_ids=[str(i) for i in range(item_count)],
-    )
+from helpers import finite_diff, make_dataset as make_ds, rel_error, sequence
 
 
 def small_model(small_stores, seed=0, backbone="sasrec", h=8, dropout=0.0, **hae_flags):
@@ -146,7 +130,7 @@ class TestTrainingBatch:
         split = split_leave_one_out(ds)
         batch = make_training_batch(split, ds, cfg, np.random.default_rng(1), split.users[:16])
         for b, user in enumerate(batch.users):
-            history = set(ds.sequences[int(user)])
+            history = set(sequence(ds, int(user)))
             drawn = batch.negatives[b][batch.mask[b]]
             assert not (set(drawn.flatten().tolist()) & history)
 
